@@ -46,13 +46,10 @@ from .components import (
     apply,
     axis_retardance,
     compose,
-    element_from_json_obj,
-    element_to_json_obj,
     hwp,
     polarizer_apply,
     qwp,
     rotate_element,
-    sequence_from_json_obj,
     waveplate_from_axis,
 )
 from .shifter import (

@@ -54,6 +54,21 @@ def _parse_quat_arg(text: str, name: str) -> Quaternion:
     return q
 
 
+def _finite(value: float, name: str, minimum: float = -math.inf) -> float:
+    if not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise BadInput(f"{name} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def _strict_json(obj) -> str:
+    # strict JSON has no NaN or Infinity; a value that overflowed is not a result
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise UnrecoverableConversion(f"result is not finite: {obj}") from exc
+
+
 def _load_signal(kind: str, obj):
     try:
         if kind == "quat":
@@ -97,8 +112,11 @@ def cmd_convert(args) -> int:
             raise BadInput(f"bad stokes input: {exc}") from exc
     else:
         q = _load_signal(args.src, obj)
-        out = _dump_signal(args.dst, q, args.degrees)
-    print(json.dumps(out))
+        try:
+            out = _dump_signal(args.dst, q, args.degrees)
+        except ValueError as exc:  # e.g. the zero signal has no ellipse
+            raise UnrecoverableConversion(f"cannot convert to {args.dst}: {exc}") from exc
+    print(_strict_json(out))
     return 0
 
 
@@ -113,8 +131,8 @@ def _angles_obj(angles: shifter.WaveplateAngles, degrees: bool) -> dict:
 def cmd_solve(args) -> int:
     q = _parse_quat_arg(args.q, "--q")
     r = _parse_quat_arg(args.r, "--r")
-    p = shifter.target_transform(q, r, args.phi)
-    sol = shifter.solve_angles(p, args.tol)
+    p = shifter.target_transform(q, r, _finite(args.phi, "--phi"))
+    sol = shifter.solve_angles(p, _finite(args.tol, "--tol", 0.0))
 
     def residual(angles):
         return (shifter.forward_transform(angles) - p).norm()
@@ -135,9 +153,9 @@ def cmd_solve(args) -> int:
             entry.update(_angles_obj(angles, args.degrees))
             entry["residual"] = residual(angles)
             solutions.append(entry)
-    print(json.dumps({"target_p": p.to_list(),
-                      "classification": sol.classification.value,
-                      "solutions": solutions}))
+    print(_strict_json({"target_p": p.to_list(),
+                        "classification": sol.classification.value,
+                        "solutions": solutions}))
     return 0
 
 
@@ -148,7 +166,7 @@ def cmd_ramp(args) -> int:
     if n < 2:
         raise BadInput("--samples must be at least 2")
     phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
-    points = shifter.ramp_trajectory(q, r, phis, args.tol)
+    points = shifter.ramp_trajectory(q, r, phis, _finite(args.tol, "--tol", 0.0))
     lines = [CSV_HEADER]
     for pt in points:
         out = q * shifter.forward_transform(pt.angles)

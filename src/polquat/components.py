@@ -132,44 +132,3 @@ def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
     i_q_s = Quaternion(0.0, 1.0, 0.0, 0.0) * q * s
     return (q * (1.0 + pol.mu) - i_q_s * (1.0 - pol.mu)) * 0.5
 
-
-# -- JSON device descriptors ------------------------------------------------
-
-def element_to_json_obj(element) -> dict:
-    """Serialize a Waveplate or PartialPolarizer to the device descriptor form."""
-    if isinstance(element, PartialPolarizer):
-        return {"type": "polarizer",
-                "quat": element.pass_axis.to_list(),
-                "mu": element.mu}
-    if isinstance(element, Waveplate):
-        return {"type": "custom", "quat": element.q.to_list()}
-    raise TypeError(f"not an optical element: {element!r}")
-
-
-def element_from_json_obj(obj: dict):
-    """Parse one device descriptor.
-
-    {"type": "qwp"|"hwp", "psi": rad}          rotated standard plate
-    {"type": "custom", "quat": [...], "psi":?} explicit transform, optionally
-                                               rotated
-    {"type": "polarizer", "quat": [...], "mu": x}
-    """
-    kind = obj.get("type")
-    if kind == "qwp":
-        return qwp(float(obj.get("psi", 0.0)))
-    if kind == "hwp":
-        return hwp(float(obj.get("psi", 0.0)))
-    if kind == "custom":
-        plate = Waveplate(Quaternion.from_list(obj["quat"]))
-        if "psi" in obj:
-            plate = rotate_element(plate, float(obj["psi"]))
-        return plate
-    if kind == "polarizer":
-        return PartialPolarizer(Quaternion.from_list(obj["quat"]),
-                                float(obj["mu"]))
-    raise ValueError(f"unknown element type {kind!r}")
-
-
-def sequence_from_json_obj(items) -> list:
-    """Parse a JSON array of device descriptors, in propagation order."""
-    return [element_from_json_obj(obj) for obj in items]

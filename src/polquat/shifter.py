@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .components import compose, hwp, qwp
 from .quaternion import Quaternion, _require_unit
@@ -77,28 +77,40 @@ class ShifterProblem:
     def target(self) -> Quaternion:
         return target_transform(self.q_in, self.r_out, self.phi)
 
-    def to_json_obj(self) -> dict:
-        return {"q": self.q_in.to_list(), "r": self.r_out.to_list(),
-                "phi": self.phi}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ShifterProblem":
-        return cls(Quaternion.from_list(obj["q"]),
-                   Quaternion.from_list(obj["r"]), float(obj["phi"]))
+@dataclass(frozen=True)
+class SingularFamily:
+    """The one-parameter family of triples solving a singular target.
+
+    The triple at free parameter x (alpha for the A case, psi_b itself for
+    the B case) is base + slope * x, each angle reduced modulo pi.  The
+    slopes are (+1, 0, -1) for the A case and (+1, +1, +1) for the B case.
+    """
+
+    base: tuple
+    slope: tuple
+
+    def at(self, x: float) -> WaveplateAngles:
+        (b0, b1, b2), (s0, s1, s2) = self.base, self.slope
+        return WaveplateAngles(reduce_angle(b0 + s0 * x), reduce_angle(b1 + s1 * x),
+                               reduce_angle(b2 + s2 * x))
+
+    def samples(self, count: int = 16) -> tuple:
+        """count evenly spaced triples, x = -pi/2 + pi*m/count."""
+        return tuple(self.at(-_HALF_PI + _PI * m / count) for m in range(count))
 
 
 @dataclass(frozen=True)
 class ShifterSolution:
     """Either two regular branches or a one-parameter singular family.
 
-    For singular cases `family` maps the free parameter (alpha for the A
-    case, psi_b itself for the B case) to an angle triple, and
-    `family_samples` holds 16 evenly spaced triples for serialization.
+    For singular cases `family_samples` holds `family.samples()`, 16 evenly
+    spaced triples for serialization.
     """
 
     classification: Classification
     branches: Optional[tuple] = None
-    family: Optional[Callable[[float], WaveplateAngles]] = None
+    family: Optional[SingularFamily] = None
     family_samples: Optional[tuple] = None
 
 
@@ -182,28 +194,18 @@ def solve_angles(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> ShifterSol
     _require_unit(p, "target transform")
     c1 = math.hypot(p.q0, p.q2)
     c2 = math.hypot(p.q1, p.q3)
-    if c1 <= tol:
-        a_half = 0.5 * math.atan2(p.q3, p.q1)
-
-        def family_a(alpha: float, _a=a_half) -> WaveplateAngles:
-            return WaveplateAngles(reduce_angle(_a + _PI / 4 + alpha),
-                                   reduce_angle(_a),
-                                   reduce_angle(_a + _PI / 4 - alpha))
-
-        return ShifterSolution(Classification.SINGULAR_A, family=family_a,
-                               family_samples=_sample_family(family_a))
-    if c2 <= tol:
-        b_half = 0.5 * math.atan2(p.q2, p.q0)
-
-        def family_b(psi_b: float, _b=b_half) -> WaveplateAngles:
-            return WaveplateAngles(reduce_angle(psi_b - _b + _PI / 2),
-                                   reduce_angle(psi_b),
-                                   reduce_angle(psi_b + _b + _PI / 2))
-
-        return ShifterSolution(Classification.SINGULAR_B, family=family_b,
-                               family_samples=_sample_family(family_b))
     a_half = 0.5 * math.atan2(p.q3, p.q1)
     b_half = 0.5 * math.atan2(p.q2, p.q0)
+    if c1 <= tol:
+        family = SingularFamily((a_half + _PI / 4, a_half, a_half + _PI / 4),
+                                (1.0, 0.0, -1.0))
+        return ShifterSolution(Classification.SINGULAR_A, family=family,
+                               family_samples=family.samples())
+    if c2 <= tol:
+        family = SingularFamily((_HALF_PI - b_half, 0.0, b_half + _HALF_PI),
+                                (1.0, 1.0, 1.0))
+        return ShifterSolution(Classification.SINGULAR_B, family=family,
+                               family_samples=family.samples())
     t_half = 0.5 * math.atan2(c1, c2)
     branch1 = WaveplateAngles(reduce_angle(a_half - b_half + _PI / 4),
                               reduce_angle(a_half - t_half),
@@ -212,11 +214,6 @@ def solve_angles(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> ShifterSol
                               reduce_angle(a_half + t_half),
                               reduce_angle(a_half + b_half - _PI / 4))
     return ShifterSolution(Classification.REGULAR, branches=(branch1, branch2))
-
-
-def _sample_family(family: Callable[[float], WaveplateAngles],
-                   count: int = 16) -> tuple:
-    return tuple(family(-_HALF_PI + _PI * m / count) for m in range(count))
 
 
 def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion,
@@ -244,7 +241,7 @@ def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion,
     return Classification.REGULAR
 
 
-def _best_family_point(family: Callable[[float], WaveplateAngles],
+def _best_family_point(family: SingularFamily,
                        prev: WaveplateAngles) -> WaveplateAngles:
     """Family point minimizing the max angular change from `prev`.
 
@@ -253,30 +250,20 @@ def _best_family_point(family: Callable[[float], WaveplateAngles],
     minimum of their max therefore sits at a wave zero or at a crossing of
     two waves, and crossings lie at midpoints of zeros shifted by 0 or pi/2.
     """
-    probe = family(0.0)
-    step = 1e-3
-    probe2 = family(step)
-    zeros = []
-    for idx in range(3):
-        base = probe.as_tuple()[idx]
-        slope = math.remainder(probe2.as_tuple()[idx] - base, _PI) / step
-        target = prev.as_tuple()[idx]
-        if abs(slope) < 0.5:
-            continue  # angle does not move with the parameter
-        # solve base + slope * x = target (mod pi), slope is +-1
-        zeros.append(math.remainder((target - base) / slope, _PI))
+    # base + slope * x = target (mod pi) for each moving angle, slope +-1
+    zeros = [math.remainder((target - base) / slope, _PI)
+             for base, slope, target in zip(family.base, family.slope, prev.as_tuple())
+             if slope]
     candidates = list(zeros)
     for ii in range(len(zeros)):
         for jj in range(ii + 1, len(zeros)):
             mid = 0.5 * (zeros[ii] + zeros[jj])
             candidates.append(mid)
             candidates.append(mid + _HALF_PI)
-    if not candidates:
-        candidates = [0.0]
     best = None
     best_d = math.inf
     for x in candidates:
-        trip = family(x)
+        trip = family.at(x)
         d = triple_distance(trip, prev)
         if d < best_d - 1e-15:
             best, best_d = trip, d
@@ -313,7 +300,7 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
             bid = branch_id
             prev_was_family = False
         else:
-            choice = sol.family(0.0) if prev is None else _best_family_point(sol.family, prev)
+            choice = sol.family.at(0.0) if prev is None else _best_family_point(sol.family, prev)
             bid = 0
             prev_was_family = True
         step = 0.0 if prev is None else triple_distance(choice, prev)

