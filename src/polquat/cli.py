@@ -97,9 +97,23 @@ def _dump_signal(kind: str, q: Quaternion, degrees: bool):
     return e.to_json_obj()
 
 
+def _finite_number(text: str) -> float:
+    # every input number is read as a float; one that overflows (1e999, or an
+    # integer literal of 400 digits) is bad input, not a conversion failure
+    value = float(text)
+    if not math.isfinite(value):
+        raise BadInput(f"JSON number {text[:40]} is out of range")
+    return value
+
+
+def _no_constant(name: str):
+    raise BadInput(f"JSON input has the non-finite constant {name}")
+
+
 def cmd_convert(args) -> int:
     try:
-        obj = json.loads(args.input)
+        obj = json.loads(args.input, parse_float=_finite_number, parse_int=_finite_number,
+                         parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise BadInput(f"malformed JSON input: {exc}") from exc
     if args.src == "stokes":

@@ -16,6 +16,11 @@ exactly two angle triples (branch 1 and branch 2); at those singular
 conditions one constraint disappears and a one-parameter family of triples
 solves the problem instead.
 
+Read forwards, the same split is the six-trig closed form of the stack that
+`forward_transform` evaluates.  The target is linear in (cos phi, sin phi),
+p(phi) = cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, so a ramp computes
+P0 and s P0 once.
+
 All plate angles are reduced modulo pi into (-pi/2, pi/2]; the physical
 plates are pi-periodic so the reduction never changes the transform.
 """
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .components import compose, hwp, qwp
 from .quaternion import Quaternion, _require_unit
 from .signal import apply_phase, stokes, to_ellipse
 
@@ -152,20 +156,52 @@ def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:
     return max(angle_distance(x, y) for x, y in zip(a.as_tuple(), b.as_tuple()))
 
 
-def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quaternion:
-    """The unit transform p = exp(s phi) conj(q) r with q p = e^(i phi) r."""
+def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
+    """(P0, s P0) with P0 = conj(q) r, after checking both signals are unit."""
     _require_unit(q_in, "input signal")
     _require_unit(r_out, "output signal")
     s = stokes(q_in).as_quaternion().normalized()
+    p0 = q_in.conjugate() * r_out
+    return p0, s * p0
+
+
+def _line_point(line: tuple, phi: float) -> Quaternion:
+    """cos(phi) P0 + sin(phi) s P0 for line = (P0, s P0)."""
+    a, b = line
     c = math.cos(phi)
     n = math.sin(phi)
-    e_s_phi = Quaternion(c, n * s.q1, n * s.q2, n * s.q3)
-    return e_s_phi * q_in.conjugate() * r_out
+    return Quaternion(c * a.q0 + n * b.q0, c * a.q1 + n * b.q1,
+                      c * a.q2 + n * b.q2, c * a.q3 + n * b.q3)
+
+
+def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quaternion:
+    """The unit transform p = exp(s phi) conj(q) r with q p = e^(i phi) r.
+
+    Evaluated as cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, since s is
+    a unit vector quaternion and exp(s phi) = cos(phi) + s sin(phi).
+    """
+    return _line_point(_target_line(q_in, r_out), phi)
 
 
 def forward_transform(angles: WaveplateAngles) -> Quaternion:
-    """Transform of the stack qwp(psi_a), hwp(psi_b), qwp(psi_c)."""
-    return compose([qwp(angles.psi_a), hwp(angles.psi_b), qwp(angles.psi_c)]).q
+    """Transform of the stack qwp(psi_a), hwp(psi_b), qwp(psi_c).
+
+    Closed form of the composed plates: with g = 2 psi_b - psi_a - psi_c,
+
+        p = (-cos g cos(c - a), -sin g sin(a + c),
+             -cos g sin(c - a),  sin g cos(a + c))
+
+    for a = psi_a, c = psi_c, i.e. c1 = p0 + p2 j = -e^(j(c-a)) cos g and
+    c2 = p1 + p3 j = j e^(j(a+c)) sin g.
+    """
+    a, b, c = angles.psi_a, angles.psi_b, angles.psi_c
+    g = 2.0 * b - a - c
+    cg = math.cos(g)
+    sg = math.sin(g)
+    diff = c - a
+    total = a + c
+    return Quaternion(-cg * math.cos(diff), -sg * math.sin(total),
+                      -cg * math.sin(diff), sg * math.cos(total))
 
 
 def is_singular(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> Classification:
@@ -281,14 +317,13 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     Exactly singular samples pick the family point closest to the previous
     triple under the max modulo-pi metric.
     """
-    _require_unit(q_in, "input signal")
-    _require_unit(r_out, "output signal")
+    line = _target_line(q_in, r_out)
     points = []
     prev: Optional[WaveplateAngles] = None
     prev_was_family = False
     branch_id = 1
     for phi in phi_samples:
-        p = target_transform(q_in, r_out, phi)
+        p = _line_point(line, phi)
         sol = solve_angles(p, tol)
         near = min(math.hypot(p.q0, p.q2), math.hypot(p.q1, p.q3)) <= NEAR_SINGULAR_TOL
         if sol.classification is Classification.REGULAR:

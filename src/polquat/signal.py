@@ -25,13 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .quaternion import (
-    Axis,
-    I,
-    J,
-    Quaternion,
-    _require_unit,
-)
+from .quaternion import J, Quaternion, _require_unit
 
 _PI = math.pi
 
@@ -158,11 +152,18 @@ def to_jones(q: Quaternion) -> JonesVector:
 def stokes(q: Quaternion) -> StokesQuaternion:
     """Stokes vector quaternion s = i * q^(dag i) * q.
 
-    Phase-blind: stokes(e^(i phi) * q) == stokes(q).  The scalar part of the
-    product is zero by construction (exactly, including in floating point).
+    Evaluated as the expanded product, whose scalar part vanishes identically:
+
+        s1 = q0^2 + q1^2 - q2^2 - q3^2
+        s2 = 2 (q1 q2 - q0 q3)
+        s3 = 2 (q0 q2 + q1 q3)
+
+    Phase-blind: stokes(e^(i phi) * q) == stokes(q).
     """
-    s = I * q.partial_conjugate(Axis.I) * q
-    return StokesQuaternion(s.q1, s.q2, s.q3)
+    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
+    return StokesQuaternion(q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
+                            2.0 * (q1 * q2 - q0 * q3),
+                            2.0 * (q0 * q2 + q1 * q3))
 
 
 def to_classical(s: StokesQuaternion) -> ClassicalStokes:
@@ -256,29 +257,41 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     quaternion component ordering, then recovers phi from the residual
     q * e^(-j theta) * e^(-k epsilon) / R, which must be a pure phase factor.
     For circular states theta is undefined and reported as 0.
+
+    The angles come from u = q / 2^e, with 2^e just above the largest
+    component: the power-of-two scale is exact, so unit-scale signals give
+    the same angles as q itself, while huge and denormal ones neither
+    overflow nor underflow when squared.
     """
     r = q.norm()
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
-    r2 = r * r
-    s = stokes(q)
-    # two-argument form of sin(2 eps) = -s2 / R^2: the in-plane magnitude
-    # hypot(s1, s3) equals R^2 cos(2 eps) >= 0, and atan2 stays accurate
+    _, e = math.frexp(max(abs(q.q0), abs(q.q1), abs(q.q2), abs(q.q3)))
+    u0, u1, u2, u3 = (math.ldexp(x, -e) for x in (q.q0, q.q1, q.q2, q.q3))
+    s = stokes(Quaternion(u0, u1, u2, u3))
+    # two-argument form of sin(2 eps) = -s2 / |s|: the in-plane magnitude
+    # hypot(s1, s3) equals |s| cos(2 eps) >= 0, and atan2 stays accurate
     # where asin would be ill-conditioned (the circular states)
-    epsilon = 0.5 * math.atan2(-s.s2, math.hypot(s.s1, s.s3))
-    if math.hypot(s.s1, s.s3) <= _CIRCULAR_TOL * r2:
+    in_plane = math.hypot(s.s1, s.s3)
+    epsilon = 0.5 * math.atan2(-s.s2, in_plane)
+    if in_plane <= _CIRCULAR_TOL * s.norm():
         theta = 0.0
     else:
         theta = 0.5 * math.atan2(s.s3, s.s1)
         if theta <= -_PI / 2:
             theta += _PI
-    undo_ori = Quaternion(math.cos(theta), 0.0, -math.sin(theta), 0.0)
-    undo_ell = Quaternion(math.cos(epsilon), 0.0, 0.0, -math.sin(epsilon))
-    res = (q * undo_ori * undo_ell) * (1.0 / r)
-    if max(abs(res.q2), abs(res.q3)) > _PHASE_RESIDUAL_TOL:
-        raise ValueError(
-            f"phase residual is not a pure phase factor: {res}")
-    phi = math.atan2(res.q1, res.q0)
+    # res = u * e^(-j theta) * e^(-k epsilon) / |u|, expanded
+    ct, st = math.cos(theta), math.sin(theta)
+    ce, se = math.cos(epsilon), math.sin(epsilon)
+    a0, a1 = u0 * ct + u2 * st, u1 * ct + u3 * st
+    a2, a3 = u2 * ct - u0 * st, u3 * ct - u1 * st
+    inv = 1.0 / math.hypot(u0, u1, u2, u3)
+    res0, res1 = (a0 * ce + a3 * se) * inv, (a1 * ce - a2 * se) * inv
+    res2, res3 = (a2 * ce + a1 * se) * inv, (a3 * ce - a0 * se) * inv
+    if max(abs(res2), abs(res3)) > _PHASE_RESIDUAL_TOL:
+        raise ValueError("phase residual is not a pure phase factor: "
+                         f"{Quaternion(res0, res1, res2, res3)}")
+    phi = math.atan2(res1, res0)
     if phi == -_PI:
         phi = _PI
     return EllipseParams(r, phi, epsilon, theta)

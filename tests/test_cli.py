@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polquat.cli import CSV_HEADER, main
 
@@ -214,6 +218,15 @@ def _no_constant(name):
       "--out", "/tmp/unused.csv", "--tol", "nan"), 2),
     (("convert", "--from", "quat", "--to", "ellipse", "--input", "[0,0,0,0]"), 3),
     (("convert", "--from", "quat", "--to", "stokes", "--input", "[1e300,1e300,0,0]"), 3),
+    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[1e-320,0,0,0]"), 0),
+    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[1e170,0,1e170,0]"), 0),
+    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[1e-200,0,1e-200,0]"), 0),
+    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[0,0,1e-310,0]"), 0),
+    (("convert", "--from", "quat", "--to", "quat", "--input", "[1e999,0,0,0]"), 2),
+    (("convert", "--from", "quat", "--to", "jones", "--input", "[NaN,0,0,0]"), 2),
+    (("convert", "--from", "stokes", "--to", "stokes",
+      "--input", '{"s1":1e999,"s2":0,"s3":0}'), 2),
+    (("convert", "--from", "quat", "--to", "quat", "--input", "[1" + "0" * 400 + ",0,0,0]"), 2),
 ])
 def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     code, out, err = run(capsys, *argv)
@@ -221,6 +234,39 @@ def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     assert "Traceback" not in err
     if out:
         json.loads(out, parse_constant=_no_constant)
+
+
+_COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1e300", "-1e300",
+                     "5e-324", "-1e-310", "0", "1" + "0" * 400]))
+
+
+def _payload(kind, xs):
+    if kind == "quat":
+        return "[" + ",".join(xs) + "]"
+    if kind == "jones":
+        return '{"ex":[%s,%s],"ey":[%s,%s]}' % tuple(xs)
+    keys = ("r", "phi", "epsilon", "theta") if kind == "ellipse" else ("s1", "s2", "s3")
+    return "{" + ",".join(f'"{k}":{x}' for k, x in zip(keys, xs)) + "}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["quat", "jones", "ellipse", "stokes"]),
+       st.sampled_from(["quat", "jones", "ellipse", "stokes"]),
+       st.lists(_COMPONENTS, min_size=4, max_size=4), st.booleans())
+def test_convert_keeps_the_exit_code_contract_on_any_number(src, dst, xs, degrees):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--degrees"] * degrees + ["convert", "--from", src, "--to", dst,
+                                      "--input", _payload(src, xs)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)   # an escaping exception fails the test: no traceback
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert out.getvalue() == ""
 
 
 def test_check_passes_and_reports_required_groups(capsys):

@@ -12,11 +12,15 @@ from polquat import (
     WaveplateAngles,
     allclose,
     apply_phase,
+    compose,
     forward_transform,
+    hwp,
     is_singular,
+    qwp,
     ramp_trajectory,
     singular_signal_conditions,
     solve_angles,
+    stokes,
     target_transform,
     to_ellipse,
 )
@@ -46,6 +50,17 @@ def test_target_transform_defining_property():
         p = target_transform(q, r, phi)
         assert abs(p.norm() - 1.0) <= 1e-12
         assert (q * p - apply_phase(r, phi)).norm() <= 1e-12
+
+
+def test_target_transform_matches_the_product_form():
+    # the closed line cos(phi) P0 + sin(phi) s P0 against exp(s phi) conj(q) r
+    rng = np.random.default_rng(73)
+    for _ in range(2000):
+        q, r = rand_unit(rng), rand_unit(rng)
+        phi = float(rng.uniform(-math.pi, math.pi))
+        s = stokes(q).as_quaternion().normalized()
+        want = (s * phi).exp() * q.conjugate() * r
+        assert allclose(target_transform(q, r, phi), want, 1e-14)
 
 
 def test_target_transform_rejects_non_unit():
@@ -81,10 +96,18 @@ def test_forward_transform_split_complex_equations():
         assert abs(lhs13 - rhs13) <= 1e-12
 
 
+def test_forward_transform_matches_the_composed_stack():
+    rng = np.random.default_rng(75)
+    # (-pi, pi]^3: negate draws from [-pi, pi)
+    for a, b, c in -rng.uniform(-math.pi, math.pi, size=(10000, 3)):
+        want = compose([qwp(a), hwp(b), qwp(c)]).q
+        assert allclose(forward_transform(WaveplateAngles(a, b, c)), want, 1e-14)
+
+
 def test_end_to_end_through_physical_plates():
     # the solved angles, realized as an actual qwp/hwp/qwp train, must send
     # q to e^(i phi) r
-    from polquat import apply, hwp, qwp
+    from polquat import apply
 
     rng = np.random.default_rng(80)
     for _ in range(200):

@@ -74,6 +74,16 @@ def test_stokes_scalar_part_is_exactly_zero():
         assert raw.q0 == 0.0
 
 
+def test_stokes_matches_the_product_form():
+    rng = np.random.default_rng(26)
+    for _ in range(2000):
+        q = rand_quat(rng, scale=3.0)
+        raw = I * q.partial_conjugate(Axis.I) * q
+        s = stokes(q)
+        worst = max(abs(s.s1 - raw.q1), abs(s.s2 - raw.q2), abs(s.s3 - raw.q3))
+        assert worst <= 1e-14 * q.norm_sq()
+
+
 def test_stokes_phase_blind():
     rng = np.random.default_rng(22)
     for _ in range(100):
@@ -210,6 +220,23 @@ def test_to_ellipse_values():
 
     with pytest.raises(ValueError):
         to_ellipse(Quaternion())
+
+
+@pytest.mark.parametrize("q, want", [
+    # (r, phi, epsilon, theta) of signals too small or too large to square
+    (Quaternion(1e-320, 0, 0, 0), (1e-320, 0.0, 0.0, 0.0)),
+    (Quaternion(1e170, 0, 1e170, 0), (SQ2 * 1e170, 0.0, 0.0, math.pi / 4)),
+    (Quaternion(1e-200, 0, 1e-200, 0), (SQ2 * 1e-200, 0.0, 0.0, math.pi / 4)),
+    (Quaternion(0, 0, 1e-310, 0), (1e-310, 0.0, 0.0, math.pi / 2)),
+    (Quaternion(1e300, 0, 0, 1e300), (SQ2 * 1e300, 0.0, math.pi / 4, 0.0)),
+])
+def test_to_ellipse_is_scale_safe(q, want):
+    e = to_ellipse(q)
+    assert math.isclose(e.r, want[0], rel_tol=1e-12)
+    assert max(abs(got - w) for got, w in zip((e.phi, e.epsilon, e.theta), want[1:])) <= 1e-15
+    # the same angles as the unit-scale signal
+    unit = to_ellipse(Quaternion(*(math.copysign(1.0, c) if c else 0.0 for c in q)))
+    assert (e.phi, e.epsilon, e.theta) == (unit.phi, unit.epsilon, unit.theta)
 
 
 angles = st.floats(min_value=-math.pi + 1e-6, max_value=math.pi,
