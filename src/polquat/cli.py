@@ -39,11 +39,6 @@ class UnrecoverableConversion(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    # +0.0 normalizes a negative zero so identical values print identically
-    return f"{x + 0.0:.12g}"
-
-
 def _parse_quat_arg(text: str, name: str) -> Quaternion:
     try:
         q = Quaternion.from_text(text)
@@ -51,7 +46,9 @@ def _parse_quat_arg(text: str, name: str) -> Quaternion:
         raise BadInput(f"{name}: {exc}") from exc
     if not q.is_unit():
         raise BadInput(f"{name} must be a unit quaternion, |q| = {q.norm()!r}")
-    return q
+    # an accepted input is the unit state it approximates: products of two
+    # inputs 1e-9 off unit would otherwise fail the unit checks downstream
+    return q.normalized()
 
 
 def _finite(value: float, name: str, minimum: float = -math.inf) -> float:
@@ -110,12 +107,29 @@ def _no_constant(name: str):
     raise BadInput(f"JSON input has the non-finite constant {name}")
 
 
+def _require_number_leaves(obj) -> None:
+    # the parse hooks make every JSON number a float; a string, boolean or
+    # null is not a number even where float() would read it
+    pending = [obj]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+        elif not isinstance(item, float):
+            raise BadInput(f"JSON input has the non-numeric value {item!r:.40}")
+
+
 def cmd_convert(args) -> int:
     try:
         obj = json.loads(args.input, parse_float=_finite_number, parse_int=_finite_number,
                          parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise BadInput(f"malformed JSON input: {exc}") from exc
+    except RecursionError as exc:
+        raise BadInput("JSON input is nested too deeply") from exc
+    _require_number_leaves(obj)
     if args.src == "stokes":
         if args.dst != "stokes":
             raise UnrecoverableConversion(
@@ -181,20 +195,17 @@ def cmd_ramp(args) -> int:
         raise BadInput("--samples must be at least 2")
     phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
     points = shifter.ramp_trajectory(q, r, phis, _finite(args.tol, "--tol", 0.0))
-    lines = [CSV_HEADER]
-    for pt in points:
-        out = q * shifter.forward_transform(pt.angles)
-        ell = to_ellipse(out)
-        lines.append(",".join([
-            _fmt(pt.phi),
-            _fmt(pt.angles.psi_a), _fmt(pt.angles.psi_b), _fmt(pt.angles.psi_c),
-            pt.branch_label,
-            _fmt(ell.phi), _fmt(ell.theta), _fmt(ell.epsilon),
-            _fmt(pt.residual),
-        ]))
     try:
         with open(args.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            for pt in points:
+                a = pt.angles
+                ell = to_ellipse(q * shifter.forward_transform(a))
+                # +0.0 normalizes a negative zero so identical values print identically
+                fh.write(f"{pt.phi + 0.0:.12g},{a.psi_a + 0.0:.12g},{a.psi_b + 0.0:.12g},"
+                         f"{a.psi_c + 0.0:.12g},{pt.branch_label},{ell.phi + 0.0:.12g},"
+                         f"{ell.theta + 0.0:.12g},{ell.epsilon + 0.0:.12g},"
+                         f"{pt.residual + 0.0:.12g}\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .quaternion import Quaternion, _require_unit
-from .signal import apply_phase, stokes, to_ellipse
+from .quaternion import UNIT_TOL, Quaternion, _require_unit
+from .signal import stokes, to_ellipse
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -165,22 +165,17 @@ def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
     return p0, s * p0
 
 
-def _line_point(line: tuple, phi: float) -> Quaternion:
-    """cos(phi) P0 + sin(phi) s P0 for line = (P0, s P0)."""
-    a, b = line
-    c = math.cos(phi)
-    n = math.sin(phi)
-    return Quaternion(c * a.q0 + n * b.q0, c * a.q1 + n * b.q1,
-                      c * a.q2 + n * b.q2, c * a.q3 + n * b.q3)
-
-
 def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quaternion:
     """The unit transform p = exp(s phi) conj(q) r with q p = e^(i phi) r.
 
     Evaluated as cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, since s is
     a unit vector quaternion and exp(s phi) = cos(phi) + s sin(phi).
     """
-    return _line_point(_target_line(q_in, r_out), phi)
+    a, b = _target_line(q_in, r_out)
+    c = math.cos(phi)
+    n = math.sin(phi)
+    return Quaternion(c * a.q0 + n * b.q0, c * a.q1 + n * b.q1,
+                      c * a.q2 + n * b.q2, c * a.q3 + n * b.q3)
 
 
 def forward_transform(angles: WaveplateAngles) -> Quaternion:
@@ -204,14 +199,40 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
                       -cg * math.sin(diff), sg * math.cos(total))
 
 
+def _split(p0: float, p1: float, p2: float, p3: float, tol: float) -> tuple:
+    """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
+
+    Returns (classification, c1, c2, a_half, b_half, t_half) with the moduli
+    c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
+    a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
+    t_half = arctan(c1 / c2) / 2.  Raises ValueError unless |p| = 1.
+    """
+    norm = math.hypot(p0, p1, p2, p3)
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise ValueError(f"target transform must be a unit quaternion, |q| = {norm!r}")
+    c1 = math.hypot(p0, p2)
+    c2 = math.hypot(p1, p3)
+    if c1 <= tol:
+        kind = Classification.SINGULAR_A
+    elif c2 <= tol:
+        kind = Classification.SINGULAR_B
+    else:
+        kind = Classification.REGULAR
+    return (kind, c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
+            0.5 * math.atan2(c1, c2))
+
+
+def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
+    """Regular branch 1 or 2 from the half angles of `_split`."""
+    quarter, t = (_PI / 4, -t_half) if branch == 1 else (-_PI / 4, t_half)
+    return WaveplateAngles(reduce_angle(a_half - b_half + quarter),
+                           reduce_angle(a_half + t),
+                           reduce_angle(a_half + b_half + quarter))
+
+
 def is_singular(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> Classification:
     """Classify a unit transform: regular, p0 = p2 = 0, or p1 = p3 = 0."""
-    _require_unit(p, "target transform")
-    if math.hypot(p.q0, p.q2) <= tol:
-        return Classification.SINGULAR_A
-    if math.hypot(p.q1, p.q3) <= tol:
-        return Classification.SINGULAR_B
-    return Classification.REGULAR
+    return _split(p.q0, p.q1, p.q2, p.q3, tol)[0]
 
 
 def solve_angles(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> ShifterSolution:
@@ -227,29 +248,17 @@ def solve_angles(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> ShifterSol
     taken in [0, pi/2].  Singular cases return the one-parameter family.
     The solver targets the signed p: p and -p differ by a global pi phase.
     """
-    _require_unit(p, "target transform")
-    c1 = math.hypot(p.q0, p.q2)
-    c2 = math.hypot(p.q1, p.q3)
-    a_half = 0.5 * math.atan2(p.q3, p.q1)
-    b_half = 0.5 * math.atan2(p.q2, p.q0)
-    if c1 <= tol:
+    kind, _, _, a_half, b_half, t_half = _split(p.q0, p.q1, p.q2, p.q3, tol)
+    if kind is Classification.SINGULAR_A:
         family = SingularFamily((a_half + _PI / 4, a_half, a_half + _PI / 4),
                                 (1.0, 0.0, -1.0))
-        return ShifterSolution(Classification.SINGULAR_A, family=family,
-                               family_samples=family.samples())
-    if c2 <= tol:
+    elif kind is Classification.SINGULAR_B:
         family = SingularFamily((_HALF_PI - b_half, 0.0, b_half + _HALF_PI),
                                 (1.0, 1.0, 1.0))
-        return ShifterSolution(Classification.SINGULAR_B, family=family,
-                               family_samples=family.samples())
-    t_half = 0.5 * math.atan2(c1, c2)
-    branch1 = WaveplateAngles(reduce_angle(a_half - b_half + _PI / 4),
-                              reduce_angle(a_half - t_half),
-                              reduce_angle(a_half + b_half + _PI / 4))
-    branch2 = WaveplateAngles(reduce_angle(a_half - b_half - _PI / 4),
-                              reduce_angle(a_half + t_half),
-                              reduce_angle(a_half + b_half - _PI / 4))
-    return ShifterSolution(Classification.REGULAR, branches=(branch1, branch2))
+    else:
+        return ShifterSolution(kind, branches=(_branch(1, a_half, b_half, t_half),
+                                               _branch(2, a_half, b_half, t_half)))
+    return ShifterSolution(kind, family=family, family_samples=family.samples())
 
 
 def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion,
@@ -316,31 +325,49 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     flagged (as are samples with |c1| or |c2| below NEAR_SINGULAR_TOL).
     Exactly singular samples pick the family point closest to the previous
     triple under the max modulo-pi metric.
+
+    Both the target p and the wanted output e^(i phi) r are linear in
+    (cos phi, sin phi), so each sample costs two trig calls for them; a
+    regular sample builds only the branch it keeps.
     """
-    line = _target_line(q_in, r_out)
+    p_line, sp_line = _target_line(q_in, r_out)
+    a0, a1, a2, a3 = p_line.q0, p_line.q1, p_line.q2, p_line.q3
+    b0, b1, b2, b3 = sp_line.q0, sp_line.q1, sp_line.q2, sp_line.q3
+    # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
+    r0, r1, r2, r3 = r_out.q0, r_out.q1, r_out.q2, r_out.q3
+    ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
     points = []
     prev: Optional[WaveplateAngles] = None
     prev_was_family = False
     branch_id = 1
     for phi in phi_samples:
-        p = _line_point(line, phi)
-        sol = solve_angles(p, tol)
-        near = min(math.hypot(p.q0, p.q2), math.hypot(p.q1, p.q3)) <= NEAR_SINGULAR_TOL
-        if sol.classification is Classification.REGULAR:
+        c = math.cos(phi)
+        n = math.sin(phi)
+        p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3
+        kind, c1, c2, a_half, b_half, t_half = _split(p0, p1, p2, p3, tol)
+        if kind is Classification.REGULAR:
             if prev is not None and prev_was_family:
-                d1 = triple_distance(sol.branches[0], prev)
-                d2 = triple_distance(sol.branches[1], prev)
+                d1 = triple_distance(_branch(1, a_half, b_half, t_half), prev)
+                d2 = triple_distance(_branch(2, a_half, b_half, t_half), prev)
                 branch_id = 1 if d1 <= d2 else 2
-            choice = sol.branches[branch_id - 1]
+            choice = _branch(branch_id, a_half, b_half, t_half)
             bid = branch_id
             prev_was_family = False
         else:
-            choice = sol.family.at(0.0) if prev is None else _best_family_point(sol.family, prev)
+            family = solve_angles(Quaternion(p0, p1, p2, p3), tol).family
+            choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
             bid = 0
             prev_was_family = True
-        step = 0.0 if prev is None else triple_distance(choice, prev)
-        flagged = near or bid == 0 or step >= JUMP_FLAG_STEP
-        residual = (q_in * forward_transform(choice) - apply_phase(r_out, phi)).norm()
+        if prev is None:
+            step = 0.0
+        else:
+            step = max(abs(math.remainder(choice.psi_a - prev.psi_a, _PI)),
+                       abs(math.remainder(choice.psi_b - prev.psi_b, _PI)),
+                       abs(math.remainder(choice.psi_c - prev.psi_c, _PI)))
+        flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or bid == 0 or step >= JUMP_FLAG_STEP
+        out = q_in * forward_transform(choice)
+        residual = math.hypot(out.q0 - (c * r0 + n * ir0), out.q1 - (c * r1 + n * ir1),
+                              out.q2 - (c * r2 + n * ir2), out.q3 - (c * r3 + n * ir3))
         points.append(RampPoint(phi, choice, bid, residual, flagged))
         prev = choice
     return points

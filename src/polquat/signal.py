@@ -149,6 +149,13 @@ def to_jones(q: Quaternion) -> JonesVector:
 
 # -- Stokes ------------------------------------------------------------------
 
+def _stokes_parts(q0: float, q1: float, q2: float, q3: float) -> tuple:
+    """(s1, s2, s3) of the expanded product i * q^(dag i) * q."""
+    return (q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
+            2.0 * (q1 * q2 - q0 * q3),
+            2.0 * (q0 * q2 + q1 * q3))
+
+
 def stokes(q: Quaternion) -> StokesQuaternion:
     """Stokes vector quaternion s = i * q^(dag i) * q.
 
@@ -160,10 +167,7 @@ def stokes(q: Quaternion) -> StokesQuaternion:
 
     Phase-blind: stokes(e^(i phi) * q) == stokes(q).
     """
-    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
-    return StokesQuaternion(q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
-                            2.0 * (q1 * q2 - q0 * q3),
-                            2.0 * (q0 * q2 + q1 * q3))
+    return StokesQuaternion(*_stokes_parts(q.q0, q.q1, q.q2, q.q3))
 
 
 def to_classical(s: StokesQuaternion) -> ClassicalStokes:
@@ -263,21 +267,24 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     the same angles as q itself, while huge and denormal ones neither
     overflow nor underflow when squared.
     """
-    r = q.norm()
+    u0, u1, u2, u3 = q.q0, q.q1, q.q2, q.q3
+    r = math.hypot(u0, u1, u2, u3)
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
-    _, e = math.frexp(max(abs(q.q0), abs(q.q1), abs(q.q2), abs(q.q3)))
-    u0, u1, u2, u3 = (math.ldexp(x, -e) for x in (q.q0, q.q1, q.q2, q.q3))
-    s = stokes(Quaternion(u0, u1, u2, u3))
+    _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
+    if e:
+        u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),
+                          math.ldexp(u2, -e), math.ldexp(u3, -e))
+    s1, s2, s3 = _stokes_parts(u0, u1, u2, u3)
     # two-argument form of sin(2 eps) = -s2 / |s|: the in-plane magnitude
     # hypot(s1, s3) equals |s| cos(2 eps) >= 0, and atan2 stays accurate
     # where asin would be ill-conditioned (the circular states)
-    in_plane = math.hypot(s.s1, s.s3)
-    epsilon = 0.5 * math.atan2(-s.s2, in_plane)
-    if in_plane <= _CIRCULAR_TOL * s.norm():
+    in_plane = math.hypot(s1, s3)
+    epsilon = 0.5 * math.atan2(-s2, in_plane)
+    if in_plane <= _CIRCULAR_TOL * math.hypot(s1, s2, s3):
         theta = 0.0
     else:
-        theta = 0.5 * math.atan2(s.s3, s.s1)
+        theta = 0.5 * math.atan2(s3, s1)
         if theta <= -_PI / 2:
             theta += _PI
     # res = u * e^(-j theta) * e^(-k epsilon) / |u|, expanded

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -227,6 +229,12 @@ def _no_constant(name):
     (("convert", "--from", "stokes", "--to", "stokes",
       "--input", '{"s1":1e999,"s2":0,"s3":0}'), 2),
     (("convert", "--from", "quat", "--to", "quat", "--input", "[1" + "0" * 400 + ",0,0,0]"), 2),
+    (("convert", "--from", "quat", "--to", "quat", "--input", "[" * 100000), 2),
+    (("convert", "--from", "quat", "--to", "quat", "--input", '"1234"'), 2),
+    (("convert", "--from", "jones", "--to", "quat", "--input", '{"ex":"12","ey":"34"}'), 2),
+    (("convert", "--from", "ellipse", "--to", "quat",
+      "--input", '{"r":"1","phi":0,"epsilon":0,"theta":0}'), 2),
+    (("convert", "--from", "quat", "--to", "quat", "--input", "[true,false,0,0]"), 2),
 ])
 def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     code, out, err = run(capsys, *argv)
@@ -234,6 +242,16 @@ def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     assert "Traceback" not in err
     if out:
         json.loads(out, parse_constant=_no_constant)
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)   # any other escaping exception fails the test
+        except SystemExit as exc:   # argparse rejects a malformed option
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 _COMPONENTS = st.one_of(
@@ -256,17 +274,84 @@ def _payload(kind, xs):
        st.sampled_from(["quat", "jones", "ellipse", "stokes"]),
        st.lists(_COMPONENTS, min_size=4, max_size=4), st.booleans())
 def test_convert_keeps_the_exit_code_contract_on_any_number(src, dst, xs, degrees):
-    out, err = io.StringIO(), io.StringIO()
     argv = ["--degrees"] * degrees + ["convert", "--from", src, "--to", dst,
                                       "--input", _payload(src, xs)]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)   # an escaping exception fails the test: no traceback
+    code, out, err = _run_quiet(argv)
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=_no_constant)
+        json.loads(out, parse_constant=_no_constant)
     else:
-        assert out.getvalue() == ""
+        assert out == ""
+
+
+def _scaled(text, scale):
+    return ",".join(repr(float(x) * scale) for x in text.split(","))
+
+
+@pytest.mark.parametrize("q_scale, r_scale", [(1 + 9e-10, 1 + 9e-10), (1 - 9e-10, 1 - 9e-10),
+                                              (1 + 9e-10, 1 - 9e-10)])
+def test_near_unit_inputs_are_solved_as_unit_states(tmp_path, capsys, q_scale, r_scale):
+    # |q| and |r| within 1e-9 of 1 are accepted; their product must not then
+    # fail the target's own unit check
+    q, r = _scaled(FIG5_Q, q_scale), _scaled(FIG5_R, r_scale)
+    code, out, err = run(capsys, "solve", "--q=" + q, "--r=" + r, "--phi", "0.3")
+    assert code == 0 and "Traceback" not in err
+    assert all(s["residual"] <= 1e-9 for s in json.loads(out)["solutions"])
+    out_path = tmp_path / "near.csv"
+    code, _, err = run(capsys, "ramp", "--q=" + q, "--r=" + r, "--samples", "64",
+                       "--out", str(out_path))
+    assert code == 0 and "Traceback" not in err
+    rows = out_path.read_text().splitlines()[1:]
+    assert len(rows) == 64
+    assert all(float(row.split(",")[8]) <= 1e-9 for row in rows)
+
+
+_UNIT = (st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+         .filter(lambda v: math.hypot(*v) > 1e-3)
+         .map(lambda v: [x / math.hypot(*v) for x in v]))
+
+
+def _quat_text(scales):
+    return st.builds(lambda v, scale: ",".join(repr(x * scale) for x in v), _UNIT,
+                     st.sampled_from(scales))
+
+
+_NEAR_UNIT = _quat_text([1.0, 1 + 9e-10, 1 - 9e-10])
+_ANY_QUAT = st.one_of(
+    _NEAR_UNIT,
+    _quat_text([1 + 3e-9, 0.5, 1e300, 1e-300]),
+    st.lists(st.one_of(st.floats().map(repr),
+                       st.sampled_from(["5e-324", "-1e-310", "1e300", "1e999", "0"])),
+             min_size=4, max_size=4).map(",".join),
+    st.sampled_from(["", "1,0,0", "1,0,0,0,0", "a,b,c,d", "1,,0,0", "1;0;0;0"]))
+# half the draws are an accepted (q, r) pair, so the success path is exercised
+_PAIR = st.one_of(st.tuples(_NEAR_UNIT, _NEAR_UNIT), st.tuples(_ANY_QUAT, _ANY_QUAT))
+_PHI = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1.2490457723982544, 1e300]),
+                 st.floats())
+_TOL = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-7, 1e-2, 1e300]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["solve", "ramp"]), _PAIR, _PHI, _TOL, st.integers(-2, 8))
+def test_solve_and_ramp_keep_the_exit_code_contract(command, pair, phi, tol, samples):
+    q, r = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "ramp.csv")
+        argv = [command, "--q=" + q, "--r=" + r, f"--tol={tol!r}"]
+        argv += ([f"--phi={phi!r}"] if command == "solve"
+                 else [f"--samples={samples}", "--out", out_path])
+        code, out, err = _run_quiet(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if command == "solve" and code == 0:
+            json.loads(out, parse_constant=_no_constant)
+        elif code == 0:
+            with open(out_path) as fh:
+                lines = fh.read().splitlines()
+            assert lines[0] == CSV_HEADER and len(lines) == samples + 1
+        else:
+            assert out == ""
 
 
 def test_check_passes_and_reports_required_groups(capsys):

@@ -261,3 +261,22 @@ def test_solved_angles_always_reduced():
         for angles in triples:
             for psi in angles.as_tuple():
                 assert -HALF_PI < psi <= HALF_PI
+
+
+_RAMP_PAIRS = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)] + [
+    (rand_unit(np.random.default_rng(seed)), rand_unit(np.random.default_rng(seed + 100)))
+    for seed in (81, 82, 83)]
+
+
+@pytest.mark.parametrize("q, r", _RAMP_PAIRS)
+@pytest.mark.parametrize("samples, tol", [(9, 1e-7), (257, 1e-7), (257, 1e-2)])
+def test_ramp_matches_the_per_sample_path_exactly(q, r, samples, tol):
+    # the fused row loop must give the public per-sample path's floats: the
+    # kept branch of solve_angles and the residual against apply_phase
+    phis = [2.0 * math.pi * k / (samples - 1) for k in range(samples)]
+    for phi, pt in zip(phis, ramp_trajectory(q, r, phis, tol)):
+        assert pt.phi == phi
+        if pt.branch:
+            sol = solve_angles(target_transform(q, r, phi), tol)
+            assert pt.angles == sol.branches[pt.branch - 1]
+        assert pt.residual == (q * forward_transform(pt.angles) - apply_phase(r, phi)).norm()
