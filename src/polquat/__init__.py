@@ -55,7 +55,6 @@ from .components import (
 from .shifter import (
     Classification,
     RampPoint,
-    ShifterProblem,
     ShifterSolution,
     WaveplateAngles,
     forward_transform,

@@ -193,8 +193,9 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
                         (rot, shifter.Classification.SINGULAR_B)):
             sol = shifter.solve_angles(p)
             assert sol.classification is want, f"{p} solved as {sol.classification}"
-            assert len(sol.family_samples) == 16
-            for angles in sol.family_samples:
+            samples = sol.family_samples
+            assert len(samples) == 16
+            for angles in samples:
                 _assert_reduced(angles)
                 worst_family = max(worst_family, (_composed(angles) - p).norm())
     return ", ".join([_within("branches", worst, 1e-9),

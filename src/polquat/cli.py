@@ -51,10 +51,9 @@ def _parse_quat_arg(text: str, name: str) -> Quaternion:
     return q.normalized()
 
 
-def _finite(value: float, name: str, minimum: float = -math.inf) -> float:
-    if not (math.isfinite(value) and value >= minimum):
-        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-        raise BadInput(f"{name} must be a finite number{bound}, got {value!r}")
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise BadInput(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -66,11 +65,21 @@ def _strict_json(obj) -> str:
         raise UnrecoverableConversion(f"result is not finite: {obj}") from exc
 
 
+def _array(obj, size: int, name: str):
+    # a JSON object or a longer array would otherwise be read by its keys or
+    # cut to its first elements
+    if not (isinstance(obj, list) and len(obj) == size):
+        raise BadInput(f"{name} must be a JSON array of {size} numbers")
+    return obj
+
+
 def _load_signal(kind: str, obj):
     try:
         if kind == "quat":
-            return Quaternion.from_list(obj)
+            return Quaternion.from_list(_array(obj, 4, "quat input"))
         if kind == "jones":
+            _array(obj["ex"], 2, "ex")
+            _array(obj["ey"], 2, "ey")
             return from_jones(JonesVector.from_json_obj(obj))
         if kind == "ellipse":
             return from_ellipse(EllipseParams.from_json_obj(obj))
@@ -160,7 +169,7 @@ def cmd_solve(args) -> int:
     q = _parse_quat_arg(args.q, "--q")
     r = _parse_quat_arg(args.r, "--r")
     p = shifter.target_transform(q, r, _finite(args.phi, "--phi"))
-    sol = shifter.solve_angles(p, _finite(args.tol, "--tol", 0.0))
+    sol = shifter.solve_angles(p)
 
     def residual(angles):
         return (shifter.forward_transform(angles) - p).norm()
@@ -175,9 +184,9 @@ def cmd_solve(args) -> int:
             entry["residual"] = residual(angles)
             solutions.append(entry)
     else:
-        for m, angles in enumerate(sol.family_samples):
-            entry = {"branch": "singular",
-                     "parameter": -math.pi / 2 + math.pi * m / len(sol.family_samples)}
+        samples = sol.family_samples
+        for m, angles in enumerate(samples):
+            entry = {"branch": "singular", "parameter": -math.pi / 2 + math.pi * m / len(samples)}
             entry.update(_angles_obj(angles, args.degrees))
             entry["residual"] = residual(angles)
             solutions.append(entry)
@@ -194,7 +203,7 @@ def cmd_ramp(args) -> int:
     if n < 2:
         raise BadInput("--samples must be at least 2")
     phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
-    points = shifter.ramp_trajectory(q, r, phis, _finite(args.tol, "--tol", 0.0))
+    points = shifter.ramp_trajectory(q, r, phis)
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
@@ -265,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--r", required=True, help='output signal "q0,q1,q2,q3"')
     p_solve.add_argument("--phi", required=True, type=float, help="phase shift (rad)")
     p_solve.add_argument("--branch", choices=("1", "2", "all"), default="all")
-    p_solve.add_argument("--tol", type=float, default=shifter.DEFAULT_SINGULAR_TOL)
     p_solve.set_defaults(func=cmd_solve)
 
     p_ramp = sub.add_parser("ramp", help="write a full 2*pi phase ramp as CSV")
@@ -273,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ramp.add_argument("--r", required=True)
     p_ramp.add_argument("--samples", required=True, type=int)
     p_ramp.add_argument("--out", required=True, help="output CSV path")
-    p_ramp.add_argument("--tol", type=float, default=shifter.DEFAULT_SINGULAR_TOL)
     p_ramp.set_defaults(func=cmd_ramp)
 
     p_check = sub.add_parser("check", help="run the built-in verification suite")

@@ -39,13 +39,15 @@ _PI = math.pi
 _HALF_PI = math.pi / 2
 
 # |c1| or |c2| at or below this is treated as exactly singular.
-DEFAULT_SINGULAR_TOL = 1e-7
+SINGULAR_TOL = 1e-7
 # Below this the regular solve is still returned but the sample is flagged:
 # the angle sensitivity diverges as the singularity is approached.
 NEAR_SINGULAR_TOL = 1e-4
 # A per-angle step of at least this size between consecutive ramp samples
 # marks a singular crossing (the characteristic jump size is pi/2).
 JUMP_FLAG_STEP = math.pi / 4
+# Evenly spaced triples a singular solution reports for its family.
+FAMILY_SAMPLES = 16
 
 
 class Classification(Enum):
@@ -67,22 +69,6 @@ class WaveplateAngles:
 
 
 @dataclass(frozen=True)
-class ShifterProblem:
-    """Input SOP, output SOP (both unit quaternions) and desired phase."""
-
-    q_in: Quaternion
-    r_out: Quaternion
-    phi: float
-
-    def __post_init__(self):
-        _require_unit(self.q_in, "input signal")
-        _require_unit(self.r_out, "output signal")
-
-    def target(self) -> Quaternion:
-        return target_transform(self.q_in, self.r_out, self.phi)
-
-
-@dataclass(frozen=True)
 class SingularFamily:
     """The one-parameter family of triples solving a singular target.
 
@@ -99,23 +85,24 @@ class SingularFamily:
         return WaveplateAngles(reduce_angle(b0 + s0 * x), reduce_angle(b1 + s1 * x),
                                reduce_angle(b2 + s2 * x))
 
-    def samples(self, count: int = 16) -> tuple:
-        """count evenly spaced triples, x = -pi/2 + pi*m/count."""
-        return tuple(self.at(-_HALF_PI + _PI * m / count) for m in range(count))
+    def samples(self) -> tuple:
+        """FAMILY_SAMPLES evenly spaced triples, x = -pi/2 + pi*m/FAMILY_SAMPLES."""
+        return tuple(self.at(-_HALF_PI + _PI * m / FAMILY_SAMPLES)
+                     for m in range(FAMILY_SAMPLES))
 
 
 @dataclass(frozen=True)
 class ShifterSolution:
-    """Either two regular branches or a one-parameter singular family.
-
-    For singular cases `family_samples` holds `family.samples()`, 16 evenly
-    spaced triples for serialization.
-    """
+    """Either two regular branches or a one-parameter singular family."""
 
     classification: Classification
     branches: Optional[tuple] = None
     family: Optional[SingularFamily] = None
-    family_samples: Optional[tuple] = None
+
+    @property
+    def family_samples(self) -> Optional[tuple]:
+        """`family.samples()` for serialization; None for a regular solution."""
+        return None if self.family is None else self.family.samples()
 
 
 @dataclass(frozen=True)
@@ -146,14 +133,11 @@ def reduce_angle(psi: float) -> float:
     return r
 
 
-def angle_distance(a: float, b: float) -> float:
-    """Distance between plate orientations under the modulo-pi metric."""
-    return abs(math.remainder(a - b, _PI))
-
-
 def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:
     """Max per-angle modulo-pi distance between two triples."""
-    return max(angle_distance(x, y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+    return max(abs(math.remainder(a.psi_a - b.psi_a, _PI)),
+               abs(math.remainder(a.psi_b - b.psi_b, _PI)),
+               abs(math.remainder(a.psi_c - b.psi_c, _PI)))
 
 
 def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
@@ -199,10 +183,11 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
                       -cg * math.sin(diff), sg * math.cos(total))
 
 
-def _split(p0: float, p1: float, p2: float, p3: float, tol: float) -> tuple:
+def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
 
-    Returns (classification, c1, c2, a_half, b_half, t_half) with the moduli
+    Returns (classification, c1, c2, a_half, b_half, t_half) with the
+    classification singular when c1 or c2 is at most SINGULAR_TOL, the moduli
     c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
     a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
     t_half = arctan(c1 / c2) / 2.  Raises ValueError unless |p| = 1.
@@ -212,9 +197,9 @@ def _split(p0: float, p1: float, p2: float, p3: float, tol: float) -> tuple:
         raise ValueError(f"target transform must be a unit quaternion, |q| = {norm!r}")
     c1 = math.hypot(p0, p2)
     c2 = math.hypot(p1, p3)
-    if c1 <= tol:
+    if c1 <= SINGULAR_TOL:
         kind = Classification.SINGULAR_A
-    elif c2 <= tol:
+    elif c2 <= SINGULAR_TOL:
         kind = Classification.SINGULAR_B
     else:
         kind = Classification.REGULAR
@@ -230,12 +215,19 @@ def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> Wavepla
                            reduce_angle(a_half + b_half + quarter))
 
 
-def is_singular(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> Classification:
+def _family(kind: Classification, a_half: float, b_half: float) -> SingularFamily:
+    """The SINGULAR_A or SINGULAR_B family from the half angles of `_split`."""
+    if kind is Classification.SINGULAR_A:
+        return SingularFamily((a_half + _PI / 4, a_half, a_half + _PI / 4), (1.0, 0.0, -1.0))
+    return SingularFamily((_HALF_PI - b_half, 0.0, b_half + _HALF_PI), (1.0, 1.0, 1.0))
+
+
+def is_singular(p: Quaternion) -> Classification:
     """Classify a unit transform: regular, p0 = p2 = 0, or p1 = p3 = 0."""
-    return _split(p.q0, p.q1, p.q2, p.q3, tol)[0]
+    return _split(p.q0, p.q1, p.q2, p.q3)[0]
 
 
-def solve_angles(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> ShifterSolution:
+def solve_angles(p: Quaternion) -> ShifterSolution:
     """All plate angle solutions realizing the unit transform p exactly.
 
     Regular case: the two branches
@@ -248,21 +240,14 @@ def solve_angles(p: Quaternion, tol: float = DEFAULT_SINGULAR_TOL) -> ShifterSol
     taken in [0, pi/2].  Singular cases return the one-parameter family.
     The solver targets the signed p: p and -p differ by a global pi phase.
     """
-    kind, _, _, a_half, b_half, t_half = _split(p.q0, p.q1, p.q2, p.q3, tol)
-    if kind is Classification.SINGULAR_A:
-        family = SingularFamily((a_half + _PI / 4, a_half, a_half + _PI / 4),
-                                (1.0, 0.0, -1.0))
-    elif kind is Classification.SINGULAR_B:
-        family = SingularFamily((_HALF_PI - b_half, 0.0, b_half + _HALF_PI),
-                                (1.0, 1.0, 1.0))
-    else:
+    kind, _, _, a_half, b_half, t_half = _split(p.q0, p.q1, p.q2, p.q3)
+    if kind is Classification.REGULAR:
         return ShifterSolution(kind, branches=(_branch(1, a_half, b_half, t_half),
                                                _branch(2, a_half, b_half, t_half)))
-    return ShifterSolution(kind, family=family, family_samples=family.samples())
+    return ShifterSolution(kind, family=_family(kind, a_half, b_half))
 
 
-def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion,
-                               tol: float = DEFAULT_SINGULAR_TOL) -> Classification:
+def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion) -> Classification:
     """Predict the singularity class from ellipse parameters alone.
 
     target_out is the full output including phase, t = e^(i phi) * r.  The
@@ -273,15 +258,15 @@ def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion,
     e_in = to_ellipse(q_in)
     e_out = to_ellipse(target_out)
     dphi = math.remainder(e_out.phi - e_in.phi, 2.0 * _PI)
-    if abs(e_out.epsilon + e_in.epsilon) <= tol:
+    if abs(e_out.epsilon + e_in.epsilon) <= SINGULAR_TOL:
         off = min(abs(math.remainder(dphi - _HALF_PI, 2.0 * _PI)),
                   abs(math.remainder(dphi + _HALF_PI, 2.0 * _PI)))
-        if off <= tol:
+        if off <= SINGULAR_TOL:
             return Classification.SINGULAR_A
-    if abs(e_out.epsilon - e_in.epsilon) <= tol:
+    if abs(e_out.epsilon - e_in.epsilon) <= SINGULAR_TOL:
         off = min(abs(math.remainder(dphi, 2.0 * _PI)),
                   abs(math.remainder(dphi - _PI, 2.0 * _PI)))
-        if off <= tol:
+        if off <= SINGULAR_TOL:
             return Classification.SINGULAR_B
     return Classification.REGULAR
 
@@ -316,8 +301,7 @@ def _best_family_point(family: SingularFamily,
 
 
 def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
-                    phi_samples: Sequence[float],
-                    tol: float = DEFAULT_SINGULAR_TOL) -> list:
+                    phi_samples: Sequence[float]) -> list:
     """Solve the stack along a phase ramp, keeping the angles trackable.
 
     Regular samples stay on one branch family; crossing a singularity then
@@ -344,7 +328,7 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
         c = math.cos(phi)
         n = math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3
-        kind, c1, c2, a_half, b_half, t_half = _split(p0, p1, p2, p3, tol)
+        kind, c1, c2, a_half, b_half, t_half = _split(p0, p1, p2, p3)
         if kind is Classification.REGULAR:
             if prev is not None and prev_was_family:
                 d1 = triple_distance(_branch(1, a_half, b_half, t_half), prev)
@@ -354,16 +338,11 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
             bid = branch_id
             prev_was_family = False
         else:
-            family = solve_angles(Quaternion(p0, p1, p2, p3), tol).family
+            family = _family(kind, a_half, b_half)
             choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
             bid = 0
             prev_was_family = True
-        if prev is None:
-            step = 0.0
-        else:
-            step = max(abs(math.remainder(choice.psi_a - prev.psi_a, _PI)),
-                       abs(math.remainder(choice.psi_b - prev.psi_b, _PI)),
-                       abs(math.remainder(choice.psi_c - prev.psi_c, _PI)))
+        step = 0.0 if prev is None else triple_distance(choice, prev)
         flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or bid == 0 or step >= JUMP_FLAG_STEP
         out = q_in * forward_transform(choice)
         residual = math.hypot(out.q0 - (c * r0 + n * ir0), out.q1 - (c * r1 + n * ir1),

@@ -8,7 +8,6 @@ from polquat import (
     I,
     ONE,
     Quaternion,
-    ShifterProblem,
     WaveplateAngles,
     allclose,
     apply_phase,
@@ -22,7 +21,6 @@ from polquat import (
     solve_angles,
     stokes,
     target_transform,
-    to_ellipse,
 )
 from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
 from polquat.shifter import reduce_angle, triple_distance
@@ -67,12 +65,7 @@ def test_target_transform_rejects_non_unit():
     with pytest.raises(ValueError):
         target_transform(ONE + I, ONE, 0.0)
     with pytest.raises(ValueError):
-        ShifterProblem(ONE, ONE * 2.0, 0.0)
-
-
-def test_shifter_problem_wrapper():
-    prob = ShifterProblem(ONE, ONE, HALF_PI)
-    assert allclose(prob.target(), I, 1e-12)
+        target_transform(ONE, ONE * 2.0, 0.0)
 
 
 def test_forward_transform_all_zero():
@@ -206,13 +199,13 @@ def test_singular_signal_conditions_constructed():
         phi_a = math.remainder(phi + dphi, 2 * math.pi)
         t_a = from_ellipse(EllipseParams(1.0, phi_a, -eps, th2))
         assert singular_signal_conditions(q, t_a) is Classification.SINGULAR_A
-        assert is_singular(q.conjugate() * t_a, 1e-7) is Classification.SINGULAR_A
+        assert is_singular(q.conjugate() * t_a) is Classification.SINGULAR_A
 
         dphi = 0.0 if rng.random() < 0.5 else math.pi
         phi_b = math.remainder(phi + dphi, 2 * math.pi)
         t_b = from_ellipse(EllipseParams(1.0, phi_b, eps, th2))
         assert singular_signal_conditions(q, t_b) is Classification.SINGULAR_B
-        assert is_singular(q.conjugate() * t_b, 1e-7) is Classification.SINGULAR_B
+        assert is_singular(q.conjugate() * t_b) is Classification.SINGULAR_B
 
 
 def test_singular_signal_conditions_agree_with_target_classification():
@@ -224,13 +217,6 @@ def test_singular_signal_conditions_agree_with_target_classification():
         predicted = singular_signal_conditions(q, t)
         actual = is_singular(target_transform(q, r, phi))
         assert predicted is actual
-
-
-def test_fig7_pair_has_equal_ellipticity():
-    eq = to_ellipse(FIG7_Q)
-    er = to_ellipse(FIG7_R)
-    assert abs(eq.epsilon - er.epsilon) <= 1e-12
-    assert abs(eq.epsilon + 0.23) <= 0.01
 
 
 def test_ramp_constant_phase_is_constant_and_unflagged():
@@ -269,14 +255,15 @@ _RAMP_PAIRS = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)] + [
 
 
 @pytest.mark.parametrize("q, r", _RAMP_PAIRS)
-@pytest.mark.parametrize("samples, tol", [(9, 1e-7), (257, 1e-7), (257, 1e-2)])
-def test_ramp_matches_the_per_sample_path_exactly(q, r, samples, tol):
+@pytest.mark.parametrize("samples", [9, 257])
+def test_ramp_matches_the_per_sample_path_exactly(q, r, samples):
     # the fused row loop must give the public per-sample path's floats: the
-    # kept branch of solve_angles and the residual against apply_phase
+    # kept branch of solve_angles and the residual against apply_phase.  The
+    # 9-sample identity ramp alternates family rows with rows on branch 1 and 2
     phis = [2.0 * math.pi * k / (samples - 1) for k in range(samples)]
-    for phi, pt in zip(phis, ramp_trajectory(q, r, phis, tol)):
+    for phi, pt in zip(phis, ramp_trajectory(q, r, phis)):
         assert pt.phi == phi
         if pt.branch:
-            sol = solve_angles(target_transform(q, r, phi), tol)
+            sol = solve_angles(target_transform(q, r, phi))
             assert pt.angles == sol.branches[pt.branch - 1]
         assert pt.residual == (q * forward_transform(pt.angles) - apply_phase(r, phi)).norm()
