@@ -14,10 +14,7 @@ from .quaternion import (
     K,
     ONE,
     Quaternion,
-    ZERO,
     allclose,
-    dot,
-    is_orthogonal,
     precess,
 )
 from .signal import (
@@ -29,7 +26,6 @@ from .signal import (
     apply_phase,
     classical_from_jones,
     classify_orthogonality,
-    from_classical,
     from_ellipse,
     from_jones,
     orthogonal_sop,
@@ -58,7 +54,6 @@ from .shifter import (
     ShifterSolution,
     WaveplateAngles,
     forward_transform,
-    is_singular,
     ramp_trajectory,
     singular_signal_conditions,
     solve_angles,

@@ -12,13 +12,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import shifter
 from .quaternion import Quaternion
 from .signal import (
     EllipseParams,
     JonesVector,
-    StokesQuaternion,
     from_ellipse,
     from_jones,
     stokes,
@@ -27,8 +27,6 @@ from .signal import (
 )
 
 CSV_HEADER = "phi,psi_a,psi_b,psi_c,branch,out_phase,out_theta,out_epsilon,residual"
-
-_REPRESENTATIONS = ("jones", "quat", "ellipse", "stokes")
 
 
 class BadInput(Exception):
@@ -65,42 +63,63 @@ def _strict_json(obj) -> str:
         raise UnrecoverableConversion(f"result is not finite: {obj}") from exc
 
 
-def _array(obj, size: int, name: str):
-    # a JSON object or a longer array would otherwise be read by its keys or
-    # cut to its first elements
-    if not (isinstance(obj, list) and len(obj) == size):
-        raise BadInput(f"{name} must be a JSON array of {size} numbers")
-    return obj
+# The JSON form of each representation.  A form is None for a number, n for
+# an array of exactly n numbers, or a dict for an object with exactly its keys,
+# each holding the value of the form it maps to.
+_FORMS = {
+    "jones": {"ex": 2, "ey": 2},
+    "quat": 4,
+    "ellipse": dict.fromkeys(("r", "phi", "epsilon", "theta")),
+    "stokes": dict.fromkeys(("s1", "s2", "s3")),
+}
 
 
-def _load_signal(kind: str, obj):
+def _read(value, form, name: str):
+    """`value` checked against `form`, with every leaf a float.
+
+    The parse hooks make every JSON number a float; a string, boolean or null
+    is not a number even where float() would read it.
+    """
+    if form is None:
+        if not isinstance(value, float):
+            raise BadInput(f"{name} must be a number, got {value!r:.40}")
+        return value
+    if isinstance(form, int):
+        if not (isinstance(value, list) and len(value) == form):
+            raise BadInput(f"{name} must be a JSON array of {form} numbers")
+        return [_read(x, None, name) for x in value]
+    if not (isinstance(value, dict) and value.keys() == form.keys()):
+        raise BadInput(f"{name} must be a JSON object with exactly the keys "
+                       + ", ".join(form))
+    return {key: _read(value[key], sub, key) for key, sub in form.items()}
+
+
+def _load_signal(kind: str, value) -> Quaternion:
+    """The signal of a `quat`, `jones` or `ellipse` value read by `_read`."""
+    if kind == "quat":
+        return Quaternion(*value)
+    if kind == "jones":
+        return from_jones(JonesVector(complex(*value["ex"]), complex(*value["ey"])))
     try:
-        if kind == "quat":
-            return Quaternion.from_list(_array(obj, 4, "quat input"))
-        if kind == "jones":
-            _array(obj["ex"], 2, "ex")
-            _array(obj["ey"], 2, "ey")
-            return from_jones(JonesVector.from_json_obj(obj))
-        if kind == "ellipse":
-            return from_ellipse(EllipseParams.from_json_obj(obj))
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise BadInput(f"bad {kind} input: {exc}") from exc
-    raise BadInput(f"unknown representation {kind!r}")
+        return from_ellipse(EllipseParams(**value))
+    except ValueError as exc:  # a parameter outside its range
+        raise BadInput(f"bad ellipse input: {exc}") from exc
 
 
 def _dump_signal(kind: str, q: Quaternion, degrees: bool):
     if kind == "quat":
         return q.to_list()
     if kind == "jones":
-        return to_jones(q).to_json_obj()
+        v = to_jones(q)
+        return {"ex": [v.ex.real, v.ex.imag], "ey": [v.ey.real, v.ey.imag]}
     if kind == "stokes":
-        return stokes(q).to_json_obj()
+        return asdict(stokes(q))
     e = to_ellipse(q)
     if degrees:
         return {"r": e.r, "phi_deg": math.degrees(e.phi),
                 "epsilon_deg": math.degrees(e.epsilon),
                 "theta_deg": math.degrees(e.theta)}
-    return e.to_json_obj()
+    return asdict(e)
 
 
 def _finite_number(text: str) -> float:
@@ -116,20 +135,6 @@ def _no_constant(name: str):
     raise BadInput(f"JSON input has the non-finite constant {name}")
 
 
-def _require_number_leaves(obj) -> None:
-    # the parse hooks make every JSON number a float; a string, boolean or
-    # null is not a number even where float() would read it
-    pending = [obj]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, dict):
-            pending.extend(item.values())
-        elif isinstance(item, list):
-            pending.extend(item)
-        elif not isinstance(item, float):
-            raise BadInput(f"JSON input has the non-numeric value {item!r:.40}")
-
-
 def cmd_convert(args) -> int:
     try:
         obj = json.loads(args.input, parse_float=_finite_number, parse_int=_finite_number,
@@ -138,17 +143,14 @@ def cmd_convert(args) -> int:
         raise BadInput(f"malformed JSON input: {exc}") from exc
     except RecursionError as exc:
         raise BadInput("JSON input is nested too deeply") from exc
-    _require_number_leaves(obj)
+    value = _read(obj, _FORMS[args.src], f"{args.src} input")
     if args.src == "stokes":
         if args.dst != "stokes":
             raise UnrecoverableConversion(
                 "the optical phase cannot be recovered from Stokes parameters")
-        try:
-            out = StokesQuaternion.from_json_obj(obj).to_json_obj()
-        except (ValueError, TypeError, KeyError) as exc:
-            raise BadInput(f"bad stokes input: {exc}") from exc
+        out = value
     else:
-        q = _load_signal(args.src, obj)
+        q = _load_signal(args.src, value)
         try:
             out = _dump_signal(args.dst, q, args.degrees)
         except ValueError as exc:  # e.g. the zero signal has no ellipse
@@ -162,7 +164,7 @@ def _angles_obj(angles: shifter.WaveplateAngles, degrees: bool) -> dict:
         return {"psi_a_deg": math.degrees(angles.psi_a),
                 "psi_b_deg": math.degrees(angles.psi_b),
                 "psi_c_deg": math.degrees(angles.psi_c)}
-    return {"psi_a": angles.psi_a, "psi_b": angles.psi_b, "psi_c": angles.psi_c}
+    return asdict(angles)
 
 
 def cmd_solve(args) -> int:
@@ -184,9 +186,9 @@ def cmd_solve(args) -> int:
             entry["residual"] = residual(angles)
             solutions.append(entry)
     else:
-        samples = sol.family_samples
-        for m, angles in enumerate(samples):
-            entry = {"branch": "singular", "parameter": -math.pi / 2 + math.pi * m / len(samples)}
+        for x in sol.family.parameters:
+            angles = sol.family.at(x)
+            entry = {"branch": "singular", "parameter": x}
             entry.update(_angles_obj(angles, args.degrees))
             entry["residual"] = residual(angles)
             solutions.append(entry)
@@ -264,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_conv = sub.add_parser("convert", help="convert between signal representations")
-    p_conv.add_argument("--from", dest="src", required=True, choices=_REPRESENTATIONS)
-    p_conv.add_argument("--to", dest="dst", required=True, choices=_REPRESENTATIONS)
+    p_conv.add_argument("--from", dest="src", required=True, choices=_FORMS)
+    p_conv.add_argument("--to", dest="dst", required=True, choices=_FORMS)
     p_conv.add_argument("--input", required=True, help="JSON value of the source form")
     p_conv.set_defaults(func=cmd_convert)
 

@@ -27,32 +27,21 @@ M_I = np.array([[1j, 0.0], [0.0, -1j]])
 M_J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 M_K = np.array([[0.0, 1j], [1j, 0.0]])
 
+# largest asymmetry, relative to the largest entry, of a retarder matrix
+_SYMMETRY_TOL = 1e-12
+
 
 def quat_to_matrix(q: Quaternion) -> np.ndarray:
     """Weigh the four basis matrices by the quaternion coefficients."""
     return q.q0 * M_ONE + q.q1 * M_I + q.q2 * M_J + q.q3 * M_K
 
 
-def is_waveplate_matrix(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_waveplate_matrix(m: np.ndarray) -> bool:
     """True if m has the retarder symmetry [[a, -b*], [b, a*]]."""
     m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.abs(m).max()))
-    return (abs(m[1, 1] - m[0, 0].conjugate()) <= tol * scale
-            and abs(m[0, 1] + m[1, 0].conjugate()) <= tol * scale)
-
-
-def matrix_to_quat(m: np.ndarray, tol: float = 1e-9) -> Quaternion:
-    """Invert quat_to_matrix on the waveplate class.
-
-    Matrices without the [[a, -b*], [b, a*]] symmetry (projectors, partial
-    polarizers) have no single-quaternion representation and raise.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not is_waveplate_matrix(m, tol):
-        raise ValueError("not a waveplate matrix")
-    a = m[0, 0]
-    b = m[1, 0]
-    return Quaternion(a.real, a.imag, b.real, b.imag)
+    tol = _SYMMETRY_TOL * max(1.0, float(np.abs(m).max()))
+    return (abs(m[1, 1] - m[0, 0].conjugate()) <= tol
+            and abs(m[0, 1] + m[1, 0].conjugate()) <= tol)
 
 
 def jones_column(q: Quaternion) -> JonesVector:

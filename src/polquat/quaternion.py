@@ -44,14 +44,6 @@ class Quaternion:
     # -- construction / serialization ------------------------------------
 
     @classmethod
-    def from_list(cls, values) -> "Quaternion":
-        """Build from a 4-element sequence [q0, q1, q2, q3]."""
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError("quaternion needs exactly 4 components")
-        return cls(*vals)
-
-    @classmethod
     def from_text(cls, text: str) -> "Quaternion":
         """Parse the comma-separated text form "q0,q1,q2,q3"."""
         parts = text.split(",")
@@ -65,11 +57,6 @@ class Quaternion:
     def to_list(self) -> list:
         return [self.q0, self.q1, self.q2, self.q3]
 
-    def to_text(self) -> str:
-        # repr() of a float is the shortest digit string that round-trips,
-        # which is at least 15 significant digits of fidelity.
-        return ",".join(repr(c) for c in self.to_list())
-
     def __str__(self) -> str:
         terms = []
         for value, unit in zip(self.to_list(), ("", "i", "j", "k")):
@@ -80,13 +67,6 @@ class Quaternion:
         yield from self.to_list()
 
     # -- parts ------------------------------------------------------------
-
-    @property
-    def scalar(self) -> float:
-        return self.q0
-
-    def vector(self) -> "Quaternion":
-        return Quaternion(0.0, self.q1, self.q2, self.q3)
 
     def vector_norm(self) -> float:
         return math.hypot(self.q1, self.q2, self.q3)
@@ -196,11 +176,8 @@ class Quaternion:
             raise ValueError("cannot normalize the zero quaternion")
         return self * (1.0 / n)
 
-    def is_unit(self, tol: float = UNIT_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def is_vector(self, tol: float = UNIT_TOL) -> bool:
-        return abs(self.q0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= UNIT_TOL
 
     # -- transcendental -------------------------------------------------------
 
@@ -233,23 +210,12 @@ class Quaternion:
         return Quaternion(math.log(n), f * self.q1, f * self.q2, f * self.q3)
 
 
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 _AXIS_UNITS = {Axis.I: I, Axis.J: J, Axis.K: K}
-
-
-def dot(p: Quaternion, q: Quaternion) -> float:
-    """Component dot product p0q0 + p1q1 + p2q2 + p3q3 = Sc(p conj(q))."""
-    return p.q0 * q.q0 + p.q1 * q.q1 + p.q2 * q.q2 + p.q3 * q.q3
-
-
-def is_orthogonal(p: Quaternion, q: Quaternion, tol: float = 1e-9) -> bool:
-    """True when Sc(p conj(q)) vanishes relative to |p||q|."""
-    return abs(dot(p, q)) <= tol * p.norm() * q.norm()
 
 
 def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:

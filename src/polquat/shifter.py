@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .quaternion import UNIT_TOL, Quaternion, _require_unit
 from .signal import stokes, to_ellipse
@@ -38,8 +38,10 @@ from .signal import stokes, to_ellipse
 _PI = math.pi
 _HALF_PI = math.pi / 2
 
-# |c1| or |c2| at or below this is treated as exactly singular.
-SINGULAR_TOL = 1e-7
+# |c1| or |c2| at or below this is treated as exactly singular.  A family
+# member realizes the nearest target with c = 0, so its residual is about c:
+# the threshold sits below the 1e-9 residual bound the checks apply.
+SINGULAR_TOL = 1e-10
 # Below this the regular solve is still returned but the sample is flagged:
 # the angle sensitivity diverges as the singularity is approached.
 NEAR_SINGULAR_TOL = 1e-4
@@ -79,6 +81,9 @@ class SingularFamily:
 
     base: tuple
     slope: tuple
+    # the free parameters x = -pi/2 + pi*m/FAMILY_SAMPLES the samples sit at
+    parameters: ClassVar[tuple] = tuple(-_HALF_PI + _PI * m / FAMILY_SAMPLES
+                                        for m in range(FAMILY_SAMPLES))
 
     def at(self, x: float) -> WaveplateAngles:
         (b0, b1, b2), (s0, s1, s2) = self.base, self.slope
@@ -86,9 +91,8 @@ class SingularFamily:
                                reduce_angle(b2 + s2 * x))
 
     def samples(self) -> tuple:
-        """FAMILY_SAMPLES evenly spaced triples, x = -pi/2 + pi*m/FAMILY_SAMPLES."""
-        return tuple(self.at(-_HALF_PI + _PI * m / FAMILY_SAMPLES)
-                     for m in range(FAMILY_SAMPLES))
+        """The triples at `parameters`, evenly spaced over one period."""
+        return tuple(self.at(x) for x in self.parameters)
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,6 @@ def _family(kind: Classification, a_half: float, b_half: float) -> SingularFamil
     return SingularFamily((_HALF_PI - b_half, 0.0, b_half + _HALF_PI), (1.0, 1.0, 1.0))
 
 
-def is_singular(p: Quaternion) -> Classification:
-    """Classify a unit transform: regular, p0 = p2 = 0, or p1 = p3 = 0."""
-    return _split(p.q0, p.q1, p.q2, p.q3)[0]
-
-
 def solve_angles(p: Quaternion) -> ShifterSolution:
     """All plate angle solutions realizing the unit transform p exactly.
 
@@ -253,7 +252,7 @@ def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion) -> Clas
     target_out is the full output including phase, t = e^(i phi) * r.  The
     p0 = p2 = 0 case occurs iff eps_out = -eps_in with the phase advanced by
     +-pi/2; the p1 = p3 = 0 case iff eps_out = eps_in with the phase advanced
-    by 0 or pi.  Agrees with is_singular(conj(q) * t).
+    by 0 or pi.  Agrees with solve_angles(conj(q) * t).classification.
     """
     e_in = to_ellipse(q_in)
     e_out = to_ellipse(target_out)

@@ -37,17 +37,6 @@ class JonesVector:
     ex: complex
     ey: complex
 
-    def to_json_obj(self) -> dict:
-        return {"ex": [self.ex.real, self.ex.imag],
-                "ey": [self.ey.real, self.ey.imag]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "JonesVector":
-        ex = obj["ex"]
-        ey = obj["ey"]
-        return cls(complex(float(ex[0]), float(ex[1])),
-                   complex(float(ey[0]), float(ey[1])))
-
 
 @dataclass(frozen=True)
 class EllipseParams:
@@ -75,15 +64,6 @@ class EllipseParams:
         if not -_PI / 2 < self.theta <= _PI / 2:
             raise ValueError(f"orientation {self.theta!r} outside (-pi/2, pi/2]")
 
-    def to_json_obj(self) -> dict:
-        return {"r": self.r, "phi": self.phi,
-                "epsilon": self.epsilon, "theta": self.theta}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "EllipseParams":
-        return cls(float(obj["r"]), float(obj["phi"]),
-                   float(obj["epsilon"]), float(obj["theta"]))
-
 
 @dataclass(frozen=True)
 class StokesQuaternion:
@@ -105,13 +85,6 @@ class StokesQuaternion:
 
     def __neg__(self) -> "StokesQuaternion":
         return StokesQuaternion(-self.s1, -self.s2, -self.s3)
-
-    def to_json_obj(self) -> dict:
-        return {"s1": self.s1, "s2": self.s2, "s3": self.s3}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "StokesQuaternion":
-        return cls(float(obj["s1"]), float(obj["s2"]), float(obj["s3"]))
 
 
 @dataclass(frozen=True)
@@ -175,10 +148,6 @@ def to_classical(s: StokesQuaternion) -> ClassicalStokes:
     return ClassicalStokes(s.s1, s.s3, s.s2)
 
 
-def from_classical(S: ClassicalStokes) -> StokesQuaternion:
-    return StokesQuaternion(S.S1, S.S3, S.S2)
-
-
 def classical_from_jones(v: JonesVector) -> ClassicalStokes:
     """Conventional Stokes components straight from the field components."""
     ax2 = v.ex.real * v.ex.real + v.ex.imag * v.ex.imag
@@ -203,8 +172,11 @@ def orthogonal_sop(q: Quaternion, phi: float = 0.0) -> Quaternion:
     return apply_phase(J * q, phi)
 
 
-def classify_orthogonality(p: Quaternion, q: Quaternion,
-                           tol: float = 1e-9) -> OrthogonalityClass:
+# A component of m = p * conj(q) at most this fraction of |m| counts as zero.
+_CLASSIFY_TOL = 1e-9
+
+
+def classify_orthogonality(p: Quaternion, q: Quaternion) -> OrthogonalityClass:
     """Classify the relation of two nonzero signals from m = p * conj(q).
 
     The tolerance is relative to |m|, so the answer is invariant under global
@@ -214,7 +186,7 @@ def classify_orthogonality(p: Quaternion, q: Quaternion,
     if p.norm() == 0.0 or q.norm() == 0.0:
         raise ValueError("cannot classify the zero signal")
     m = p * q.conjugate()
-    t = tol * m.norm()
+    t = _CLASSIFY_TOL * m.norm()
     z0 = abs(m.q0) <= t
     z1 = abs(m.q1) <= t
     z2 = abs(m.q2) <= t

@@ -66,6 +66,17 @@ def test_convert_stokes_round_trip_and_rejection(capsys):
     assert "phase" in err
 
 
+def test_json_forms_round_trip(capsys):
+    # each form's reader and writer agree; stokes keys print in their order
+    for kind, text, want in [
+            ("quat", "[0.1,-0.2,0.3,-0.4]", [0.1, -0.2, 0.3, -0.4]),
+            ("jones", '{"ey":[0,2],"ex":[1.5,-0.5]}', {"ex": [1.5, -0.5], "ey": [0.0, 2.0]}),
+            ("stokes", '{"s3":0.5,"s1":1,"s2":-2}', {"s1": 1.0, "s2": -2.0, "s3": 0.5})]:
+        code, out, _ = run(capsys, "convert", "--from", kind, "--to", kind, "--input", text)
+        assert code == 0
+        assert out == json.dumps(want) + "\n"
+
+
 def test_convert_malformed_json_is_exit_2(capsys):
     code, _, err = run(capsys, "convert", "--from", "quat", "--to", "quat",
                        "--input", "[1,2,")
@@ -100,6 +111,21 @@ def test_solve_identity_is_singular_b(capsys):
     assert len(got["solutions"]) == 16
     assert all(s["residual"] < 1e-9 for s in got["solutions"])
     assert all(s["branch"] == "singular" for s in got["solutions"])
+
+
+def test_solve_prints_the_family_at_its_parameters(capsys):
+    from polquat import Quaternion, solve_angles
+
+    code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R,
+                       "--phi", "1.2490457723982544")
+    assert code == 0
+    got = json.loads(out)
+    family = solve_angles(Quaternion(*got["target_p"])).family
+    assert [entry["parameter"] for entry in got["solutions"]] == list(family.parameters)
+    for entry in got["solutions"]:
+        angles = family.at(entry["parameter"])
+        assert (entry["psi_a"], entry["psi_b"], entry["psi_c"]) == \
+            (angles.psi_a, angles.psi_b, angles.psi_c)
 
 
 def test_solve_fig5_regular(capsys):
@@ -238,6 +264,18 @@ def _no_constant(name):
     (("convert", "--from", "ellipse", "--to", "quat",
       "--input", '{"r":"1","phi":0,"epsilon":0,"theta":0}'), 2),
     (("convert", "--from", "quat", "--to", "quat", "--input", "[true,false,0,0]"), 2),
+    # objects have exactly their keys: unknown keys and missing ones are bad input
+    (("convert", "--from", "ellipse", "--to", "quat",
+      "--input", '{"r":1,"phi":0,"epsilon":0,"theta":0,"junk":5}'), 2),
+    (("convert", "--from", "stokes", "--to", "stokes",
+      "--input", '{"s1":1,"s2":0,"s3":0,"s4":9}'), 2),
+    (("convert", "--from", "jones", "--to", "quat",
+      "--input", '{"ex":[1,0],"ey":[0,0],"ez":[1,1]}'), 2),
+    (("convert", "--from", "ellipse", "--to", "quat", "--input", '{"r":1,"phi":0,"epsilon":0}'), 2),
+    (("convert", "--from", "jones", "--to", "ellipse",
+      "--input", '{"ex":[1,0],"ey":[0,1],"phase":0}'), 2),
+    # the stokes form is read before the conversion is refused
+    (("convert", "--from", "stokes", "--to", "quat", "--input", '{"s1":"1","s2":0,"s3":0}'), 2),
 ])
 def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     code, out, err = run(capsys, *argv)

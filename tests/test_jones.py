@@ -2,7 +2,6 @@ import ast
 import pathlib
 
 import numpy as np
-import pytest
 
 import polquat
 from polquat import (
@@ -12,7 +11,6 @@ from polquat import (
     ONE,
     PartialPolarizer,
     Waveplate,
-    allclose,
     compose,
     qwp,
     to_jones,
@@ -22,7 +20,6 @@ from polquat.jones import (
     M_J,
     is_waveplate_matrix,
     jones_column,
-    matrix_to_quat,
     oracle_apply,
     oracle_polarizer,
     quat_to_matrix,
@@ -48,15 +45,6 @@ def test_anti_homomorphism_on_basis():
     assert np.allclose(quat_to_matrix(K), M_J @ M_I, atol=1e-15)
 
 
-def test_anti_homomorphism_random():
-    rng = np.random.default_rng(60)
-    for _ in range(500):
-        p, q = rand_quat(rng), rand_quat(rng)
-        lhs = quat_to_matrix(p * q)
-        rhs = quat_to_matrix(q) @ quat_to_matrix(p)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, p.norm() * q.norm())
-
-
 def test_determinant_is_norm_squared():
     rng = np.random.default_rng(61)
     for _ in range(200):
@@ -65,17 +53,7 @@ def test_determinant_is_norm_squared():
         assert abs(det - q.norm_sq()) <= 1e-12 * max(1.0, q.norm_sq())
 
 
-def test_matrix_round_trip():
-    assert matrix_to_quat(np.eye(2)) == ONE
-    rng = np.random.default_rng(62)
-    for _ in range(200):
-        q = rand_unit(rng)
-        assert allclose(matrix_to_quat(quat_to_matrix(q)), q, 1e-12)
-
-
 def test_projector_is_not_a_waveplate_matrix():
-    with pytest.raises(ValueError):
-        matrix_to_quat(np.diag([1.0, 0.0]))
     assert not is_waveplate_matrix(np.diag([1.0, 0.0]))
 
 

@@ -20,7 +20,6 @@ from polquat import (
     apply_phase,
     classical_from_jones,
     classify_orthogonality,
-    from_classical,
     from_ellipse,
     from_jones,
     orthogonal_sop,
@@ -118,11 +117,6 @@ def test_classical_paths_agree():
         assert max(abs(a.S1 - b.S1), abs(a.S2 - b.S2), abs(a.S3 - b.S3)) <= 1e-12
 
 
-def test_classical_round_trip():
-    s = StokesQuaternion(0.25, -1.5, 3.0)
-    assert from_classical(to_classical(s)) == s
-
-
 def test_apply_phase():
     assert allclose(apply_phase(ONE, math.pi / 2), I, 1e-15)
     q = Quaternion(0.1, 0.2, 0.3, 0.4)
@@ -148,10 +142,10 @@ def test_orthogonal_sop():
 
 
 def test_classify_examples():
-    assert classify_orthogonality(ONE, J, 1e-9) is OrthogonalityClass.ORTHOGONAL_SOP
-    assert classify_orthogonality(ONE, I, 1e-9) is OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE
+    assert classify_orthogonality(ONE, J) is OrthogonalityClass.ORTHOGONAL_SOP
+    assert classify_orthogonality(ONE, I) is OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE
     # p * conj(q) = 1 * (1-i-j) has nonzero scalar, i and j parts
-    assert classify_orthogonality(ONE, ONE + I + J, 1e-9) is OrthogonalityClass.NONE
+    assert classify_orthogonality(ONE, ONE + I + J) is OrthogonalityClass.NONE
 
 
 def test_classify_constructed_families():
@@ -318,11 +312,3 @@ def test_waveplate_to_orthogonal():
         assert allclose(q * p, apply_phase(J * q, phi), 1e-12)
         assert classify_orthogonality(q, q * p) is OrthogonalityClass.ORTHOGONAL_SOP
 
-
-def test_json_object_forms():
-    v = JonesVector(complex(1.5, -0.5), complex(0.0, 2.0))
-    assert JonesVector.from_json_obj(v.to_json_obj()) == v
-    e = EllipseParams(2.0, 0.3, -0.2, 1.1)
-    assert EllipseParams.from_json_obj(e.to_json_obj()) == e
-    s = StokesQuaternion(1.0, -2.0, 0.5)
-    assert StokesQuaternion.from_json_obj(s.to_json_obj()) == s
