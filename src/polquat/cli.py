@@ -172,26 +172,17 @@ def cmd_solve(args) -> int:
     r = _parse_quat_arg(args.r, "--r")
     p = shifter.target_transform(q, r, _finite(args.phi, "--phi"))
     sol = shifter.solve_angles(p)
-
-    def residual(angles):
-        return (shifter.forward_transform(angles) - p).norm()
-
-    solutions = []
-    if sol.classification is shifter.Classification.REGULAR:
+    if sol.family is None:
         wanted = (1, 2) if args.branch == "all" else (int(args.branch),)
-        for idx in wanted:
-            angles = sol.branches[idx - 1]
-            entry = {"branch": idx}
-            entry.update(_angles_obj(angles, args.degrees))
-            entry["residual"] = residual(angles)
-            solutions.append(entry)
+        rows = [({"branch": idx}, sol.branches[idx - 1]) for idx in wanted]
     else:
-        for x in sol.family.parameters:
-            angles = sol.family.at(x)
-            entry = {"branch": "singular", "parameter": x}
-            entry.update(_angles_obj(angles, args.degrees))
-            entry["residual"] = residual(angles)
-            solutions.append(entry)
+        rows = [({"branch": "singular", "parameter": x}, angles)
+                for x, angles in zip(sol.family.parameters, sol.family_samples)]
+    solutions = []
+    for entry, angles in rows:
+        entry.update(_angles_obj(angles, args.degrees))
+        entry["residual"] = (shifter.forward_transform(angles) - p).norm()
+        solutions.append(entry)
     print(_strict_json({"target_p": p.to_list(),
                         "classification": sol.classification.value,
                         "solutions": solutions}))
@@ -246,11 +237,12 @@ def cmd_check(args) -> int:
 
 
 def _accept_negative_values(parser: argparse.ArgumentParser) -> None:
-    # quaternion arguments like "-0.5,0.5,0.5,0.5" start with '-'; widen the
-    # stock negative-number matcher so they are read as values, not options
+    # quaternion arguments like "-1,0,0,0" and phases like "-1e-3" start with
+    # '-'; read anything that goes on with a digit or '.' as a value (no option
+    # is spelled that way), whatever the float spelling after it
     try:
         import re
-        parser._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d")
+        parser._negative_number_matcher = re.compile(r"^-[\d.]")
     except AttributeError:  # future argparse internals; --q=... still works
         pass
 

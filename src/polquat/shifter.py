@@ -37,6 +37,7 @@ from .signal import stokes, to_ellipse
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
+_QUARTER_PI = math.pi / 4
 
 # |c1| or |c2| at or below this is treated as exactly singular.  A family
 # member realizes the nearest target with c = 0, so its residual is about c:
@@ -58,6 +59,11 @@ class Classification(Enum):
     SINGULAR_B = "singular_b"   # p1 = p3 = 0
 
 
+# an enum member looked up on its class costs a descriptor call (CPython 3.11),
+# and `SingularFamily.at` runs once per family sample
+_SINGULAR_A = Classification.SINGULAR_A
+
+
 @dataclass(frozen=True)
 class WaveplateAngles:
     """Orientations of the three plates, each in (-pi/2, pi/2]."""
@@ -74,39 +80,46 @@ class WaveplateAngles:
 class SingularFamily:
     """The one-parameter family of triples solving a singular target.
 
-    The triple at free parameter x (alpha for the A case, psi_b itself for
-    the B case) is base + slope * x, each angle reduced modulo pi.  The
-    slopes are (+1, 0, -1) for the A case and (+1, +1, +1) for the B case.
+    It is branch 1 with the half angle that c = 0 leaves undefined set free:
+    at c1 = 0 (SINGULAR_A) b_half = -x, and at c2 = 0 (SINGULAR_B), where
+    t_half = pi/4, a_half = x + pi/4, so x is psi_b itself.  Both branches
+    are members.  Each angle moves with `slope` in x: (+1, 0, -1) for the A
+    case and (+1, +1, +1) for the B case.
     """
 
-    base: tuple
-    slope: tuple
+    kind: Classification
+    a_half: float
+    b_half: float
     # the free parameters x = -pi/2 + pi*m/FAMILY_SAMPLES the samples sit at
     parameters: ClassVar[tuple] = tuple(-_HALF_PI + _PI * m / FAMILY_SAMPLES
                                         for m in range(FAMILY_SAMPLES))
 
-    def at(self, x: float) -> WaveplateAngles:
-        (b0, b1, b2), (s0, s1, s2) = self.base, self.slope
-        return WaveplateAngles(reduce_angle(b0 + s0 * x), reduce_angle(b1 + s1 * x),
-                               reduce_angle(b2 + s2 * x))
+    @property
+    def slope(self) -> tuple:
+        return (1.0, 0.0, -1.0) if self.kind is _SINGULAR_A else (1.0, 1.0, 1.0)
 
-    def samples(self) -> tuple:
-        """The triples at `parameters`, evenly spaced over one period."""
-        return tuple(self.at(x) for x in self.parameters)
+    def at(self, x: float) -> WaveplateAngles:
+        if self.kind is _SINGULAR_A:
+            return _branch(1, self.a_half, -x, 0.0)
+        return _branch(1, x + _QUARTER_PI, self.b_half, _QUARTER_PI)
 
 
 @dataclass(frozen=True)
 class ShifterSolution:
     """Either two regular branches or a one-parameter singular family."""
 
-    classification: Classification
     branches: Optional[tuple] = None
     family: Optional[SingularFamily] = None
 
     @property
+    def classification(self) -> Classification:
+        return Classification.REGULAR if self.family is None else self.family.kind
+
+    @property
     def family_samples(self) -> Optional[tuple]:
-        """`family.samples()` for serialization; None for a regular solution."""
-        return None if self.family is None else self.family.samples()
+        """The family's triples at its `parameters`; None for a regular solution."""
+        family = self.family
+        return None if family is None else tuple(map(family.at, family.parameters))
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,7 @@ class RampPoint:
 
     @property
     def branch_label(self) -> str:
-        return "singular" if self.flagged or self.branch == 0 else str(self.branch)
+        return "singular" if self.flagged else str(self.branch)
 
 
 def reduce_angle(psi: float) -> float:
@@ -191,39 +204,35 @@ def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
 
     Returns (classification, c1, c2, a_half, b_half, t_half) with the
-    classification singular when c1 or c2 is at most SINGULAR_TOL, the moduli
-    c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
-    a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
-    t_half = arctan(c1 / c2) / 2.  Raises ValueError unless |p| = 1.
+    classification of `_classify`, the moduli c1 = |p0 + p2 j| and
+    c2 = |p1 + p3 j|, the half angles a_half = arg(p1 + p3 j) / 2 and
+    b_half = arg(p0 + p2 j) / 2, and t_half = arctan(c1 / c2) / 2.  Raises
+    ValueError unless |p| = 1.
     """
     norm = math.hypot(p0, p1, p2, p3)
     if not abs(norm - 1.0) <= UNIT_TOL:
         raise ValueError(f"target transform must be a unit quaternion, |q| = {norm!r}")
     c1 = math.hypot(p0, p2)
     c2 = math.hypot(p1, p3)
-    if c1 <= SINGULAR_TOL:
-        kind = Classification.SINGULAR_A
-    elif c2 <= SINGULAR_TOL:
-        kind = Classification.SINGULAR_B
-    else:
-        kind = Classification.REGULAR
-    return (kind, c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
+    return (_classify(c1, c2), c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
             0.5 * math.atan2(c1, c2))
+
+
+def _classify(c1: float, c2: float) -> Classification:
+    """The singular decision on the moduli c1 = |p0 + p2 j| and c2 = |p1 + p3 j|
+    of a unit target (c1^2 + c2^2 = 1): singular where the smaller one is at
+    most SINGULAR_TOL, on the side it belongs to."""
+    if min(c1, c2) > SINGULAR_TOL:
+        return Classification.REGULAR
+    return Classification.SINGULAR_A if c1 <= c2 else Classification.SINGULAR_B
 
 
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
     """Regular branch 1 or 2 from the half angles of `_split`."""
-    quarter, t = (_PI / 4, -t_half) if branch == 1 else (-_PI / 4, t_half)
+    quarter, t = (_QUARTER_PI, -t_half) if branch == 1 else (-_QUARTER_PI, t_half)
     return WaveplateAngles(reduce_angle(a_half - b_half + quarter),
                            reduce_angle(a_half + t),
                            reduce_angle(a_half + b_half + quarter))
-
-
-def _family(kind: Classification, a_half: float, b_half: float) -> SingularFamily:
-    """The SINGULAR_A or SINGULAR_B family from the half angles of `_split`."""
-    if kind is Classification.SINGULAR_A:
-        return SingularFamily((a_half + _PI / 4, a_half, a_half + _PI / 4), (1.0, 0.0, -1.0))
-    return SingularFamily((_HALF_PI - b_half, 0.0, b_half + _HALF_PI), (1.0, 1.0, 1.0))
 
 
 def solve_angles(p: Quaternion) -> ShifterSolution:
@@ -241,47 +250,53 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     """
     kind, _, _, a_half, b_half, t_half = _split(p.q0, p.q1, p.q2, p.q3)
     if kind is Classification.REGULAR:
-        return ShifterSolution(kind, branches=(_branch(1, a_half, b_half, t_half),
-                                               _branch(2, a_half, b_half, t_half)))
-    return ShifterSolution(kind, family=_family(kind, a_half, b_half))
+        return ShifterSolution(branches=(_branch(1, a_half, b_half, t_half),
+                                         _branch(2, a_half, b_half, t_half)))
+    return ShifterSolution(family=SingularFamily(kind, a_half, b_half))
 
 
 def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion) -> Classification:
     """Predict the singularity class from ellipse parameters alone.
 
-    target_out is the full output including phase, t = e^(i phi) * r.  The
-    p0 = p2 = 0 case occurs iff eps_out = -eps_in with the phase advanced by
-    +-pi/2; the p1 = p3 = 0 case iff eps_out = eps_in with the phase advanced
-    by 0 or pi.  Agrees with solve_angles(conj(q) * t).classification.
+    target_out is the full output including phase, t = e^(i phi) * r.  With
+    d = phi_out - phi_in and e+- = eps_out +- eps_in, the target conj(q) t
+    has the moduli
+
+        c1 = |p0 + p2 j| = hypot(cos d cos e-, sin d sin e+)
+        c2 = |p1 + p3 j| = hypot(sin d cos e+, cos d sin e-)
+
+    (the orientations are j-rotations on either side of the target and leave
+    both moduli alone), so the p0 = p2 = 0 case needs eps_out = -eps_in and a
+    phase advanced by +-pi/2, the p1 = p3 = 0 case eps_out = eps_in and an
+    advance of 0 or pi.  The decision is the one `solve_angles` makes, so the
+    prediction agrees with solve_angles(conj(q) * t).classification wherever
+    `to_ellipse` reproduces both signals exactly; within 1e-9 of a circular
+    state it reports theta = 0, and near the threshold the two can differ.
     """
     e_in = to_ellipse(q_in)
     e_out = to_ellipse(target_out)
-    dphi = math.remainder(e_out.phi - e_in.phi, 2.0 * _PI)
-    if abs(e_out.epsilon + e_in.epsilon) <= SINGULAR_TOL:
-        off = min(abs(math.remainder(dphi - _HALF_PI, 2.0 * _PI)),
-                  abs(math.remainder(dphi + _HALF_PI, 2.0 * _PI)))
-        if off <= SINGULAR_TOL:
-            return Classification.SINGULAR_A
-    if abs(e_out.epsilon - e_in.epsilon) <= SINGULAR_TOL:
-        off = min(abs(math.remainder(dphi, 2.0 * _PI)),
-                  abs(math.remainder(dphi - _PI, 2.0 * _PI)))
-        if off <= SINGULAR_TOL:
-            return Classification.SINGULAR_B
-    return Classification.REGULAR
+    d = e_out.phi - e_in.phi
+    e_plus = e_out.epsilon + e_in.epsilon
+    e_minus = e_out.epsilon - e_in.epsilon
+    cd, sd = math.cos(d), math.sin(d)
+    return _classify(math.hypot(cd * math.cos(e_minus), sd * math.sin(e_plus)),
+                     math.hypot(sd * math.cos(e_plus), cd * math.sin(e_minus)))
 
 
 def _best_family_point(family: SingularFamily,
                        prev: WaveplateAngles) -> WaveplateAngles:
     """Family point minimizing the max angular change from `prev`.
 
-    Each angle is base +- x or constant in the free parameter, so every
-    per-angle distance is a unit-slope triangle wave of period pi in x.  The
-    minimum of their max therefore sits at a wave zero or at a crossing of
-    two waves, and crossings lie at midpoints of zeros shifted by 0 or pi/2.
+    Each angle is base +- x or constant in the free parameter, base being the
+    member at x = 0, so every per-angle distance is a unit-slope triangle
+    wave of period pi in x.  The minimum of their max therefore sits at a
+    wave zero or at a crossing of two waves, and crossings lie at midpoints
+    of zeros shifted by 0 or pi/2.
     """
     # base + slope * x = target (mod pi) for each moving angle, slope +-1
     zeros = [math.remainder((target - base) / slope, _PI)
-             for base, slope, target in zip(family.base, family.slope, prev.as_tuple())
+             for base, slope, target in zip(family.at(0.0).as_tuple(), family.slope,
+                                            prev.as_tuple())
              if slope]
     candidates = list(zeros)
     for ii in range(len(zeros)):
@@ -337,12 +352,13 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
             bid = branch_id
             prev_was_family = False
         else:
-            family = _family(kind, a_half, b_half)
+            family = SingularFamily(kind, a_half, b_half)
             choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
             bid = 0
             prev_was_family = True
         step = 0.0 if prev is None else triple_distance(choice, prev)
-        flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or bid == 0 or step >= JUMP_FLAG_STEP
+        # a family row has min(c1, c2) <= SINGULAR_TOL < NEAR_SINGULAR_TOL
+        flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
         out = q_in * forward_transform(choice)
         residual = math.hypot(out.q0 - (c * r0 + n * ir0), out.q1 - (c * r1 + n * ir1),
                               out.q2 - (c * r2 + n * ir2), out.q3 - (c * r3 + n * ir3))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -236,6 +237,25 @@ def test_ramp_csv_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the 256-sample ramp CSVs: the byte contract of `ramp`.  The
+# identity and (1, i) ramps start and end on a singular-family row.
+_RAMP_SHA256 = {
+    (FIG5_Q, FIG5_R): "f9f12147800b81a7694b7a667c41f2d6c407334f87a666a160e69822f5cfcf63",
+    (FIG7_Q, FIG7_R): "00344cce0edc274694a732e4be9a8a30b885ad3636cda60d4b8cdff6c0019b13",
+    ("1,0,0,0", "1,0,0,0"): "0dcab1d92c2776bcd911837e3db793a2e74f1a5be3cd1d2fb2c6ddb28719d7d1",
+    ("1,0,0,0", "0,1,0,0"): "c25d46b12b47aaa81d38046c901f5729bb7eacce35c8bce0269f40fc671a6a84",
+}
+
+
+@pytest.mark.parametrize("q, r", list(_RAMP_SHA256), ids=["fig5", "fig7", "identity", "one-i"])
+def test_ramp_csv_bytes_are_pinned(tmp_path, capsys, q, r):
+    out_path = tmp_path / "ramp.csv"
+    code, _, _ = run(capsys, "ramp", "--q", q, "--r", r, "--samples", "256",
+                     "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _RAMP_SHA256[q, r]
+
+
 def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -293,6 +313,21 @@ def _run_quiet(argv):
         except SystemExit as exc:   # argparse rejects a malformed option
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0),
+    (("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0", "--phi", "0.3"), 0),
+    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0),
+    (("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0),
+    # a negative value is read after its option; an unknown option is still one
+    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2),
+])
+def test_negative_values_follow_an_option_in_any_float_spelling(argv, want):
+    code, out, err = _run_quiet(list(argv))
+    assert code == want, err
+    if want == 0:
+        assert json.loads(out)["solutions"]
 
 
 _COMPONENTS = st.one_of(

@@ -22,7 +22,15 @@ from polquat import (
     target_transform,
 )
 from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
-from polquat.shifter import reduce_angle, triple_distance
+from polquat.shifter import (
+    NEAR_SINGULAR_TOL,
+    SINGULAR_TOL,
+    _best_family_point,
+    _branch,
+    _split,
+    reduce_angle,
+    triple_distance,
+)
 from util import rand_unit
 
 HALF_PI = math.pi / 2
@@ -191,11 +199,28 @@ def test_singular_b_family_identity_case():
 def test_family_callable_matches_samples():
     sol = solve_angles(I)
     assert sol.family.slope == (1.0, 0.0, -1.0)
-    assert sol.family_samples == sol.family.samples()
     assert len(sol.family.parameters) == 16
+    assert len(sol.family_samples) == 16
     for m, (x, angles) in enumerate(zip(sol.family.parameters, sol.family_samples)):
         assert x == -HALF_PI + math.pi * m / 16
         assert angles == sol.family.at(x)
+
+
+def test_both_branches_lie_on_the_family():
+    # a family is branch 1 with the half angle that c = 0 leaves undefined set
+    # free, so the branch formulas at an exactly singular target are members
+    assert SINGULAR_TOL < NEAR_SINGULAR_TOL   # every family ramp row is flagged
+    rng = np.random.default_rng(85)
+    for x in rng.uniform(-math.pi, math.pi, size=500):
+        rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * float(rng.choice([1.0, -1.0]))
+        for p, kind in ((I * rot, Classification.SINGULAR_A),
+                        (rot, Classification.SINGULAR_B)):
+            split = _split(p.q0, p.q1, p.q2, p.q3)
+            assert split[0] is kind
+            family = solve_angles(p).family
+            for branch in (1, 2):
+                br = _branch(branch, *split[3:])
+                assert triple_distance(_best_family_point(family, br), br) <= 1e-12
 
 
 def test_fig5_states_both_branches_round_trip():
@@ -247,6 +272,14 @@ def test_singular_signal_conditions_agree_with_target_classification():
         predicted = singular_signal_conditions(q, t)
         actual = classify(target_transform(q, r, phi))
         assert predicted is actual
+    # t = q p with min(|c1|, |c2|) = c on both sides of the singular threshold
+    for c in (5e-11, 9.9e-11, 1.01e-10, 2e-10):
+        for small_first in (True, False):
+            for _ in range(50):
+                q = rand_unit(rng)
+                t = q * _target_with_c(rng, c, small_first)
+                assert singular_signal_conditions(q, t) is classify(q.conjugate() * t), \
+                    (c, small_first, q, t)
 
 
 def test_ramp_constant_phase_is_constant_and_unflagged():
