@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from . import jones, shifter
 from .components import (
     PartialPolarizer,
@@ -135,7 +133,7 @@ def check_eq4_symmetry(trials: int = QUICK_TRIALS) -> str:
         plate = Waveplate(_rand_unit(rng))
         m = jones.quat_to_matrix(plate.q)
         assert jones.is_waveplate_matrix(m), "plate image must have retarder symmetry"
-        worst_det = max(worst_det, abs(np.linalg.det(m) - 1.0))
+        worst_det = max(worst_det, abs(m[0][0] * m[1][1] - m[0][1] * m[1][0] - 1.0))
     return _within("det-1", worst_det, 1e-12)
 
 
@@ -221,10 +219,11 @@ def check_fig5_ramp() -> str:
         ell = to_ellipse(FIG5_Q * shifter.forward_transform(pt.angles))
         thetas.append(ell.theta)
         epss.append(ell.epsilon)
-        phases.append(ell.phi)
-    unwrapped = np.unwrap(phases)
-    span = unwrapped[-1] - unwrapped[0]
-    line = float(np.max(np.abs(unwrapped - (unwrapped[0] + np.array(phis)))))
+        # unwrapped: each step is the wrapped phase difference, in [-pi, pi]
+        prev = phases[-1] if phases else ell.phi
+        phases.append(prev + math.remainder(ell.phi - prev, 2.0 * math.pi))
+    span = phases[-1] - phases[0]
+    line = max(abs(phase - (phases[0] + phi)) for phase, phi in zip(phases, phis))
     return ", ".join([residual,
                       _within("orientation", max(thetas) - min(thetas), 1e-8),
                       _within("ellipticity", max(epss) - min(epss), 1e-8),

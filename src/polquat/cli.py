@@ -175,6 +175,8 @@ def cmd_solve(args) -> int:
     if sol.family is None:
         wanted = (1, 2) if args.branch == "all" else (int(args.branch),)
         rows = [({"branch": idx}, sol.branches[idx - 1]) for idx in wanted]
+    elif args.branch != "all":
+        raise BadInput(f"--branch {args.branch}: the target is {sol.classification.value}")
     else:
         rows = [({"branch": "singular", "parameter": x}, angles)
                 for x, angles in zip(sol.family.parameters, sol.family_samples)]

@@ -270,8 +270,9 @@ def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion) -> Clas
     phase advanced by +-pi/2, the p1 = p3 = 0 case eps_out = eps_in and an
     advance of 0 or pi.  The decision is the one `solve_angles` makes, so the
     prediction agrees with solve_angles(conj(q) * t).classification wherever
-    `to_ellipse` reproduces both signals exactly; within 1e-9 of a circular
-    state it reports theta = 0, and near the threshold the two can differ.
+    `to_ellipse` reproduces both signals to well within SINGULAR_TOL, which it
+    does everywhere: to rounding, and to about 1e-12 within 1e-12 of a
+    circular state, where it reports theta = 0.
     """
     e_in = to_ellipse(q_in)
     e_out = to_ellipse(target_out)

@@ -206,7 +206,10 @@ def classify_orthogonality(p: Quaternion, q: Quaternion) -> OrthogonalityClass:
 
 # Orientation is treated as undefined (and set to 0) when |cos 2 epsilon|
 # drops below this fraction; the residual orientation folds into the phase.
-_CIRCULAR_TOL = 1e-9
+# It stays below shifter.SINGULAR_TOL, so the ellipse reproduces q finely
+# enough to predict the singular set, and above the ~1e-15 rounding noise of
+# exactly circular states, so that noise never picks their theta.
+_CIRCULAR_TOL = 1e-12
 
 # The recovered phase factor must be a pure e^(i phi); leftover j/k components
 # above this bound indicate a range or branch bug and raise immediately.

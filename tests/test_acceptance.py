@@ -69,7 +69,7 @@ def test_criterion_02_oracle_anti_homomorphism():
     for _ in range(10_000):
         p, q = rand_quat(rng), rand_quat(rng)
         lhs = quat_to_matrix(p * q)
-        rhs = quat_to_matrix(q) @ quat_to_matrix(p)
+        rhs = np.array(quat_to_matrix(q)) @ np.array(quat_to_matrix(p))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         col = jones_column(p)
         jv = to_jones(p)

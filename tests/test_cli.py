@@ -296,11 +296,16 @@ def _no_constant(name):
       "--input", '{"ex":[1,0],"ey":[0,1],"phase":0}'), 2),
     # the stokes form is read before the conversion is refused
     (("convert", "--from", "stokes", "--to", "quat", "--input", '{"s1":"1","s2":0,"s3":0}'), 2),
+    # a singular target has a family, not two branches to pick from
+    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--branch", "2"), 2),
+    (("solve", "--q", "1,0,0,0", "--r", "0,1,0,0", "--phi", "0", "--branch", "1"), 2),
 ])
 def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert code == want
     assert "Traceback" not in err
+    if argv[0] == "solve" and "--branch" in argv:
+        assert "singular" in err
     if out:
         json.loads(out, parse_constant=_no_constant)
 
@@ -458,13 +463,34 @@ print("probe", codes, loaded)
 """
 
 
-def test_commands_never_import_the_oracle_or_numpy(tmp_path):
-    # the Jones oracle and numpy stay out of every command but `check`
+def _run_probe(*argv):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, FIG5_Q, FIG5_R,
-                           str(tmp_path / "ramp.csv")],
+    return subprocess.run([sys.executable, "-c", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_commands_never_import_the_oracle_or_numpy(tmp_path):
+    # numpy stays out of every command, and the Jones oracle out of every
+    # command but `check` (which needs no numpy either, see below)
+    proc = _run_probe(_IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "probe [0, 0, 0] []"
+
+
+_NO_NUMPY_CHECK = """
+import sys
+sys.modules["numpy"] = None   # any `import numpy` now raises ImportError
+from polquat import cli
+sys.exit(cli.main(["check"]))
+"""
+
+
+def test_check_runs_without_numpy():
+    from polquat.checks import CHECK_GROUPS
+
+    proc = _run_probe(_NO_NUMPY_CHECK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"PASS {name}\n" for name, _ in CHECK_GROUPS) \
+        + "all checks passed\n"

@@ -40,7 +40,7 @@ def test_anti_homomorphism_on_basis():
     for a in units:
         for b in units:
             lhs = quat_to_matrix(a * b)
-            rhs = quat_to_matrix(b) @ quat_to_matrix(a)
+            rhs = np.array(quat_to_matrix(b)) @ np.array(quat_to_matrix(a))
             assert np.allclose(lhs, rhs, atol=1e-15)
     assert np.allclose(quat_to_matrix(K), M_J @ M_I, atol=1e-15)
 

@@ -5,6 +5,7 @@ import pytest
 
 from polquat import (
     Classification,
+    EllipseParams,
     I,
     ONE,
     Quaternion,
@@ -13,6 +14,7 @@ from polquat import (
     apply_phase,
     compose,
     forward_transform,
+    from_ellipse,
     hwp,
     qwp,
     ramp_trajectory,
@@ -31,6 +33,7 @@ from polquat.shifter import (
     reduce_angle,
     triple_distance,
 )
+from polquat.signal import _CIRCULAR_TOL
 from util import rand_unit
 
 HALF_PI = math.pi / 2
@@ -280,6 +283,19 @@ def test_singular_signal_conditions_agree_with_target_classification():
                 t = q * _target_with_c(rng, c, small_first)
                 assert singular_signal_conditions(q, t) is classify(q.conjugate() * t), \
                     (c, small_first, q, t)
+    # nearly circular inputs, d from a circular state, and exactly singular p:
+    # the ellipse must reproduce q well within the singular threshold
+    assert _CIRCULAR_TOL < SINGULAR_TOL
+    for d in (4e-13, 1e-10, 4e-10, 4e-9):
+        for small_first in (True, False):
+            for _ in range(50):
+                phi = float(rng.uniform(-math.pi, math.pi))
+                theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
+                eps = float(rng.choice([1.0, -1.0])) * (math.pi / 4 - d)
+                q = from_ellipse(EllipseParams(1.0, phi, eps, theta))
+                t = q * _target_with_c(rng, 0.0, small_first)
+                assert singular_signal_conditions(q, t) is classify(q.conjugate() * t), \
+                    (d, small_first, q, t)
 
 
 def test_ramp_constant_phase_is_constant_and_unflagged():

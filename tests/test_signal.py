@@ -257,6 +257,14 @@ def test_ellipse_round_trip_quaternion():
         if q.norm() < 1e-2:
             continue
         assert allclose(from_ellipse(to_ellipse(q)), q, 1e-10 * max(1.0, q.norm()))
+    # within d of a circular state, where theta is all but undefined
+    for d in (4e-13, 1e-10, 4e-10, 4e-9):
+        for _ in range(50):
+            phi = float(rng.uniform(-math.pi, math.pi))
+            theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
+            eps = float(rng.choice([1.0, -1.0])) * (math.pi / 4 - d)
+            q = from_ellipse(EllipseParams(1.0, phi, eps, theta))
+            assert allclose(from_ellipse(to_ellipse(q)), q, 1e-10), (d, q)
 
 
 def test_circular_phase_orientation_ambiguity():
