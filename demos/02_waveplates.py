@@ -7,8 +7,7 @@ vector of the input by the retardance about that axis.
 """
 
 import math
-
-import numpy as np
+import random
 
 from polquat import (
     apply, axis_retardance, compose, hwp, qwp, rotate_element,
@@ -46,7 +45,7 @@ print(f"  after qwp(0)   ({s_out.S1:+.4f}, {s_out.S2:+.4f}, {s_out.S3:+.4f})")
 print("  the 45-degree linear state moves to the circular pole")
 
 print("\n=== a stack acts like one plate ===")
-rng = np.random.default_rng(5)
+rng = random.Random(5)
 stack = [qwp(rng.uniform(-1, 1)) for _ in range(4)]
 combined = compose(stack)
 probe = from_ellipse(EllipseParams(1, 0.2, -0.1, 0.7))

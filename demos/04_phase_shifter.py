@@ -6,15 +6,16 @@ three plate orientations directly.  Sweeping the phase through 2*pi produces
 the actuator trajectories; a pair of states with equal ellipticity forces the
 trajectory through two singular configurations, visible as pi/2 jumps.
 
-Writes ramp_typical.csv and ramp_singular.csv next to this script and, when
-matplotlib is importable, a PNG of the trajectories.
+Writes ramp_typical.csv and ramp_singular.csv (the CSV of `polquat ramp`) next
+to this script and, when matplotlib is importable, a PNG of the trajectories.
 """
 
 import math
 import pathlib
+import sys
 
 from polquat import (
-    Quaternion, forward_transform, ramp_trajectory, solve_angles,
+    Quaternion, cli, forward_transform, ramp_trajectory, solve_angles,
     target_transform, to_ellipse,
 )
 
@@ -44,13 +45,12 @@ PHIS = [2 * math.pi * k / (N - 1) for k in range(N)]
 
 
 def write_ramp(name, q, r):
+    # the CSV is the one `polquat ramp` writes; the printout reads the same ramp
+    code = cli.main(["ramp", "--q", ",".join(map(repr, q)), "--r", ",".join(map(repr, r)),
+                     "--samples", str(N), "--out", str(HERE / name)])
+    if code:
+        sys.exit(code)
     points = ramp_trajectory(q, r, PHIS)
-    path = HERE / name
-    with open(path, "w", newline="") as fh:
-        fh.write("phi,psi_a,psi_b,psi_c,branch,residual\n")
-        for pt in points:
-            fh.write(f"{pt.phi:.9f},{pt.angles.psi_a:.9f},{pt.angles.psi_b:.9f},"
-                     f"{pt.angles.psi_c:.9f},{pt.branch_label},{pt.residual:.3e}\n")
     crossings = sum(pt.flagged for pt in points)
     worst = max(pt.residual for pt in points)
     print(f"  {name}: {crossings} singular crossings, worst residual {worst:.2e}")

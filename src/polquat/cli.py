@@ -106,6 +106,17 @@ def _load_signal(kind: str, value) -> Quaternion:
         raise BadInput(f"bad ellipse input: {exc}") from exc
 
 
+# the output keys that hold angles; --degrees shows each as <key>_deg in degrees
+_ANGLES = {"phi", "epsilon", "theta", "psi_a", "psi_b", "psi_c"}
+
+
+def _shown(obj: dict, degrees: bool) -> dict:
+    if not degrees:
+        return obj
+    return dict((f"{k}_deg", math.degrees(v)) if k in _ANGLES else (k, v)
+                for k, v in obj.items())
+
+
 def _dump_signal(kind: str, q: Quaternion, degrees: bool):
     if kind == "quat":
         return q.to_list()
@@ -114,12 +125,7 @@ def _dump_signal(kind: str, q: Quaternion, degrees: bool):
         return {"ex": [v.ex.real, v.ex.imag], "ey": [v.ey.real, v.ey.imag]}
     if kind == "stokes":
         return asdict(stokes(q))
-    e = to_ellipse(q)
-    if degrees:
-        return {"r": e.r, "phi_deg": math.degrees(e.phi),
-                "epsilon_deg": math.degrees(e.epsilon),
-                "theta_deg": math.degrees(e.theta)}
-    return asdict(e)
+    return _shown(asdict(to_ellipse(q)), degrees)
 
 
 def _finite_number(text: str) -> float:
@@ -159,14 +165,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _angles_obj(angles: shifter.WaveplateAngles, degrees: bool) -> dict:
-    if degrees:
-        return {"psi_a_deg": math.degrees(angles.psi_a),
-                "psi_b_deg": math.degrees(angles.psi_b),
-                "psi_c_deg": math.degrees(angles.psi_c)}
-    return asdict(angles)
-
-
 def cmd_solve(args) -> int:
     q = _parse_quat_arg(args.q, "--q")
     r = _parse_quat_arg(args.r, "--r")
@@ -182,7 +180,7 @@ def cmd_solve(args) -> int:
                 for x, angles in zip(sol.family.parameters, sol.family_samples)]
     solutions = []
     for entry, angles in rows:
-        entry.update(_angles_obj(angles, args.degrees))
+        entry.update(_shown(asdict(angles), args.degrees))
         entry["residual"] = (shifter.forward_transform(angles) - p).norm()
         solutions.append(entry)
     print(_strict_json({"target_p": p.to_list(),

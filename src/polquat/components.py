@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .quaternion import Quaternion, _require_unit
+from .quaternion import J, Quaternion, _require_unit, precess
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -102,12 +102,9 @@ def axis_retardance(plate: Waveplate) -> WaveplateAxisForm:
 
 
 def rotate_element(plate: Waveplate, psi: float) -> Waveplate:
-    """The same plate physically rotated by psi: e^(-j psi) * q * e^(j psi)."""
-    c = math.cos(psi)
-    s = math.sin(psi)
-    e_neg = Quaternion(c, 0.0, -s, 0.0)
-    e_pos = Quaternion(c, 0.0, s, 0.0)
-    return Waveplate(e_neg * plate.q * e_pos)
+    """The same plate physically rotated by psi: its precession about j,
+    e^(-j psi) * q * e^(j psi)."""
+    return Waveplate(precess(plate.q, J, psi))
 
 
 def qwp(psi: float = 0.0) -> Waveplate:

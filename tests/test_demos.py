@@ -1,4 +1,5 @@
-"""Every demo script and the README quick start run against the source tree.
+"""Every demo script and the README quick start run against the source tree,
+with numpy unimportable: the package and its demos need no numpy.
 
 Each script is copied to a temporary directory first, so the files a demo
 writes next to itself land there and not in the checkout.
@@ -21,12 +22,20 @@ def test_demos_exist():
     assert len(DEMOS) >= 4
 
 
+_WITHOUT_NUMPY = """
+import runpy
+import sys
+sys.modules["numpy"] = None   # any `import numpy` now raises ImportError
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
 def _run_script(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, script], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(script)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 

@@ -11,15 +11,9 @@ from polquat import (
     ONE,
     PartialPolarizer,
     Waveplate,
-    compose,
-    qwp,
-    to_jones,
 )
 from polquat.jones import (
-    M_I,
-    M_J,
     is_waveplate_matrix,
-    jones_column,
     oracle_apply,
     oracle_polarizer,
     quat_to_matrix,
@@ -29,20 +23,11 @@ from util import rand_quat, rand_unit
 
 
 def test_basis_images():
-    assert np.array_equal(quat_to_matrix(ONE), np.eye(2, dtype=complex))
-    assert np.array_equal(quat_to_matrix(K), np.array([[0, 1j], [1j, 0]]))
-    assert np.array_equal(quat_to_matrix(I), M_I)
-    assert np.array_equal(quat_to_matrix(J), M_J)
-
-
-def test_anti_homomorphism_on_basis():
-    units = (ONE, I, J, K)
-    for a in units:
-        for b in units:
-            lhs = quat_to_matrix(a * b)
-            rhs = np.array(quat_to_matrix(b)) @ np.array(quat_to_matrix(a))
-            assert np.allclose(lhs, rhs, atol=1e-15)
-    assert np.allclose(quat_to_matrix(K), M_J @ M_I, atol=1e-15)
+    # the embedding of the module docstring, h the scalar imaginary unit
+    assert quat_to_matrix(ONE) == ((1, 0), (0, 1))
+    assert quat_to_matrix(I) == ((1j, 0), (0, -1j))
+    assert quat_to_matrix(J) == ((0, -1), (1, 0))
+    assert quat_to_matrix(K) == ((0, 1j), (1j, 0))
 
 
 def test_determinant_is_norm_squared():
@@ -55,17 +40,6 @@ def test_determinant_is_norm_squared():
 
 def test_projector_is_not_a_waveplate_matrix():
     assert not is_waveplate_matrix(np.diag([1.0, 0.0]))
-
-
-def test_jones_column_equals_to_jones_exactly():
-    rng = np.random.default_rng(63)
-    assert jones_column(ONE) == JonesVector(1 + 0j, 0j)
-    assert jones_column(J) == JonesVector(0j, 1 + 0j)
-    for _ in range(200):
-        q = rand_quat(rng)
-        a = jones_column(q)
-        b = to_jones(q)
-        assert a.ex == b.ex and a.ey == b.ey
 
 
 def test_oracle_apply():
@@ -84,17 +58,6 @@ def test_oracle_polarizer():
     v = JonesVector(0.4 + 0.1j, -0.7j)
     out = oracle_polarizer(v, pol)
     assert abs(out.ex - v.ex) <= 1e-12 and abs(out.ey - v.ey) <= 1e-12
-
-
-def test_composed_plates_stay_in_waveplate_class():
-    rng = np.random.default_rng(67)
-    for _ in range(100):
-        stack = [Waveplate(rand_unit(rng)) for _ in range(4)]
-        m = quat_to_matrix(compose(stack).q)
-        assert is_waveplate_matrix(m)
-        assert abs(np.linalg.det(m) - 1.0) <= 1e-12
-    m = quat_to_matrix(compose([qwp(0.2), qwp(1.1)]).q)
-    assert is_waveplate_matrix(m)
 
 
 def _is_oracle_module(dotted: str) -> bool:

@@ -126,21 +126,6 @@ def test_log_conventions():
                     Quaternion(math.log(3.0), 0, 0, 0), 1e-15)
 
 
-def test_partial_conjugate_componentwise():
-    q = Quaternion(1, 1, 1, 1)
-    assert q.partial_conjugate(Axis.I) == Quaternion(1, -1, 1, 1)
-    assert q.partial_conjugate(Axis.J) == Quaternion(1, 1, -1, 1)
-    assert q.partial_conjugate(Axis.K) == Quaternion(1, 1, 1, -1)
-
-
-@given(quats)
-def test_partial_conjugate_closed_form(q):
-    # componentwise definition must agree with -v conj(q) v
-    for axis in Axis:
-        v = axis.unit
-        assert allclose(q.partial_conjugate(axis), -(v * q.conjugate() * v), 1e-12)
-
-
 @given(quats, quats)
 def test_partial_conjugate_product_rule_exchanges(p, q):
     for axis in Axis:
@@ -158,21 +143,6 @@ def test_partial_conjugate_sum_and_products_lack_axis_component():
             assert getattr(q + qc, pick) == 0.0
             assert abs(getattr(q * qc, pick)) <= 1e-12
             assert abs(getattr(qc * q, pick)) <= 1e-12
-
-
-def test_double_conjugate_componentwise():
-    q = Quaternion(1, 1, 1, 1)
-    assert q.double_conjugate(Axis.K) == Quaternion(1, -1, -1, 1)
-    assert q.double_conjugate(Axis.I) == Quaternion(1, 1, -1, -1)
-    assert q.double_conjugate(Axis.J) == Quaternion(1, -1, 1, -1)
-
-
-@given(quats)
-def test_double_conjugate_closed_form(q):
-    # -v q v (no inner conjugate), checked against the componentwise form
-    for axis in Axis:
-        v = axis.unit
-        assert allclose(q.double_conjugate(axis), -(v * q * v), 1e-12)
 
 
 @given(quats, quats)

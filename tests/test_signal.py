@@ -24,7 +24,6 @@ from polquat import (
     from_jones,
     orthogonal_sop,
     stokes,
-    to_classical,
     to_ellipse,
     to_jones,
     waveplate_to_orthogonal,
@@ -83,15 +82,6 @@ def test_stokes_matches_the_product_form():
         assert worst <= 1e-14 * q.norm_sq()
 
 
-def test_stokes_phase_blind():
-    rng = np.random.default_rng(22)
-    for _ in range(100):
-        q = rand_quat(rng)
-        phi = rng.uniform(-math.pi, math.pi)
-        a, b = stokes(apply_phase(q, phi)), stokes(q)
-        assert max(abs(a.s1 - b.s1), abs(a.s2 - b.s2), abs(a.s3 - b.s3)) <= 1e-12 * max(1.0, q.norm_sq())
-
-
 def test_stokes_norm_is_power():
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -105,16 +95,6 @@ def test_classical_values():
     h = 1 / SQ2
     c = classical_from_jones(JonesVector(h, h))
     assert abs(c.S1) <= 1e-15 and abs(c.S2 - 1.0) <= 1e-15 and abs(c.S3) <= 1e-15
-
-
-def test_classical_paths_agree():
-    # Eq-by-eq differential check of the component reordering s2<->S3, s3<->S2
-    rng = np.random.default_rng(24)
-    for _ in range(1000):
-        q = rand_quat(rng)
-        a = to_classical(stokes(q))
-        b = classical_from_jones(to_jones(q))
-        assert max(abs(a.S1 - b.S1), abs(a.S2 - b.S2), abs(a.S3 - b.S3)) <= 1e-12
 
 
 def test_apply_phase():
@@ -132,13 +112,6 @@ def test_apply_phase():
 def test_orthogonal_sop():
     assert allclose(orthogonal_sop(ONE, 0.0), J, 1e-15)
     assert allclose(orthogonal_sop(ONE, math.pi / 2), K, 1e-15)
-    rng = np.random.default_rng(26)
-    for _ in range(100):
-        q = rand_quat(rng)
-        phi = rng.uniform(-math.pi, math.pi)
-        a = stokes(orthogonal_sop(q, phi))
-        b = -stokes(q)
-        assert max(abs(a.s1 - b.s1), abs(a.s2 - b.s2), abs(a.s3 - b.s3)) <= 1e-12 * max(1.0, q.norm_sq())
 
 
 def test_classify_examples():
@@ -146,22 +119,6 @@ def test_classify_examples():
     assert classify_orthogonality(ONE, I) is OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE
     # p * conj(q) = 1 * (1-i-j) has nonzero scalar, i and j parts
     assert classify_orthogonality(ONE, ONE + I + J) is OrthogonalityClass.NONE
-
-
-def test_classify_constructed_families():
-    rng = np.random.default_rng(27)
-    for _ in range(100):
-        q = rand_quat(rng)
-        if q.norm() < 1e-3:
-            continue
-        scale = float(rng.uniform(0.1, 5.0))
-        phi = rng.uniform(-math.pi, math.pi)
-        same = apply_phase(q, phi) * scale
-        assert classify_orthogonality(same, q) is OrthogonalityClass.SAME_SOP
-        ortho = orthogonal_sop(q, phi) * scale
-        assert classify_orthogonality(ortho, q) is OrthogonalityClass.ORTHOGONAL_SOP
-        quad = I * q * (scale if rng.random() < 0.5 else -scale)
-        assert classify_orthogonality(quad, q) is OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE
 
 
 def test_classify_quaternion_orthogonal_only():
