@@ -108,12 +108,10 @@ def test_solve_identity_is_singular_b(capsys):
 def test_solve_prints_the_family_at_its_parameters(capsys):
     from polquat import Quaternion, solve_angles
 
-    # the ramp for the Fig. 7 pair crosses a singularity at this phase
     code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R,
                        "--phi", "1.2490457723982544")
     assert code == 0
     got = json.loads(out)
-    assert got["classification"] == "singular_b"
     family = solve_angles(Quaternion(*got["target_p"])).family
     assert [entry["parameter"] for entry in got["solutions"]] == list(family.parameters)
     for entry in got["solutions"]:
@@ -138,6 +136,16 @@ def test_solve_branch_filter(capsys):
     assert code == 0
     got = json.loads(out)
     assert [s["branch"] for s in got["solutions"]] == [2]
+
+
+def test_solve_fig7_singular_phase(capsys):
+    # the ramp for the Fig. 7 pair crosses a singularity at this phase
+    code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R,
+                       "--phi", "1.2490457723982544")
+    assert code == 0
+    got = json.loads(out)
+    assert got["classification"] == "singular_b"
+    assert len(got["solutions"]) == 16
 
 
 def test_solve_non_unit_is_exit_2(capsys):

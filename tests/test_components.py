@@ -41,8 +41,6 @@ def test_apply_examples():
 def test_waveplate_requires_unit():
     with pytest.raises(ValueError):
         Waveplate(Quaternion(1, 1, 0, 0))
-    with pytest.raises(ValueError):
-        waveplate_from_axis(ONE + I, 0.3)
 
 
 def test_compose():
@@ -63,6 +61,13 @@ def test_compose_matches_sequential_application():
         for p in plates:
             seq = apply(seq, p)
         assert allclose(apply(q, compose(plates)), seq, 1e-12)
+
+
+def test_waveplate_from_axis_table1():
+    assert allclose(waveplate_from_axis(ONE, math.pi / 4).q, QWP_H, 1e-15)
+    assert allclose(waveplate_from_axis(ONE, math.pi / 2).q, I, 1e-15)
+    with pytest.raises(ValueError):
+        waveplate_from_axis(ONE + I, 0.3)
 
 
 def test_waveplate_from_axis_two_construction_paths():
