@@ -10,13 +10,12 @@ Writes ramp_typical.csv and ramp_singular.csv (the CSV of `polquat ramp`) next
 to this script and, when matplotlib is importable, a PNG of the trajectories.
 """
 
-import math
+import csv
 import pathlib
 import sys
 
 from polquat import (
-    Quaternion, cli, forward_transform, ramp_trajectory, solve_angles,
-    target_transform, to_ellipse,
+    Quaternion, cli, forward_transform, solve_angles, target_transform, to_ellipse,
 )
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -41,20 +40,22 @@ for name, q, r in (("typical", Q_TYP, R_TYP), ("matched", Q_SNG, R_SNG)):
           f"eps_out={to_ellipse(r).epsilon:+.6f}")
 
 N = 256
-PHIS = [2 * math.pi * k / (N - 1) for k in range(N)]
 
 
 def write_ramp(name, q, r):
-    # the CSV is the one `polquat ramp` writes; the printout reads the same ramp
+    # the CSV is the one `polquat ramp` writes; the printout and plot read it back
+    path = HERE / name
     code = cli.main(["ramp", "--q", ",".join(map(repr, q)), "--r", ",".join(map(repr, r)),
-                     "--samples", str(N), "--out", str(HERE / name)])
+                     "--samples", str(N), "--out", str(path)])
     if code:
         sys.exit(code)
-    points = ramp_trajectory(q, r, PHIS)
-    crossings = sum(pt.flagged for pt in points)
-    worst = max(pt.residual for pt in points)
+    with open(path, newline="") as fh:
+        rows = [{key: text if key == "branch" else float(text) for key, text in row.items()}
+                for row in csv.DictReader(fh)]
+    crossings = sum(row["branch"] == "singular" for row in rows)
+    worst = max(row["residual"] for row in rows)
     print(f"  {name}: {crossings} singular crossings, worst residual {worst:.2e}")
-    return points
+    return rows
 
 
 print("\n=== full 2*pi ramps ===")
@@ -63,10 +64,9 @@ sng = write_ramp("ramp_singular.csv", Q_SNG, R_SNG)
 
 print("\noutput state along the typical ramp (must be constant SOP, linear phase):")
 for k in (0, N // 4, N // 2, 3 * N // 4, N - 1):
-    out = Q_TYP * forward_transform(typ[k].angles)
-    e = to_ellipse(out)
-    print(f"  phi={typ[k].phi:6.3f}  out phase={e.phi:+.4f}  "
-          f"theta={e.theta:+.6f}  eps={e.epsilon:+.6f}")
+    row = typ[k]
+    print(f"  phi={row['phi']:6.3f}  out phase={row['out_phase']:+.4f}  "
+          f"theta={row['out_theta']:+.6f}  eps={row['out_epsilon']:+.6f}")
 
 try:
     import matplotlib
@@ -76,12 +76,10 @@ except ImportError:
     print("\nmatplotlib not available; skipping the plot")
 else:
     fig, axes = plt.subplots(2, 1, figsize=(7, 7), sharex=True)
-    for ax, points, title in ((axes[0], typ, "typical states"),
-                              (axes[1], sng, "matched ellipticity (two singular crossings)")):
-        for name, grab in (("psi_a", lambda p: p.angles.psi_a),
-                           ("psi_b", lambda p: p.angles.psi_b),
-                           ("psi_c", lambda p: p.angles.psi_c)):
-            ax.plot([p.phi for p in points], [grab(p) for p in points],
+    for ax, rows, title in ((axes[0], typ, "typical states"),
+                            (axes[1], sng, "matched ellipticity (two singular crossings)")):
+        for name in ("psi_a", "psi_b", "psi_c"):
+            ax.plot([row["phi"] for row in rows], [row[name] for row in rows],
                     ".", markersize=2, label=name)
         ax.set_ylabel("plate angle (rad)")
         ax.set_title(title)

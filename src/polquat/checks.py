@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from . import jones, shifter
+from . import cli, jones, shifter
 from .components import (
     PartialPolarizer,
     Waveplate,
@@ -200,30 +200,23 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
                       _within("families", worst_family, 1e-9)])
 
 
-def _closed_ramp(q: Quaternion, r: Quaternion) -> tuple:
-    """The phases and points of the closed 0..2*pi ramp, and its checked
-    worst residual."""
-    phis = [2.0 * math.pi * k / (RAMP_SAMPLES - 1) for k in range(RAMP_SAMPLES)]
-    points = shifter.ramp_trajectory(q, r, phis)
-    return phis, points, _within("residual", max(pt.residual for pt in points), 1e-9)
-
-
 def check_fig5_ramp() -> str:
     """Smooth, unflagged ramp on one branch: constant output SOP and an
-    output phase that runs along a straight line through exactly 2*pi."""
-    phis, points, residual = _closed_ramp(FIG5_Q, FIG5_R)
+    output phase that runs along a straight line through exactly 2*pi.  Both
+    ramp groups check the rows `polquat ramp` writes (`cli.ramp_rows`)."""
+    rows = list(cli.ramp_rows(FIG5_Q, FIG5_R, RAMP_SAMPLES))
+    residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-9)
     thetas, epss, phases = [], [], []
-    for pt in points:
+    for pt, ell in rows:
         assert not pt.flagged, f"no singular crossing expected, flagged at phi={pt.phi}"
-        assert pt.branch == points[0].branch, f"branch changed at phi={pt.phi}"
-        ell = to_ellipse(FIG5_Q * shifter.forward_transform(pt.angles))
+        assert pt.branch == rows[0][0].branch, f"branch changed at phi={pt.phi}"
         thetas.append(ell.theta)
         epss.append(ell.epsilon)
         # unwrapped: each step is the wrapped phase difference, in [-pi, pi]
         prev = phases[-1] if phases else ell.phi
         phases.append(prev + math.remainder(ell.phi - prev, 2.0 * math.pi))
     span = phases[-1] - phases[0]
-    line = max(abs(phase - (phases[0] + phi)) for phase, phi in zip(phases, phis))
+    line = max(abs(phase - (phases[0] + pt.phi)) for phase, (pt, _) in zip(phases, rows))
     return ", ".join([residual,
                       _within("orientation", max(thetas) - min(thetas), 1e-8),
                       _within("ellipticity", max(epss) - min(epss), 1e-8),
@@ -237,7 +230,8 @@ def check_fig7_singular() -> str:
     eq, er = to_ellipse(FIG7_Q), to_ellipse(FIG7_R)
     assert abs(eq.epsilon + 0.23) <= 0.01, f"input ellipticity {eq.epsilon}"
     eps = _within("ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
-    _, points, residual = _closed_ramp(FIG7_Q, FIG7_R)
+    points = [pt for pt, _ in cli.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES)]
+    residual = _within("residual", max(pt.residual for pt in points), 1e-9)
     flagged = [i for i, pt in enumerate(points) if pt.flagged]
     assert len(flagged) == 2, f"expected 2 singular crossings, saw {len(flagged)}"
     assert all(points[i].branch_label == "singular" for i in flagged)

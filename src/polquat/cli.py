@@ -189,20 +189,28 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
+    """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
+    `shifter.RampPoint` with the ellipse of its output q * forward(angles).
+
+    Every point is solved before this returns; the ellipses follow lazily.
+    """
+    phis = [2.0 * math.pi * k / (samples - 1) for k in range(samples)]
+    points = shifter.ramp_trajectory(q, r, phis)
+    return ((pt, to_ellipse(q * shifter.forward_transform(pt.angles))) for pt in points)
+
+
 def cmd_ramp(args) -> int:
     q = _parse_quat_arg(args.q, "--q")
     r = _parse_quat_arg(args.r, "--r")
-    n = args.samples
-    if n < 2:
+    if args.samples < 2:
         raise BadInput("--samples must be at least 2")
-    phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
-    points = shifter.ramp_trajectory(q, r, phis)
+    rows = ramp_rows(q, r, args.samples)
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for pt in points:
+            for pt, ell in rows:
                 a = pt.angles
-                ell = to_ellipse(q * shifter.forward_transform(a))
                 # +0.0 normalizes a negative zero so identical values print identically
                 fh.write(f"{pt.phi + 0.0:.12g},{a.psi_a + 0.0:.12g},{a.psi_b + 0.0:.12g},"
                          f"{a.psi_c + 0.0:.12g},{pt.branch_label},{ell.phi + 0.0:.12g},"
@@ -222,13 +230,11 @@ def cmd_check(args) -> int:
     for name, fn in checks.CHECK_GROUPS:
         try:
             fn()
-            status = "PASS"
         except AssertionError as exc:
-            status = "FAIL"
             failures += 1
             print(f"FAIL {name}: {exc}")
-            continue
-        print(f"{status} {name}")
+        else:
+            print(f"PASS {name}")
     if failures:
         print(f"{failures} group(s) failed")
         return 1

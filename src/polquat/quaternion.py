@@ -109,17 +109,12 @@ class Quaternion:
         return NotImplemented
 
     def __truediv__(self, other):
-        """Right division p / q = p * conj(q) / |q|^2 (scalars divide
-        componentwise)."""
+        """Right division p / q = p * conj(q) / |q|^2."""
         if isinstance(other, Quaternion):
             n2 = other.norm_sq()
             if n2 == 0.0:
                 raise ValueError("division by zero quaternion")
             return (self * other.conjugate()) * (1.0 / n2)
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1.0 / other)
         return NotImplemented
 
     def left_div(self, other: "Quaternion") -> "Quaternion":
@@ -166,9 +161,6 @@ class Quaternion:
 
     def norm(self) -> float:
         return math.hypot(self.q0, self.q1, self.q2, self.q3)
-
-    def __abs__(self) -> float:
-        return self.norm()
 
     def normalized(self) -> "Quaternion":
         n = self.norm()

@@ -83,8 +83,8 @@ class SingularFamily:
     It is branch 1 with the half angle that c = 0 leaves undefined set free:
     at c1 = 0 (SINGULAR_A) b_half = -x, and at c2 = 0 (SINGULAR_B), where
     t_half = pi/4, a_half = x + pi/4, so x is psi_b itself.  Both branches
-    are members.  Each angle moves with `slope` in x: (+1, 0, -1) for the A
-    case and (+1, +1, +1) for the B case.
+    are members.  The angles move with x as (+x, constant, -x) in the A case
+    and (+x, +x, +x) in the B case.
     """
 
     kind: Classification
@@ -93,10 +93,6 @@ class SingularFamily:
     # the free parameters x = -pi/2 + pi*m/FAMILY_SAMPLES the samples sit at
     parameters: ClassVar[tuple] = tuple(-_HALF_PI + _PI * m / FAMILY_SAMPLES
                                         for m in range(FAMILY_SAMPLES))
-
-    @property
-    def slope(self) -> tuple:
-        return (1.0, 0.0, -1.0) if self.kind is _SINGULAR_A else (1.0, 1.0, 1.0)
 
     def at(self, x: float) -> WaveplateAngles:
         if self.kind is _SINGULAR_A:
@@ -288,31 +284,22 @@ def _best_family_point(family: SingularFamily,
                        prev: WaveplateAngles) -> WaveplateAngles:
     """Family point minimizing the max angular change from `prev`.
 
-    Each angle is base +- x or constant in the free parameter, base being the
-    member at x = 0, so every per-angle distance is a unit-slope triangle
-    wave of period pi in x.  The minimum of their max therefore sits at a
-    wave zero or at a crossing of two waves, and crossings lie at midpoints
-    of zeros shifted by 0 or pi/2.
+    Each moving angle is base +- x, base being the member at x = 0, so its
+    distance from `prev` is |x - z| modulo pi, z being that angle's zero (the
+    constant psi_b of the A case adds the same distance at every x).  The max
+    of those is least at the centre of the shortest arc, modulo pi, that holds
+    every zero: the arc left by the largest gap between neighbouring zeros.
     """
-    # base + slope * x = target (mod pi) for each moving angle, slope +-1
-    zeros = [math.remainder((target - base) / slope, _PI)
-             for base, slope, target in zip(family.at(0.0).as_tuple(), family.slope,
-                                            prev.as_tuple())
-             if slope]
-    candidates = list(zeros)
-    for ii in range(len(zeros)):
-        for jj in range(ii + 1, len(zeros)):
-            mid = 0.5 * (zeros[ii] + zeros[jj])
-            candidates.append(mid)
-            candidates.append(mid + _HALF_PI)
-    best = None
-    best_d = math.inf
-    for x in candidates:
-        trip = family.at(x)
-        d = triple_distance(trip, prev)
-        if d < best_d - 1e-15:
-            best, best_d = trip, d
-    return best
+    base = family.at(0.0)
+    if family.kind is _SINGULAR_A:   # psi_a = base + x, psi_c = base - x
+        zeros = [prev.psi_a - base.psi_a, base.psi_c - prev.psi_c]
+    else:                            # every angle is base + x
+        zeros = [p - b for p, b in zip(prev.as_tuple(), base.as_tuple())]
+    zeros = sorted(math.remainder(z, _PI) for z in zeros)
+    gap, k = max((zeros[j + 1] - zeros[j], j) for j in range(len(zeros) - 1))
+    if zeros[0] + _PI - zeros[-1] >= gap:   # the largest gap wraps round
+        return family.at(0.5 * (zeros[0] + zeros[-1]))
+    return family.at(0.5 * (zeros[k] + zeros[k + 1]) + _HALF_PI)
 
 
 def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,

@@ -83,9 +83,6 @@ class StokesQuaternion:
     def norm(self) -> float:
         return math.hypot(self.s1, self.s2, self.s3)
 
-    def __neg__(self) -> "StokesQuaternion":
-        return StokesQuaternion(-self.s1, -self.s2, -self.s3)
-
 
 @dataclass(frozen=True)
 class ClassicalStokes:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,11 +10,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polquat import Quaternion, cli, to_ellipse
+from polquat.checks import check_fig5_ramp
 from polquat.cli import CSV_HEADER, main
 
 FIG5_Q = "-0.8888888888888888,0.2222222222222222,0.3333333333333333,0.2222222222222222"
@@ -106,7 +108,7 @@ def test_solve_identity_is_singular_b(capsys):
 
 
 def test_solve_prints_the_family_at_its_parameters(capsys):
-    from polquat import Quaternion, solve_angles
+    from polquat import solve_angles
 
     code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R,
                        "--phi", "1.2490457723982544")
@@ -155,43 +157,6 @@ def test_solve_non_unit_is_exit_2(capsys):
     assert "unit" in err
 
 
-def test_ramp_fig5(tmp_path, capsys):
-    out_path = tmp_path / "fig5.csv"
-    code, _, _ = run(capsys, "ramp", "--q", FIG5_Q, "--r", FIG5_R,
-                     "--samples", "256", "--out", str(out_path))
-    assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 257
-    rows = [line.split(",") for line in lines[1:]]
-    thetas = [float(r[6]) for r in rows]
-    epss = [float(r[7]) for r in rows]
-    assert max(thetas) - min(thetas) <= 1e-8
-    assert max(epss) - min(epss) <= 1e-8
-    phases = np.unwrap([float(r[5]) for r in rows])
-    phis = [float(r[0]) for r in rows]
-    assert abs((phases[-1] - phases[0]) - 2 * math.pi) <= 1e-8
-    fit = phases - (phases[0] + np.array(phis))
-    assert np.max(np.abs(fit)) <= 1e-8
-    assert all(float(r[8]) <= 1e-9 for r in rows)
-    assert all(r[4] == rows[0][4] for r in rows)
-
-
-def test_ramp_fig7_flags_two_singular_rows(tmp_path, capsys):
-    out_path = tmp_path / "fig7.csv"
-    code, _, _ = run(capsys, "ramp", "--q", FIG7_Q, "--r", FIG7_R,
-                     "--samples", "256", "--out", str(out_path))
-    assert code == 0
-    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
-    singular_rows = [i for i, r in enumerate(rows) if r[4] == "singular"]
-    assert len(singular_rows) == 2
-    for i in singular_rows:
-        step = max(
-            abs(math.remainder(float(rows[i][c]) - float(rows[i - 1][c]), math.pi))
-            for c in (1, 2, 3))
-        assert step >= math.pi / 2 - 0.1
-
-
 def test_ramp_two_identical_rows_for_identity_problem(tmp_path, capsys):
     out_path = tmp_path / "two.csv"
     code, _, _ = run(capsys, "ramp", "--q", "1,0,0,0", "--r", "1,0,0,0",
@@ -231,55 +196,89 @@ def test_ramp_csv_bytes_are_pinned(tmp_path, capsys, q, r):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _RAMP_SHA256[q, r]
 
 
+@pytest.mark.parametrize("wrong, failure", [
+    # the ellipse of the output with its j and k components swapped
+    (lambda out: to_ellipse(Quaternion(out.q0, out.q1, out.q3, out.q2)), "orientation"),
+    (lambda out: dataclasses.replace(to_ellipse(out), phi=0.0), "span-2pi"),
+], ids=["j-k-swapped", "phase-frozen"])
+def test_fig5_group_checks_the_ellipses_ramp_writes(monkeypatch, wrong, failure):
+    # the group reads the rows of `cli.ramp_rows`, so a wrong ellipse there fails it
+    monkeypatch.setattr(cli, "to_ellipse", wrong)
+    with pytest.raises(AssertionError, match=failure):
+        check_fig5_ramp()
+
+
 def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+# Each row of an argv table names itself, so a row inserted anywhere renames no
+# other test; a new row takes the next free argv number.
 @pytest.mark.parametrize("argv, want", [
-    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "nan"), 2),
-    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "inf"), 2),
-    (("convert", "--from", "quat", "--to", "quat",
-      "--input", '{"1":0.5,"2":0.5,"3":0.5,"4":0.5}'), 2),
-    (("convert", "--from", "jones", "--to", "quat", "--input", '{"ex":[1,0,7],"ey":[0,0]}'), 2),
-    (("convert", "--from", "jones", "--to", "quat", "--input", '{"ex":[1,0],"ey":[0,0,7]}'), 2),
-    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[0,0,0,0]"), 3),
-    (("convert", "--from", "quat", "--to", "stokes", "--input", "[1e300,1e300,0,0]"), 3),
-    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[1e-320,0,0,0]"), 0),
-    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[1e170,0,1e170,0]"), 0),
-    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[1e-200,0,1e-200,0]"), 0),
-    (("convert", "--from", "quat", "--to", "ellipse", "--input", "[0,0,1e-310,0]"), 0),
-    (("convert", "--from", "quat", "--to", "quat", "--input", "[1e999,0,0,0]"), 2),
-    (("convert", "--from", "quat", "--to", "jones", "--input", "[NaN,0,0,0]"), 2),
-    (("convert", "--from", "stokes", "--to", "stokes",
-      "--input", '{"s1":1e999,"s2":0,"s3":0}'), 2),
-    (("convert", "--from", "quat", "--to", "quat", "--input", "[1" + "0" * 400 + ",0,0,0]"), 2),
-    (("convert", "--from", "quat", "--to", "quat", "--input", "[" * 100000), 2),
-    (("convert", "--from", "quat", "--to", "quat", "--input", '"1234"'), 2),
-    (("convert", "--from", "jones", "--to", "quat", "--input", '{"ex":"12","ey":"34"}'), 2),
-    (("convert", "--from", "ellipse", "--to", "quat",
-      "--input", '{"r":"1","phi":0,"epsilon":0,"theta":0}'), 2),
-    (("convert", "--from", "quat", "--to", "quat", "--input", "[true,false,0,0]"), 2),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "nan"), 2, id="argv0-2"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "inf"), 2, id="argv1-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  '{"1":0.5,"2":0.5,"3":0.5,"4":0.5}'), 2, id="argv2-2"),
+    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
+                  '{"ex":[1,0,7],"ey":[0,0]}'), 2, id="argv3-2"),
+    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
+                  '{"ex":[1,0],"ey":[0,0,7]}'), 2, id="argv4-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
+                  "[0,0,0,0]"), 3, id="argv5-3"),
+    pytest.param(("convert", "--from", "quat", "--to", "stokes", "--input",
+                  "[1e300,1e300,0,0]"), 3, id="argv6-3"),
+    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
+                  "[1e-320,0,0,0]"), 0, id="argv7-0"),
+    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
+                  "[1e170,0,1e170,0]"), 0, id="argv8-0"),
+    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
+                  "[1e-200,0,1e-200,0]"), 0, id="argv9-0"),
+    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
+                  "[0,0,1e-310,0]"), 0, id="argv10-0"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  "[1e999,0,0,0]"), 2, id="argv11-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "jones", "--input",
+                  "[NaN,0,0,0]"), 2, id="argv12-2"),
+    pytest.param(("convert", "--from", "stokes", "--to", "stokes", "--input",
+                  '{"s1":1e999,"s2":0,"s3":0}'), 2, id="argv13-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  "[1" + "0" * 400 + ",0,0,0]"), 2, id="argv14-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  "[" * 100000), 2, id="argv15-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  '"1234"'), 2, id="argv16-2"),
+    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
+                  '{"ex":"12","ey":"34"}'), 2, id="argv17-2"),
+    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
+                  '{"r":"1","phi":0,"epsilon":0,"theta":0}'), 2, id="argv18-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  "[true,false,0,0]"), 2, id="argv19-2"),
     # objects have exactly their keys: unknown keys and missing ones are bad input
-    (("convert", "--from", "ellipse", "--to", "quat",
-      "--input", '{"r":1,"phi":0,"epsilon":0,"theta":0,"junk":5}'), 2),
-    (("convert", "--from", "stokes", "--to", "stokes",
-      "--input", '{"s1":1,"s2":0,"s3":0,"s4":9}'), 2),
-    (("convert", "--from", "jones", "--to", "quat",
-      "--input", '{"ex":[1,0],"ey":[0,0],"ez":[1,1]}'), 2),
-    (("convert", "--from", "ellipse", "--to", "quat", "--input", '{"r":1,"phi":0,"epsilon":0}'), 2),
-    (("convert", "--from", "jones", "--to", "ellipse",
-      "--input", '{"ex":[1,0],"ey":[0,1],"phase":0}'), 2),
+    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
+                  '{"r":1,"phi":0,"epsilon":0,"theta":0,"junk":5}'), 2, id="argv20-2"),
+    pytest.param(("convert", "--from", "stokes", "--to", "stokes", "--input",
+                  '{"s1":1,"s2":0,"s3":0,"s4":9}'), 2, id="argv21-2"),
+    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
+                  '{"ex":[1,0],"ey":[0,0],"ez":[1,1]}'), 2, id="argv22-2"),
+    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
+                  '{"r":1,"phi":0,"epsilon":0}'), 2, id="argv23-2"),
+    pytest.param(("convert", "--from", "jones", "--to", "ellipse", "--input",
+                  '{"ex":[1,0],"ey":[0,1],"phase":0}'), 2, id="argv24-2"),
     # the stokes form is read before the conversion is refused
-    (("convert", "--from", "stokes", "--to", "quat", "--input", '{"s1":"1","s2":0,"s3":0}'), 2),
+    pytest.param(("convert", "--from", "stokes", "--to", "quat", "--input",
+                  '{"s1":"1","s2":0,"s3":0}'), 2, id="argv25-2"),
     # a singular target has a family, not two branches to pick from
-    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--branch", "2"), 2),
-    (("solve", "--q", "1,0,0,0", "--r", "0,1,0,0", "--phi", "0", "--branch", "1"), 2),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0",
+                  "--branch", "2"), 2, id="argv26-2"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "0,1,0,0", "--phi", "0",
+                  "--branch", "1"), 2, id="argv27-2"),
     # too few samples, and payloads of the wrong length or out of range
-    (("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "1",
-      "--out", "/no/such/dir/unused.csv"), 2),
-    (("convert", "--from", "quat", "--to", "quat", "--input", "[1,2]"), 2),
-    (("convert", "--from", "ellipse", "--to", "quat",
-      "--input", '{"r":-1,"phi":0,"epsilon":0,"theta":0}'), 2),
+    pytest.param(("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "1",
+                  "--out", "/no/such/dir/unused.csv"), 2, id="argv28-2"),
+    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
+                  "[1,2]"), 2, id="argv29-2"),
+    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
+                  '{"r":-1,"phi":0,"epsilon":0,"theta":0}'), 2, id="argv30-2"),
 ])
 def test_bad_values_keep_the_exit_code_contract(capsys, argv, want):
     code, out, err = run(capsys, *argv)
@@ -302,12 +301,15 @@ def _run_quiet(argv):
 
 
 @pytest.mark.parametrize("argv, want", [
-    (("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0),
-    (("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0", "--phi", "0.3"), 0),
-    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0),
-    (("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0),
+    pytest.param(("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0, id="argv0-0"),
+    pytest.param(("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0",
+                  "--phi", "0.3"), 0, id="argv1-0"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0, id="argv2-0"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0,
+                 id="argv3-0"),
     # a negative value is read after its option; an unknown option is still one
-    (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2,
+                 id="argv4-2"),
 ])
 def test_negative_values_follow_an_option_in_any_float_spelling(argv, want):
     code, out, err = _run_quiet(list(argv))

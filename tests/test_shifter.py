@@ -27,6 +27,7 @@ from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
 from polquat.shifter import (
     NEAR_SINGULAR_TOL,
     SINGULAR_TOL,
+    SingularFamily,
     _best_family_point,
     _branch,
     _split,
@@ -190,7 +191,11 @@ def test_every_target_is_solved_within_the_bound(small_first):
 def test_singular_b_family_identity_case():
     sol = solve_angles(ONE)
     assert sol.classification is Classification.SINGULAR_B
-    assert sol.family.slope == (1.0, 1.0, 1.0)
+    base = sol.family.at(0.0)
+    for x in (0.3, -1.1):   # every angle moves with +x
+        moved = sol.family.at(x)
+        assert all(abs(reduce_angle(m - b - x)) <= 1e-12
+                   for m, b in zip(moved.as_tuple(), base.as_tuple()))
     for psi_b in np.linspace(-1.5, 1.5, 8):
         angles = sol.family.at(float(psi_b))
         # arg(p0 + p2 j) = 0, so psi_a = psi_c = psi_b + pi/2
@@ -201,7 +206,10 @@ def test_singular_b_family_identity_case():
 
 def test_family_callable_matches_samples():
     sol = solve_angles(I)
-    assert sol.family.slope == (1.0, 0.0, -1.0)
+    base, moved = sol.family.at(0.0), sol.family.at(0.3)   # (+x, constant, -x)
+    assert abs(reduce_angle(moved.psi_a - base.psi_a - 0.3)) <= 1e-12
+    assert moved.psi_b == base.psi_b
+    assert abs(reduce_angle(moved.psi_c - base.psi_c + 0.3)) <= 1e-12
     assert len(sol.family.parameters) == 16
     assert len(sol.family_samples) == 16
     for m, (x, angles) in enumerate(zip(sol.family.parameters, sol.family_samples)):
@@ -224,6 +232,19 @@ def test_both_branches_lie_on_the_family():
             for branch in (1, 2):
                 br = _branch(branch, *split[3:])
                 assert triple_distance(_best_family_point(family, br), br) <= 1e-12
+
+
+def test_best_family_point_is_no_farther_than_a_fine_grid_minimum():
+    # the closed form against brute force over x, for families of both kinds
+    rng = np.random.default_rng(86)
+    grid = np.linspace(-HALF_PI, HALF_PI, 2001)
+    for kind in (Classification.SINGULAR_A, Classification.SINGULAR_B):
+        for _ in range(50):
+            family = SingularFamily(kind, *map(float, rng.uniform(-math.pi, math.pi, 2)))
+            prev = WaveplateAngles(*(reduce_angle(float(a))
+                                     for a in rng.uniform(-math.pi, math.pi, 3)))
+            brute = min(triple_distance(family.at(float(x)), prev) for x in grid)
+            assert triple_distance(_best_family_point(family, prev), prev) <= brute + 1e-12
 
 
 def test_singular_signal_conditions_examples():
