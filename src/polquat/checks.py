@@ -156,7 +156,7 @@ def check_oracle_differential(trials: int = QUICK_TRIALS) -> str:
 
 
 def _assert_reduced(angles: shifter.WaveplateAngles) -> None:
-    assert all(-_HALF_PI < psi <= _HALF_PI for psi in angles.as_tuple()), \
+    assert all(-_HALF_PI < psi <= _HALF_PI for psi in angles), \
         f"plate angle outside (-pi/2, pi/2]: {angles}"
 
 
@@ -200,43 +200,49 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
                       _within("families", worst_family, 1e-9)])
 
 
+def _constant_sop(rows) -> str:
+    """The output SOP holds still along a ramp: the spreads of the output
+    orientation and ellipticity over the rows of `cli.ramp_rows`."""
+    thetas = [ell.theta for _, ell in rows]
+    epss = [ell.epsilon for _, ell in rows]
+    return ", ".join([_within("orientation", max(thetas) - min(thetas), 1e-8),
+                      _within("ellipticity", max(epss) - min(epss), 1e-8)])
+
+
 def check_fig5_ramp() -> str:
     """Smooth, unflagged ramp on one branch: constant output SOP and an
     output phase that runs along a straight line through exactly 2*pi.  Both
     ramp groups check the rows `polquat ramp` writes (`cli.ramp_rows`)."""
     rows = list(cli.ramp_rows(FIG5_Q, FIG5_R, RAMP_SAMPLES))
     residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-9)
-    thetas, epss, phases = [], [], []
+    phases = []
     for pt, ell in rows:
         assert not pt.flagged, f"no singular crossing expected, flagged at phi={pt.phi}"
         assert pt.branch == rows[0][0].branch, f"branch changed at phi={pt.phi}"
-        thetas.append(ell.theta)
-        epss.append(ell.epsilon)
         # unwrapped: each step is the wrapped phase difference, in [-pi, pi]
         prev = phases[-1] if phases else ell.phi
         phases.append(prev + math.remainder(ell.phi - prev, 2.0 * math.pi))
     span = phases[-1] - phases[0]
     line = max(abs(phase - (phases[0] + pt.phi)) for phase, (pt, _) in zip(phases, rows))
-    return ", ".join([residual,
-                      _within("orientation", max(thetas) - min(thetas), 1e-8),
-                      _within("ellipticity", max(epss) - min(epss), 1e-8),
+    return ", ".join([residual, _constant_sop(rows),
                       _within("span-2pi", abs(span - 2.0 * math.pi), 1e-8),
                       _within("line", line, 1e-8)])
 
 
 def check_fig7_singular() -> str:
-    """Equal-ellipticity pair: exactly two flagged crossings, each a ~pi/2
-    jump labelled singular."""
+    """Equal-ellipticity pair: constant output SOP across exactly two flagged
+    crossings, each a ~pi/2 jump labelled singular."""
     eq, er = to_ellipse(FIG7_Q), to_ellipse(FIG7_R)
     assert abs(eq.epsilon + 0.23) <= 0.01, f"input ellipticity {eq.epsilon}"
-    eps = _within("ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
-    points = [pt for pt, _ in cli.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES)]
+    eps = _within("equal-ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
+    rows = list(cli.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES))
+    points = [pt for pt, _ in rows]
     residual = _within("residual", max(pt.residual for pt in points), 1e-9)
     flagged = [i for i, pt in enumerate(points) if pt.flagged]
     assert len(flagged) == 2, f"expected 2 singular crossings, saw {len(flagged)}"
     assert all(points[i].branch_label == "singular" for i in flagged)
     steps = [shifter.triple_distance(points[i].angles, points[i - 1].angles) for i in flagged]
-    return ", ".join([eps, residual,
+    return ", ".join([eps, residual, _constant_sop(rows),
                       _within("step-pi/2", max(abs(s - _HALF_PI) for s in steps), 0.1)])
 
 

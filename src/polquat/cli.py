@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import shifter
 from .quaternion import Quaternion
@@ -124,8 +123,8 @@ def _dump_signal(kind: str, q: Quaternion, degrees: bool):
         v = to_jones(q)
         return {"ex": [v.ex.real, v.ex.imag], "ey": [v.ey.real, v.ey.imag]}
     if kind == "stokes":
-        return asdict(stokes(q))
-    return _shown(asdict(to_ellipse(q)), degrees)
+        return stokes(q)._asdict()
+    return _shown(to_ellipse(q)._asdict(), degrees)
 
 
 def _finite_number(text: str) -> float:
@@ -180,7 +179,7 @@ def cmd_solve(args) -> int:
                 for x, angles in zip(sol.family.parameters, sol.family_samples)]
     solutions = []
     for entry, angles in rows:
-        entry.update(_shown(asdict(angles), args.degrees))
+        entry.update(_shown(angles._asdict(), args.degrees))
         entry["residual"] = (shifter.forward_transform(angles) - p).norm()
         solutions.append(entry)
     print(_strict_json({"target_p": p.to_list(),

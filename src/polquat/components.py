@@ -9,10 +9,9 @@ the two-term expression of `polarizer_apply`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
-from .quaternion import J, Quaternion, _require_unit, precess
+from .quaternion import J, Quaternion, _record, _require_unit, precess
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -22,44 +21,41 @@ _SQRT_HALF = math.sqrt(0.5)
 _IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Waveplate:
+class Waveplate(_record("Waveplate", "q")):
     """Lossless retarder; `q` is the unit-quaternion transform."""
 
-    q: Quaternion
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_unit(self.q, "waveplate transform")
+    def __new__(cls, q: Quaternion):
+        _require_unit(q, "waveplate transform")
+        return super().__new__(cls, q)
 
 
-@dataclass(frozen=True)
-class WaveplateAxisForm:
+class WaveplateAxisForm(_record("WaveplateAxisForm", "axis eta")):
     """Axis-angle form of a plate: exp(axis * eta) with unit vector `axis`
     (the Stokes unit vector of the slow axis) and eta half the retardance."""
 
-    axis: Quaternion
-    eta: float
+    __slots__ = ()
 
     @property
     def retardance(self) -> float:
         return 2.0 * self.eta
 
 
-@dataclass(frozen=True)
-class PartialPolarizer:
+class PartialPolarizer(_record("PartialPolarizer", "pass_axis mu")):
     """Polarization dependent loss element.
 
     `pass_axis` is a unit signal quaternion on the high-transmission SOP; the
     orthogonal SOP is scaled in field by mu, 0 <= mu <= 1.
     """
 
-    pass_axis: Quaternion
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_unit(self.pass_axis, "polarizer pass axis")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"field extinction mu = {self.mu!r} outside [0, 1]")
+    def __new__(cls, pass_axis: Quaternion, mu: float):
+        _require_unit(pass_axis, "polarizer pass axis")
+        if not 0.0 <= mu <= 1.0:
+            raise ValueError(f"field extinction mu = {mu!r} outside [0, 1]")
+        return super().__new__(cls, pass_axis, mu)
 
 
 def apply(signal: Quaternion, plate: Waveplate) -> Quaternion:

@@ -13,7 +13,7 @@ module is safe under arbitrary concurrency.  Angles are radians throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 # |norm - 1| tolerance accepted when an operation requires a unit quaternion.
@@ -34,12 +34,34 @@ class Axis(Enum):
         return _AXIS_UNITS[self]
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    q0: float = 0.0
-    q1: float = 0.0
-    q2: float = 0.0
-    q3: float = 0.0
+def _same_type_eq(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return not _same_type_eq(self, other)
+
+
+def _record(typename: str, fields: str, defaults=None) -> type:
+    """Base of an immutable record type: a named tuple (subclasses add
+    `__slots__ = ()`) with two changes.
+
+    * A record equals only a record of its own type.  A plain named tuple
+      equals any tuple with the same values, which would make, say, a
+      `StokesQuaternion` equal the `ClassicalStokes` of the other ordering.
+    * `_make`, and with it `_replace`, builds through the constructor, so a
+      record that validates in `__new__` is validated on every path.
+    """
+    base = namedtuple(typename, fields, defaults=defaults)
+    base.__eq__ = _same_type_eq
+    base.__ne__ = _same_type_ne
+    base.__hash__ = tuple.__hash__
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Quaternion(_record("Quaternion", "q0 q1 q2 q3", (0.0, 0.0, 0.0, 0.0))):
+    __slots__ = ()
 
     # -- construction / serialization ------------------------------------
 
@@ -55,16 +77,13 @@ class Quaternion:
             raise ValueError(f"bad quaternion text {text!r}") from exc
 
     def to_list(self) -> list:
-        return [self.q0, self.q1, self.q2, self.q3]
+        return list(self)
 
     def __str__(self) -> str:
         terms = []
-        for value, unit in zip(self.to_list(), ("", "i", "j", "k")):
+        for value, unit in zip(self, ("", "i", "j", "k")):
             terms.append(f"{value:+g}{unit}")
         return "".join(terms)
-
-    def __iter__(self):
-        yield from self.to_list()
 
     # -- parts ------------------------------------------------------------
 
@@ -90,8 +109,8 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            p0, p1, p2, p3 = self.q0, self.q1, self.q2, self.q3
-            q0, q1, q2, q3 = other.q0, other.q1, other.q2, other.q3
+            p0, p1, p2, p3 = self
+            q0, q1, q2, q3 = other
             return Quaternion(
                 p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
                 p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2),
@@ -160,7 +179,7 @@ class Quaternion:
                 + self.q2 * self.q2 + self.q3 * self.q3)
 
     def norm(self) -> float:
-        return math.hypot(self.q0, self.q1, self.q2, self.q3)
+        return math.hypot(*self)
 
     def normalized(self) -> "Quaternion":
         n = self.norm()

@@ -28,11 +28,10 @@ plates are pi-periodic so the reduction never changes the transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import ClassVar, Optional, Sequence
 
-from .quaternion import UNIT_TOL, Quaternion, _require_unit
+from .quaternion import UNIT_TOL, Quaternion, _record, _require_unit
 from .signal import stokes, to_ellipse
 
 _PI = math.pi
@@ -64,20 +63,16 @@ class Classification(Enum):
 _SINGULAR_A = Classification.SINGULAR_A
 
 
-@dataclass(frozen=True)
-class WaveplateAngles:
+class WaveplateAngles(_record("WaveplateAngles", "psi_a psi_b psi_c")):
     """Orientations of the three plates, each in (-pi/2, pi/2]."""
 
-    psi_a: float
-    psi_b: float
-    psi_c: float
+    __slots__ = ()
 
     def as_tuple(self) -> tuple:
-        return (self.psi_a, self.psi_b, self.psi_c)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class SingularFamily:
+class SingularFamily(_record("SingularFamily", "kind a_half b_half")):
     """The one-parameter family of triples solving a singular target.
 
     It is branch 1 with the half angle that c = 0 leaves undefined set free:
@@ -87,12 +82,9 @@ class SingularFamily:
     and (+x, +x, +x) in the B case.
     """
 
-    kind: Classification
-    a_half: float
-    b_half: float
+    __slots__ = ()
     # the free parameters x = -pi/2 + pi*m/FAMILY_SAMPLES the samples sit at
-    parameters: ClassVar[tuple] = tuple(-_HALF_PI + _PI * m / FAMILY_SAMPLES
-                                        for m in range(FAMILY_SAMPLES))
+    parameters = tuple(-_HALF_PI + _PI * m / FAMILY_SAMPLES for m in range(FAMILY_SAMPLES))
 
     def at(self, x: float) -> WaveplateAngles:
         if self.kind is _SINGULAR_A:
@@ -100,26 +92,24 @@ class SingularFamily:
         return _branch(1, x + _QUARTER_PI, self.b_half, _QUARTER_PI)
 
 
-@dataclass(frozen=True)
-class ShifterSolution:
-    """Either two regular branches or a one-parameter singular family."""
+class ShifterSolution(_record("ShifterSolution", "branches family", (None, None))):
+    """Either two regular branches (`branches`, a pair of triples) or a
+    one-parameter singular family (`family`); the other field is None."""
 
-    branches: Optional[tuple] = None
-    family: Optional[SingularFamily] = None
+    __slots__ = ()
 
     @property
     def classification(self) -> Classification:
         return Classification.REGULAR if self.family is None else self.family.kind
 
     @property
-    def family_samples(self) -> Optional[tuple]:
+    def family_samples(self) -> tuple | None:
         """The family's triples at its `parameters`; None for a regular solution."""
         family = self.family
         return None if family is None else tuple(map(family.at, family.parameters))
 
 
-@dataclass(frozen=True)
-class RampPoint:
+class RampPoint(_record("RampPoint", "phi angles branch residual flagged")):
     """One sample of a ramp trajectory.
 
     branch is 1 or 2 for a regular solve and 0 for a singular-family point;
@@ -127,11 +117,7 @@ class RampPoint:
     a crossing forces.  residual = |q * forward(angles) - e^(i phi) r|.
     """
 
-    phi: float
-    angles: WaveplateAngles
-    branch: int
-    residual: float
-    flagged: bool
+    __slots__ = ()
 
     @property
     def branch_label(self) -> str:
@@ -186,7 +172,7 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
     for a = psi_a, c = psi_c, i.e. c1 = p0 + p2 j = -e^(j(c-a)) cos g and
     c2 = p1 + p3 j = j e^(j(a+c)) sin g.
     """
-    a, b, c = angles.psi_a, angles.psi_b, angles.psi_c
+    a, b, c = angles
     g = 2.0 * b - a - c
     cg = math.cos(g)
     sg = math.sin(g)
@@ -244,7 +230,7 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     taken in [0, pi/2].  Singular cases return the one-parameter family.
     The solver targets the signed p: p and -p differ by a global pi phase.
     """
-    kind, _, _, a_half, b_half, t_half = _split(p.q0, p.q1, p.q2, p.q3)
+    kind, _, _, a_half, b_half, t_half = _split(*p)
     if kind is Classification.REGULAR:
         return ShifterSolution(branches=(_branch(1, a_half, b_half, t_half),
                                          _branch(2, a_half, b_half, t_half)))
@@ -294,7 +280,7 @@ def _best_family_point(family: SingularFamily,
     if family.kind is _SINGULAR_A:   # psi_a = base + x, psi_c = base - x
         zeros = [prev.psi_a - base.psi_a, base.psi_c - prev.psi_c]
     else:                            # every angle is base + x
-        zeros = [p - b for p, b in zip(prev.as_tuple(), base.as_tuple())]
+        zeros = [p - b for p, b in zip(prev, base)]
     zeros = sorted(math.remainder(z, _PI) for z in zeros)
     gap, k = max((zeros[j + 1] - zeros[j], j) for j in range(len(zeros) - 1))
     if zeros[0] + _PI - zeros[-1] >= gap:   # the largest gap wraps round
@@ -317,13 +303,13 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     regular sample builds only the branch it keeps.
     """
     p_line, sp_line = _target_line(q_in, r_out)
-    a0, a1, a2, a3 = p_line.q0, p_line.q1, p_line.q2, p_line.q3
-    b0, b1, b2, b3 = sp_line.q0, sp_line.q1, sp_line.q2, sp_line.q3
+    a0, a1, a2, a3 = p_line
+    b0, b1, b2, b3 = sp_line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
-    r0, r1, r2, r3 = r_out.q0, r_out.q1, r_out.q2, r_out.q3
+    r0, r1, r2, r3 = r_out
     ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
     points = []
-    prev: Optional[WaveplateAngles] = None
+    prev: WaveplateAngles | None = None
     prev_was_family = False
     branch_id = 1
     for phi in phi_samples:

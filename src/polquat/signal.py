@@ -22,24 +22,20 @@ circular (1 - k) has epsilon = -pi/4 and S3 = +R^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .quaternion import J, Quaternion, _require_unit
+from .quaternion import J, Quaternion, _record, _require_unit
 
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class JonesVector:
+class JonesVector(_record("JonesVector", "ex ey")):
     """Complex transverse field components (arbitrary field units)."""
 
-    ex: complex
-    ey: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EllipseParams:
+class EllipseParams(_record("EllipseParams", "r phi epsilon theta")):
     """Polarization ellipse description of a signal.
 
     r        field magnitude, >= 0
@@ -49,33 +45,28 @@ class EllipseParams:
     theta    orientation of the major axis, in (-pi/2, pi/2]
     """
 
-    r: float
-    phi: float
-    epsilon: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.r >= 0.0:
-            raise ValueError(f"magnitude must be nonnegative, got {self.r!r}")
-        if not -_PI < self.phi <= _PI:
-            raise ValueError(f"phase {self.phi!r} outside (-pi, pi]")
-        if not -_PI / 4 <= self.epsilon <= _PI / 4:
-            raise ValueError(f"ellipticity {self.epsilon!r} outside [-pi/4, pi/4]")
-        if not -_PI / 2 < self.theta <= _PI / 2:
-            raise ValueError(f"orientation {self.theta!r} outside (-pi/2, pi/2]")
+    def __new__(cls, r: float, phi: float, epsilon: float, theta: float):
+        if not r >= 0.0:
+            raise ValueError(f"magnitude must be nonnegative, got {r!r}")
+        if not -_PI < phi <= _PI:
+            raise ValueError(f"phase {phi!r} outside (-pi, pi]")
+        if not -_PI / 4 <= epsilon <= _PI / 4:
+            raise ValueError(f"ellipticity {epsilon!r} outside [-pi/4, pi/4]")
+        if not -_PI / 2 < theta <= _PI / 2:
+            raise ValueError(f"orientation {theta!r} outside (-pi/2, pi/2]")
+        return super().__new__(cls, r, phi, epsilon, theta)
 
 
-@dataclass(frozen=True)
-class StokesQuaternion:
+class StokesQuaternion(_record("StokesQuaternion", "s1 s2 s3")):
     """Vector quaternion i * q^(dag i) * q: components along (i, j, k).
 
     Quaternion ordering: (s1, s2, s3) = (S1, S3, S2) of the conventional
     Stokes vector.  The scalar part is identically zero and is not stored.
     """
 
-    s1: float
-    s2: float
-    s3: float
+    __slots__ = ()
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.s1, self.s2, self.s3)
@@ -84,16 +75,13 @@ class StokesQuaternion:
         return math.hypot(self.s1, self.s2, self.s3)
 
 
-@dataclass(frozen=True)
-class ClassicalStokes:
+class ClassicalStokes(_record("ClassicalStokes", "S1 S2 S3")):
     """Conventional Stokes components (field-squared units).
 
     S1 = |Ex|^2 - |Ey|^2, S2 = 2 Re(Ex Ey*), S3 = 2 Im(Ex Ey*).
     """
 
-    S1: float
-    S2: float
-    S3: float
+    __slots__ = ()
 
 
 class OrthogonalityClass(Enum):
@@ -137,7 +125,7 @@ def stokes(q: Quaternion) -> StokesQuaternion:
 
     Phase-blind: stokes(e^(i phi) * q) == stokes(q).
     """
-    return StokesQuaternion(*_stokes_parts(q.q0, q.q1, q.q2, q.q3))
+    return StokesQuaternion(*_stokes_parts(*q))
 
 
 def to_classical(s: StokesQuaternion) -> ClassicalStokes:
@@ -239,7 +227,7 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     the same angles as q itself, while huge and denormal ones neither
     overflow nor underflow when squared.
     """
-    u0, u1, u2, u3 = q.q0, q.q1, q.q2, q.q3
+    u0, u1, u2, u3 = q
     r = math.hypot(u0, u1, u2, u3)
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polquat import Quaternion, cli, to_ellipse
-from polquat.checks import check_fig5_ramp
+from polquat.checks import check_fig5_ramp, check_fig7_singular
 from polquat.cli import CSV_HEADER, main
 
 FIG5_Q = "-0.8888888888888888,0.2222222222222222,0.3333333333333333,0.2222222222222222"
@@ -196,16 +195,26 @@ def test_ramp_csv_bytes_are_pinned(tmp_path, capsys, q, r):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _RAMP_SHA256[q, r]
 
 
+def _j_k_swapped(out):
+    """The ellipse of the output with its j and k components swapped."""
+    return to_ellipse(Quaternion(out.q0, out.q1, out.q3, out.q2))
+
+
 @pytest.mark.parametrize("wrong, failure", [
-    # the ellipse of the output with its j and k components swapped
-    (lambda out: to_ellipse(Quaternion(out.q0, out.q1, out.q3, out.q2)), "orientation"),
-    (lambda out: dataclasses.replace(to_ellipse(out), phi=0.0), "span-2pi"),
+    (_j_k_swapped, "orientation"),
+    (lambda out: to_ellipse(out)._replace(phi=0.0), "span-2pi"),
 ], ids=["j-k-swapped", "phase-frozen"])
 def test_fig5_group_checks_the_ellipses_ramp_writes(monkeypatch, wrong, failure):
     # the group reads the rows of `cli.ramp_rows`, so a wrong ellipse there fails it
     monkeypatch.setattr(cli, "to_ellipse", wrong)
     with pytest.raises(AssertionError, match=failure):
         check_fig5_ramp()
+
+
+def test_fig7_group_checks_the_output_sop(monkeypatch):
+    monkeypatch.setattr(cli, "to_ellipse", _j_k_swapped)
+    with pytest.raises(AssertionError, match="orientation"):
+        check_fig7_singular()
 
 
 def _no_constant(name):
@@ -438,19 +447,28 @@ print("probe", codes, loaded)
 
 
 def _run_probe(*argv):
+    """`python *argv` with the source tree first on the import path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", *argv],
+    return subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_commands_never_import_the_oracle_or_numpy(tmp_path):
     # numpy stays out of every command, and the Jones oracle out of every
     # command but `check` (which needs no numpy either, see below)
-    proc = _run_probe(_IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"))
+    proc = _run_probe("-c", _IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "probe [0, 0, 0] []"
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # -S skips `site`, so no .pth file of the installed Python imports them
+    proc = _run_probe("-S", "-c", "import sys, polquat.cli; print(sorted("
+                      "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 _NO_NUMPY_CHECK = """
@@ -464,7 +482,7 @@ sys.exit(cli.main(["check"]))
 def test_check_runs_without_numpy():
     from polquat.checks import CHECK_GROUPS
 
-    proc = _run_probe(_NO_NUMPY_CHECK)
+    proc = _run_probe("-c", _NO_NUMPY_CHECK)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(f"PASS {name}\n" for name, _ in CHECK_GROUPS) \
         + "all checks passed\n"
