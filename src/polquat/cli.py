@@ -192,11 +192,18 @@ def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
     """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
     `shifter.RampPoint` with the ellipse of its output q * forward(angles).
 
-    Every point is solved before this returns; the ellipses follow lazily.
+    The signals are checked before this returns (ValueError unless unit);
+    then each phase is drawn, solved and given its ellipse as its row is
+    read, so no row is kept.
     """
-    phis = [2.0 * math.pi * k / (samples - 1) for k in range(samples)]
-    points = shifter.ramp_trajectory(q, r, phis)
+    points = shifter.ramp_trajectory(
+        q, r, (2.0 * math.pi * k / (samples - 1) for k in range(samples)))
     return ((pt, to_ellipse(q * shifter.forward_transform(pt.angles))) for pt in points)
+
+
+# one ramp CSV row; + 0.0 on each value turns a negative zero into 0.0, so
+# identical values print identically
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
 
 
 def cmd_ramp(args) -> int:
@@ -208,13 +215,11 @@ def cmd_ramp(args) -> int:
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for pt, ell in rows:
-                a = pt.angles
-                # +0.0 normalizes a negative zero so identical values print identically
-                fh.write(f"{pt.phi + 0.0:.12g},{a.psi_a + 0.0:.12g},{a.psi_b + 0.0:.12g},"
-                         f"{a.psi_c + 0.0:.12g},{pt.branch_label},{ell.phi + 0.0:.12g},"
-                         f"{ell.theta + 0.0:.12g},{ell.epsilon + 0.0:.12g},"
-                         f"{pt.residual + 0.0:.12g}\n")
+            for pt, (_, out_phase, out_epsilon, out_theta) in rows:
+                phi, (psi_a, psi_b, psi_c), _, residual, _ = pt
+                fh.write(_CSV_ROW % (phi + 0.0, psi_a + 0.0, psi_b + 0.0, psi_c + 0.0,
+                                     pt.branch_label, out_phase + 0.0, out_theta + 0.0,
+                                     out_epsilon + 0.0, residual + 0.0))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

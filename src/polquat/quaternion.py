@@ -42,13 +42,20 @@ def _same_type_ne(self, other) -> bool:
     return not _same_type_eq(self, other)
 
 
+def _no_tuple_operator(self, other):
+    # raised, not returned as NotImplemented: tuple's own slot would answer
+    raise TypeError(f"{type(self).__name__} has no ordering, concatenation or repetition")
+
+
 def _record(typename: str, fields: str, defaults=None) -> type:
     """Base of an immutable record type: a named tuple (subclasses add
-    `__slots__ = ()`) with two changes.
+    `__slots__ = ()`) with three changes.
 
     * A record equals only a record of its own type.  A plain named tuple
       equals any tuple with the same values, which would make, say, a
       `StokesQuaternion` equal the `ClassicalStokes` of the other ordering.
+    * Ordering, concatenation and repetition raise TypeError from either
+      side (`Quaternion` defines its own `+` and `*`).
     * `_make`, and with it `_replace`, builds through the constructor, so a
       record that validates in `__new__` is validated on every path.
     """
@@ -56,6 +63,9 @@ def _record(typename: str, fields: str, defaults=None) -> type:
     base.__eq__ = _same_type_eq
     base.__ne__ = _same_type_ne
     base.__hash__ = tuple.__hash__
+    for name in ("__lt__", "__le__", "__gt__", "__ge__",
+                 "__add__", "__radd__", "__mul__", "__rmul__"):
+        setattr(base, name, _no_tuple_operator)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 

@@ -28,11 +28,11 @@ plates are pi-periodic so the reduction never changes the transform.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
 from enum import Enum
 
 from .quaternion import UNIT_TOL, Quaternion, _record, _require_unit
-from .signal import stokes, to_ellipse
+from .signal import _stokes_parts, to_ellipse
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -140,12 +140,29 @@ def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:
 
 
 def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
-    """(P0, s P0) with P0 = conj(q) r, after checking both signals are unit."""
+    """(P0, s P0) as float 4-tuples, P0 = conj(q) r and s the unit Stokes
+    vector of q, after checking both signals are unit.  Every operation of
+    `stokes(q).as_quaternion().normalized()` and the two `Quaternion`
+    products is written out, zero terms included, so the floats are theirs.
+    """
     _require_unit(q_in, "input signal")
     _require_unit(r_out, "output signal")
-    s = stokes(q_in).as_quaternion().normalized()
-    p0 = q_in.conjugate() * r_out
-    return p0, s * p0
+    q0, q1, q2, q3 = q_in
+    s1, s2, s3 = _stokes_parts(q0, q1, q2, q3)
+    inv = 1.0 / math.hypot(0.0, s1, s2, s3)
+    s0, s1, s2, s3 = 0.0 * inv, s1 * inv, s2 * inv, s3 * inv
+    # P0 = conj(q) * r
+    c1, c2, c3 = -q1, -q2, -q3
+    r0, r1, r2, r3 = r_out
+    a0 = q0 * r0 - c1 * r1 - c2 * r2 - c3 * r3
+    a1 = q0 * r1 + r0 * c1 + (c2 * r3 - c3 * r2)
+    a2 = q0 * r2 + r0 * c2 + (c3 * r1 - c1 * r3)
+    a3 = q0 * r3 + r0 * c3 + (c1 * r2 - c2 * r1)
+    return ((a0, a1, a2, a3),
+            (s0 * a0 - s1 * a1 - s2 * a2 - s3 * a3,
+             s0 * a1 + a0 * s1 + (s2 * a3 - s3 * a2),
+             s0 * a2 + a0 * s2 + (s3 * a1 - s1 * a3),
+             s0 * a3 + a0 * s3 + (s1 * a2 - s2 * a1)))
 
 
 def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quaternion:
@@ -154,11 +171,10 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
     Evaluated as cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, since s is
     a unit vector quaternion and exp(s phi) = cos(phi) + s sin(phi).
     """
-    a, b = _target_line(q_in, r_out)
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
     c = math.cos(phi)
     n = math.sin(phi)
-    return Quaternion(c * a.q0 + n * b.q0, c * a.q1 + n * b.q1,
-                      c * a.q2 + n * b.q2, c * a.q3 + n * b.q3)
+    return Quaternion(c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3)
 
 
 def forward_transform(angles: WaveplateAngles) -> Quaternion:
@@ -289,7 +305,7 @@ def _best_family_point(family: SingularFamily,
 
 
 def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
-                    phi_samples: Sequence[float]) -> list:
+                    phi_samples: Iterable[float]) -> Iterator[RampPoint]:
     """Solve the stack along a phase ramp, keeping the angles trackable.
 
     Regular samples stay on one branch family; crossing a singularity then
@@ -298,17 +314,22 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     Exactly singular samples pick the family point closest to the previous
     triple under the max modulo-pi metric.
 
+    The signals are checked at the call (ValueError unless unit); the
+    returned iterator then draws, solves and yields one `RampPoint` per phase.
+
     Both the target p and the wanted output e^(i phi) r are linear in
     (cos phi, sin phi), so each sample costs two trig calls for them; a
     regular sample builds only the branch it keeps.
     """
-    p_line, sp_line = _target_line(q_in, r_out)
-    a0, a1, a2, a3 = p_line
-    b0, b1, b2, b3 = sp_line
+    return _ramp_points(q_in, r_out, _target_line(q_in, r_out), phi_samples)
+
+
+def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
+                 phi_samples: Iterable[float]) -> Iterator[RampPoint]:
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
     r0, r1, r2, r3 = r_out
     ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
-    points = []
     prev: WaveplateAngles | None = None
     prev_was_family = False
     branch_id = 1
@@ -336,6 +357,5 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
         out = q_in * forward_transform(choice)
         residual = math.hypot(out.q0 - (c * r0 + n * ir0), out.q1 - (c * r1 + n * ir1),
                               out.q2 - (c * r2 + n * ir2), out.q3 - (c * r3 + n * ir3))
-        points.append(RampPoint(phi, choice, bid, residual, flagged))
+        yield RampPoint(phi, choice, bid, residual, flagged)
         prev = choice
-    return points

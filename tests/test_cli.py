@@ -176,6 +176,33 @@ def test_ramp_untouchable_path_is_exit_4(capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize("q, samples", [("2,0,0,0", "256"), ("1,0,0,0", "1")],
+                         ids=["non-unit-q", "one-sample"])
+def test_ramp_checks_its_inputs_before_it_opens_the_file(tmp_path, capsys, q, samples):
+    out_path = tmp_path / "ramp.csv"
+    code, _, err = run(capsys, "ramp", "--q", q, "--r", "1,0,0,0", "--samples", samples,
+                       "--out", str(out_path))
+    assert code == 2 and "Traceback" not in err
+    assert not out_path.exists()
+
+
+# a ramp that built its rows first would run out of the 256 MiB address space
+_STREAM_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from polquat import cli
+from polquat.checks import FIG5_Q, FIG5_R
+pt, ell = next(cli.ramp_rows(FIG5_Q, FIG5_R, 10**12))
+print(pt.phi)
+"""
+
+
+def test_ramp_rows_streams_the_first_row_at_once():
+    proc = _run_probe("-c", _STREAM_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.0\n"
+
+
 # sha256 of the 256-sample ramp CSVs: the byte contract of `ramp`.  The
 # identity and (1, i) ramps start and end on a singular-family row.
 _RAMP_SHA256 = {

@@ -46,6 +46,31 @@ def test_quaternion_arithmetic_is_not_tuple_arithmetic():
     assert 2 * q == q * 2.0 == Quaternion(2.0, 4.0, 6.0, 8.0)
 
 
+_Q = Quaternion(1.0, 2.0, 3.0, 4.0)
+_ANGLES = WaveplateAngles(0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: _Q < ONE, lambda: _Q <= ONE, lambda: _Q > ONE, lambda: _Q >= ONE,
+    lambda: _ANGLES < (0.2, 0.0, 0.0), lambda: (0.2, 0.0, 0.0) >= _ANGLES,
+    lambda: sorted([_ANGLES, _ANGLES]),
+    lambda: (1, 0, 0, 0) + _Q, lambda: _ANGLES + (1,), lambda: (1,) + _ANGLES,
+    lambda: _ANGLES * 2, lambda: 2 * _ANGLES,
+], ids=["q-lt", "q-le", "q-gt", "q-ge", "angles-lt-tuple", "tuple-ge-angles", "sorted",
+        "tuple-plus-q", "angles-plus-tuple", "tuple-plus-angles", "angles-times-2",
+        "2-times-angles"])
+def test_records_have_no_tuple_ordering_concatenation_or_repetition(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
+def test_records_keep_length_indexing_and_unpacking():
+    assert len(_Q) == 4 and _Q[0] == 1.0 and _ANGLES[-1] == 0.3
+    q0, q1, q2, q3 = _Q
+    assert (q0, q1, q2, q3) == tuple(_Q) == (1.0, 2.0, 3.0, 4.0)
+    assert _Q + ONE == Quaternion(2.0, 2.0, 3.0, 4.0)
+
+
 @pytest.mark.parametrize("record, field, bad", [
     (EllipseParams(1.0, 0.0, 0.0, 0.0), "phi", 9.0),
     (Waveplate(ONE), "q", Quaternion(2.0)),

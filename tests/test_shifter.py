@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from polquat.shifter import (
     _best_family_point,
     _branch,
     _split,
+    _target_line,
     reduce_angle,
     triple_distance,
 )
@@ -70,6 +72,22 @@ def test_target_transform_matches_the_product_form():
         s = stokes(q).as_quaternion().normalized()
         want = (s * phi).exp() * q.conjugate() * r
         assert allclose(target_transform(q, r, phi), want, 1e-14)
+
+
+def test_target_line_has_the_floats_of_the_record_algebra():
+    # (P0, s P0) on floats is bit for bit the Quaternion algebra it replaces,
+    # signed zeros included
+    rng = np.random.default_rng(74)
+    circular = Quaternion(1.0, 0.0, 0.0, 1.0).normalized()
+    pairs = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE), (circular, FIG5_R)] + [
+        (rand_unit(rng), rand_unit(rng)) for _ in range(200)]
+    for q, r in pairs:
+        p0 = q.conjugate() * r
+        want = (tuple(p0), tuple(stokes(q).as_quaternion().normalized() * p0))
+        got = _target_line(q, r)
+        assert got == want
+        assert [x.hex() for part in got for x in part] == \
+            [x.hex() for part in want for x in part], (q, r)
 
 
 def test_target_transform_rejects_non_unit():
@@ -312,7 +330,7 @@ def test_singular_signal_conditions_agree_with_target_classification():
 
 
 def test_ramp_constant_phase_is_constant_and_unflagged():
-    points = ramp_trajectory(FIG5_Q, FIG5_R, [0.4] * 16)
+    points = list(ramp_trajectory(FIG5_Q, FIG5_R, [0.4] * 16))
     first = points[0].angles
     for pt in points:
         assert triple_distance(pt.angles, first) <= 1e-12
@@ -321,7 +339,7 @@ def test_ramp_constant_phase_is_constant_and_unflagged():
 
 
 def test_ramp_starting_on_a_singularity():
-    points = ramp_trajectory(ONE, ONE, [0.0, 0.01, 0.02])
+    points = list(ramp_trajectory(ONE, ONE, [0.0, 0.01, 0.02]))
     assert points[0].branch == 0 and points[0].flagged
     assert all(pt.residual <= 1e-9 for pt in points)
 
@@ -329,6 +347,12 @@ def test_ramp_starting_on_a_singularity():
 def test_ramp_rejects_non_unit():
     with pytest.raises(ValueError):
         ramp_trajectory(ONE * 2.0, ONE, [0.0])
+
+
+def test_ramp_checks_the_signals_at_the_call():
+    # the phases are drawn only as rows are read, so an endless ramp is fine
+    with pytest.raises(ValueError):
+        ramp_trajectory(ONE * 2.0, ONE, itertools.count())
 
 
 _RAMP_PAIRS = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)] + [
