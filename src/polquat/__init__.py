@@ -33,7 +33,6 @@ from .signal import (
     to_classical,
     to_ellipse,
     to_jones,
-    waveplate_to_orthogonal,
 )
 from .components import (
     PartialPolarizer,
@@ -55,7 +54,6 @@ from .shifter import (
     WaveplateAngles,
     forward_transform,
     ramp_trajectory,
-    singular_signal_conditions,
     solve_angles,
     target_transform,
 )

@@ -3,9 +3,10 @@
 `polquat check` runs every group in CHECK_GROUPS with its default (quick)
 trial count; tests/test_acceptance.py runs the same groups at the release
 count.  Each group draws from its own seeded `random.Random`, raises
-AssertionError on failure and returns a short summary of the worst errors it
-measured.  This module (like the jones oracle it drives) is part of the
-verification surface, not of any production code path.
+AssertionError on failure (through `_require`, so also under `python -O`)
+and returns a short summary of the worst errors it measured.  This module
+(like the jones oracle it drives) is part of the verification surface, not of
+any production code path.
 """
 
 from __future__ import annotations
@@ -58,8 +59,15 @@ def _rand_unit(rng: random.Random) -> Quaternion:
             return q.normalized()
 
 
+def _require(ok: bool, message: str, *args) -> None:
+    """Fail the group with AssertionError(message % args) unless ok.  Unlike
+    an `assert` statement it also runs under `python -O`."""
+    if not ok:
+        raise AssertionError(message % args)
+
+
 def _within(label: str, worst: float, bound: float) -> str:
-    assert worst <= bound, f"{label} {worst:.3e} exceeds {bound:g}"
+    _require(worst <= bound, "%s %.3e exceeds %g", label, worst, bound)
     return f"{label} {worst:.2e}"
 
 
@@ -76,7 +84,7 @@ def check_eq1_table(trials: int = QUICK_TRIALS) -> str:
         for b, nb in zip(units, names):
             got = a * b
             want = expected[na + nb]
-            assert got == want, f"{na}*{nb} = {got}, expected {want}"
+            _require(got == want, "%s*%s = %s, expected %s", na, nb, got, want)
     rng = random.Random(10)
     worst_assoc = worst_norm = 0.0
     for _ in range(trials):
@@ -95,18 +103,18 @@ def check_eq1_table(trials: int = QUICK_TRIALS) -> str:
 def check_table1_golden() -> str:
     s = math.sqrt(0.5)
     qwp_h = Quaternion(s, s, 0.0, 0.0)
-    assert allclose(waveplate_from_axis(ONE, math.pi / 4).q, qwp_h, 1e-15)
-    assert allclose(waveplate_from_axis(ONE, math.pi / 2).q, I, 1e-15)
+    _require(allclose(waveplate_from_axis(ONE, math.pi / 4).q, qwp_h, 1e-15), "axis-form qwp")
+    _require(allclose(waveplate_from_axis(ONE, math.pi / 2).q, I, 1e-15), "axis-form hwp")
     twice = compose([qwp(0.0), qwp(0.0)])
-    assert allclose(twice.q, I, 1e-15), "two quarter plates must make a half plate"
-    assert allclose(hwp(0.0).q, I, 1e-15)
+    _require(allclose(twice.q, I, 1e-15), "two quarter plates must make a half plate")
+    _require(allclose(hwp(0.0).q, I, 1e-15), "the horizontal half plate is not i")
     return ""
 
 
 def check_table2_golden() -> str:
     for q in (ONE, I, J, K, ONE + J, ONE + K, ONE - K):
-        assert from_jones(to_jones(q)) == q, f"jones round trip {q}"
-        assert allclose(from_ellipse(to_ellipse(q)), q, 1e-12), f"ellipse round trip {q}"
+        _require(from_jones(to_jones(q)) == q, "jones round trip %s", q)
+        _require(allclose(from_ellipse(to_ellipse(q)), q, 1e-12), "ellipse round trip %s", q)
     return ""
 
 
@@ -132,7 +140,7 @@ def check_eq4_symmetry(trials: int = QUICK_TRIALS) -> str:
     for _ in range(trials):
         plate = Waveplate(_rand_unit(rng))
         m = jones.quat_to_matrix(plate.q)
-        assert jones.is_waveplate_matrix(m), "plate image must have retarder symmetry"
+        _require(jones.is_waveplate_matrix(m), "plate image must have retarder symmetry")
         worst_det = max(worst_det, abs(m[0][0] * m[1][1] - m[0][1] * m[1][0] - 1.0))
     return _within("det-1", worst_det, 1e-12)
 
@@ -156,8 +164,8 @@ def check_oracle_differential(trials: int = QUICK_TRIALS) -> str:
 
 
 def _assert_reduced(angles: shifter.WaveplateAngles) -> None:
-    assert all(-_HALF_PI < psi <= _HALF_PI for psi in angles), \
-        f"plate angle outside (-pi/2, pi/2]: {angles}"
+    _require(all(-_HALF_PI < psi <= _HALF_PI for psi in angles),
+             "plate angle outside (-pi/2, pi/2]: %s", angles)
 
 
 def _composed(angles: shifter.WaveplateAngles) -> Quaternion:
@@ -182,7 +190,8 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
         for angles in sol.branches:
             _assert_reduced(angles)
             worst = max(worst, (_composed(angles) - p).norm())
-    assert regular >= trials - trials // 1000, f"only {regular} of {trials} solves regular"
+    _require(regular >= trials - trials // 1000,
+             "only %d of %d solves regular", regular, trials)
     worst_family = 0.0
     for _ in range(trials // 50):
         x = rng.uniform(-math.pi, math.pi)
@@ -190,9 +199,9 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
         for p, want in ((I * rot, shifter.Classification.SINGULAR_A),
                         (rot, shifter.Classification.SINGULAR_B)):
             sol = shifter.solve_angles(p)
-            assert sol.classification is want, f"{p} solved as {sol.classification}"
+            _require(sol.classification is want, "%s solved as %s", p, sol.classification)
             samples = sol.family_samples
-            assert len(samples) == 16
+            _require(len(samples) == 16, "%d family samples, expected 16", len(samples))
             for angles in samples:
                 _assert_reduced(angles)
                 worst_family = max(worst_family, (_composed(angles) - p).norm())
@@ -217,8 +226,8 @@ def check_fig5_ramp() -> str:
     residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-9)
     phases = []
     for pt, ell in rows:
-        assert not pt.flagged, f"no singular crossing expected, flagged at phi={pt.phi}"
-        assert pt.branch == rows[0][0].branch, f"branch changed at phi={pt.phi}"
+        _require(not pt.flagged, "no singular crossing expected, flagged at phi=%r", pt.phi)
+        _require(pt.branch == rows[0][0].branch, "branch changed at phi=%r", pt.phi)
         # unwrapped: each step is the wrapped phase difference, in [-pi, pi]
         prev = phases[-1] if phases else ell.phi
         phases.append(prev + math.remainder(ell.phi - prev, 2.0 * math.pi))
@@ -233,14 +242,15 @@ def check_fig7_singular() -> str:
     """Equal-ellipticity pair: constant output SOP across exactly two flagged
     crossings, each a ~pi/2 jump labelled singular."""
     eq, er = to_ellipse(FIG7_Q), to_ellipse(FIG7_R)
-    assert abs(eq.epsilon + 0.23) <= 0.01, f"input ellipticity {eq.epsilon}"
+    _require(abs(eq.epsilon + 0.23) <= 0.01, "input ellipticity %r", eq.epsilon)
     eps = _within("equal-ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
     rows = list(cli.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES))
     points = [pt for pt, _ in rows]
     residual = _within("residual", max(pt.residual for pt in points), 1e-9)
     flagged = [i for i, pt in enumerate(points) if pt.flagged]
-    assert len(flagged) == 2, f"expected 2 singular crossings, saw {len(flagged)}"
-    assert all(points[i].branch_label == "singular" for i in flagged)
+    _require(len(flagged) == 2, "expected 2 singular crossings, saw %d", len(flagged))
+    _require(all(points[i].branch_label == "singular" for i in flagged),
+             "a flagged crossing is not labelled singular")
     steps = [shifter.triple_distance(points[i].angles, points[i - 1].angles) for i in flagged]
     return ", ".join([eps, residual, _constant_sop(rows),
                       _within("step-pi/2", max(abs(s - _HALF_PI) for s in steps), 0.1)])

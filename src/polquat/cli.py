@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import shifter
@@ -234,9 +235,10 @@ def cmd_check(args) -> int:
     for name, fn in checks.CHECK_GROUPS:
         try:
             fn()
-        except AssertionError as exc:
+        except Exception as exc:  # a group that raises fails too; the rest still run
             failures += 1
-            print(f"FAIL {name}: {exc}")
+            why = exc if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
+            print(f"FAIL {name}: {why}")
         else:
             print(f"PASS {name}")
     if failures:
@@ -250,11 +252,7 @@ def _accept_negative_values(parser: argparse.ArgumentParser) -> None:
     # quaternion arguments like "-1,0,0,0" and phases like "-1e-3" start with
     # '-'; read anything that goes on with a digit or '.' as a value (no option
     # is spelled that way), whatever the float spelling after it
-    try:
-        import re
-        parser._negative_number_matcher = re.compile(r"^-[\d.]")
-    except AttributeError:  # future argparse internals; --q=... still works
-        pass
+    parser._negative_number_matcher = re.compile(r"^-[\d.]")
 
 
 def build_parser() -> argparse.ArgumentParser:

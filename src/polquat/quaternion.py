@@ -29,10 +29,6 @@ class Axis(Enum):
     J = "j"
     K = "k"
 
-    @property
-    def unit(self) -> "Quaternion":
-        return _AXIS_UNITS[self]
-
 
 def _same_type_eq(self, other) -> bool:
     return type(self) is type(other) and tuple.__eq__(self, other)
@@ -146,14 +142,6 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3", (0.0, 0.0, 0.0, 0.0))):
             return (self * other.conjugate()) * (1.0 / n2)
         return NotImplemented
 
-    def left_div(self, other: "Quaternion") -> "Quaternion":
-        """Left division self \\ other = conj(self) * other / |self|^2,
-        the x solving self * x = other."""
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ValueError("division by zero quaternion")
-        return (self.conjugate() * other) * (1.0 / n2)
-
     # -- conjugations -------------------------------------------------------
 
     def conjugate(self) -> "Quaternion":
@@ -235,8 +223,6 @@ ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-_AXIS_UNITS = {Axis.I: I, Axis.J: J, Axis.K: K}
 
 
 def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:

@@ -31,8 +31,8 @@ import math
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .quaternion import UNIT_TOL, Quaternion, _record, _require_unit
-from .signal import _stokes_parts, to_ellipse
+from .quaternion import Quaternion, _record, _require_unit
+from .signal import _stokes_parts
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -204,12 +204,11 @@ def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     Returns (classification, c1, c2, a_half, b_half, t_half) with the
     classification of `_classify`, the moduli c1 = |p0 + p2 j| and
     c2 = |p1 + p3 j|, the half angles a_half = arg(p1 + p3 j) / 2 and
-    b_half = arg(p0 + p2 j) / 2, and t_half = arctan(c1 / c2) / 2.  Raises
-    ValueError unless |p| = 1.
+    b_half = arg(p0 + p2 j) / 2, and t_half = arctan(c1 / c2) / 2.  The
+    caller checks that p is unit: `solve_angles` checks p itself, and a ramp
+    row's target has |p| = |q| |r| for the signals `ramp_trajectory` checked
+    at its call.
     """
-    norm = math.hypot(p0, p1, p2, p3)
-    if not abs(norm - 1.0) <= UNIT_TOL:
-        raise ValueError(f"target transform must be a unit quaternion, |q| = {norm!r}")
     c1 = math.hypot(p0, p2)
     c2 = math.hypot(p1, p3)
     return (_classify(c1, c2), c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
@@ -245,41 +244,14 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     with A = arg(p1 + p3 j), B = arg(p0 + p2 j) and t = arctan(|c1| / |c2|)
     taken in [0, pi/2].  Singular cases return the one-parameter family.
     The solver targets the signed p: p and -p differ by a global pi phase.
+    Raises ValueError unless |p| = 1.
     """
+    _require_unit(p, "target transform")
     kind, _, _, a_half, b_half, t_half = _split(*p)
     if kind is Classification.REGULAR:
         return ShifterSolution(branches=(_branch(1, a_half, b_half, t_half),
                                          _branch(2, a_half, b_half, t_half)))
     return ShifterSolution(family=SingularFamily(kind, a_half, b_half))
-
-
-def singular_signal_conditions(q_in: Quaternion, target_out: Quaternion) -> Classification:
-    """Predict the singularity class from ellipse parameters alone.
-
-    target_out is the full output including phase, t = e^(i phi) * r.  With
-    d = phi_out - phi_in and e+- = eps_out +- eps_in, the target conj(q) t
-    has the moduli
-
-        c1 = |p0 + p2 j| = hypot(cos d cos e-, sin d sin e+)
-        c2 = |p1 + p3 j| = hypot(sin d cos e+, cos d sin e-)
-
-    (the orientations are j-rotations on either side of the target and leave
-    both moduli alone), so the p0 = p2 = 0 case needs eps_out = -eps_in and a
-    phase advanced by +-pi/2, the p1 = p3 = 0 case eps_out = eps_in and an
-    advance of 0 or pi.  The decision is the one `solve_angles` makes, so the
-    prediction agrees with solve_angles(conj(q) * t).classification wherever
-    `to_ellipse` reproduces both signals to well within SINGULAR_TOL, which it
-    does everywhere: to rounding, and to about 1e-12 within 1e-12 of a
-    circular state, where it reports theta = 0.
-    """
-    e_in = to_ellipse(q_in)
-    e_out = to_ellipse(target_out)
-    d = e_out.phi - e_in.phi
-    e_plus = e_out.epsilon + e_in.epsilon
-    e_minus = e_out.epsilon - e_in.epsilon
-    cd, sd = math.cos(d), math.sin(d)
-    return _classify(math.hypot(cd * math.cos(e_minus), sd * math.sin(e_plus)),
-                     math.hypot(sd * math.cos(e_plus), cd * math.sin(e_minus)))
 
 
 def _best_family_point(family: SingularFamily,
@@ -316,6 +288,7 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
 
     The signals are checked at the call (ValueError unless unit); the
     returned iterator then draws, solves and yields one `RampPoint` per phase.
+    A row's target has |p| = |q| |r|, so no row checks it again.
 
     Both the target p and the wanted output e^(i phi) r are linear in
     (cos phi, sin phi), so each sample costs two trig calls for them; a

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .quaternion import J, Quaternion, _record, _require_unit
+from .quaternion import J, Quaternion, _record
 
 _PI = math.pi
 
@@ -70,9 +70,6 @@ class StokesQuaternion(_record("StokesQuaternion", "s1 s2 s3")):
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.s1, self.s2, self.s3)
-
-    def norm(self) -> float:
-        return math.hypot(self.s1, self.s2, self.s3)
 
 
 class ClassicalStokes(_record("ClassicalStokes", "S1 S2 S3")):
@@ -190,10 +187,10 @@ def classify_orthogonality(p: Quaternion, q: Quaternion) -> OrthogonalityClass:
 # -- polarization ellipse ------------------------------------------------------
 
 # Orientation is treated as undefined (and set to 0) when |cos 2 epsilon|
-# drops below this fraction; the residual orientation folds into the phase.
-# It stays below shifter.SINGULAR_TOL, so the ellipse reproduces q finely
-# enough to predict the singular set, and above the ~1e-15 rounding noise of
-# exactly circular states, so that noise never picks their theta.
+# drops below this fraction; the residual orientation folds into the phase,
+# so the ellipse still reproduces q to about 1e-12.  It stays above the ~1e-15
+# rounding noise of exactly circular states, so that noise never picks their
+# theta.
 _CIRCULAR_TOL = 1e-12
 
 # The recovered phase factor must be a pure e^(i phi); leftover j/k components
@@ -262,15 +259,3 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     if phi == -_PI:
         phi = _PI
     return EllipseParams(r, phi, epsilon, theta)
-
-
-# -- waveplate for a prescribed SOP jump ----------------------------------------
-
-def waveplate_to_orthogonal(q: Quaternion, phi: float = 0.0) -> Quaternion:
-    """The waveplate transform p with q * p = e^(i phi) * j * q.
-
-    Sends the (unit) signal q to a state orthogonal in polarization; p is a
-    unit quaternion, hence a valid waveplate.
-    """
-    _require_unit(q, "signal")
-    return q.left_div(orthogonal_sop(q, phi))

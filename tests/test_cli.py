@@ -513,3 +513,36 @@ def test_check_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(f"PASS {name}\n" for name, _ in CHECK_GROUPS) \
         + "all checks passed\n"
+
+
+_BROKEN_CHECK = """
+import sys
+from polquat import checks, cli
+from polquat.quaternion import Quaternion
+if sys.argv[1] == "wrong-half-plate":   # breaks bounds: AssertionError
+    checks.hwp = checks.qwp
+else:                                    # every stack raises ValueError
+    checks.qwp = lambda psi: checks.Waveplate(Quaternion(2.0, 0.0, 0.0, 0.0))
+sys.exit(cli.main(["check"]))
+"""
+
+
+def test_check_fails_a_broken_bound_under_python_O():
+    # the groups fail through checks._require, which -O does not strip
+    proc = _run_probe("-O", "-c", _BROKEN_CHECK, "wrong-half-plate")
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL table1-golden: the horizontal half plate is not i\n" in proc.stdout
+    assert "FAIL shifter-inversion: branches " in proc.stdout
+    assert proc.stdout.endswith("\n2 group(s) failed\n")
+
+
+def test_check_reports_a_group_that_raises_and_runs_the_rest():
+    from polquat.checks import CHECK_GROUPS
+
+    proc = _run_probe("-c", _BROKEN_CHECK, "non-unit-quarter-plate")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    error = "ValueError: waveplate transform must be a unit quaternion, |q| = 2.0"
+    assert proc.stdout == "".join(
+        f"FAIL {name}: {error}\n" if name in ("table1-golden", "shifter-inversion")
+        else f"PASS {name}\n" for name, _ in CHECK_GROUPS) + "2 group(s) failed\n"

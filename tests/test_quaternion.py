@@ -63,7 +63,6 @@ def test_norm_squared_is_scalar_of_qdagq(q):
 
 def test_division_examples():
     assert allclose(J / I, K, 1e-15)          # since k * i = j
-    assert allclose(I.left_div(K), J, 1e-15)  # since i * j = k
     q = Quaternion(0.5, -0.25, 1.0, 2.0)
     assert allclose(q / q, ONE, 1e-12)
 
@@ -75,14 +74,11 @@ def test_division_round_trips():
         if q.norm() < 1e-3:
             continue
         assert allclose((p / q) * q, p, 1e-10)
-        assert allclose(q * q.left_div(p), p, 1e-10)
 
 
 def test_division_by_zero_raises():
     with pytest.raises(ValueError):
         ONE / Quaternion()
-    with pytest.raises(ValueError):
-        Quaternion().left_div(ONE)
 
 
 def test_exp_euler_cases():

@@ -26,9 +26,8 @@ from polquat import (
     stokes,
     to_ellipse,
     to_jones,
-    waveplate_to_orthogonal,
 )
-from util import rand_quat, rand_unit
+from util import rand_quat
 
 SQ2 = math.sqrt(2.0)
 
@@ -86,7 +85,7 @@ def test_stokes_norm_is_power():
     rng = np.random.default_rng(23)
     for _ in range(100):
         q = rand_quat(rng)
-        assert abs(stokes(q).norm() - q.norm_sq()) <= 1e-12 * max(1.0, q.norm_sq())
+        assert abs(math.hypot(*stokes(q)) - q.norm_sq()) <= 1e-12 * max(1.0, q.norm_sq())
 
 
 def test_classical_values():
@@ -261,19 +260,3 @@ def test_classify_invariances():
         assert classify_orthogonality(apply_phase(p, 0.7), q) is base
         assert classify_orthogonality(p, apply_phase(q, -1.3)) is base
         assert classify_orthogonality(p * 3.0, q * 0.2) is base
-
-
-def test_waveplate_to_orthogonal():
-    assert allclose(waveplate_to_orthogonal(ONE, 0.0), J, 1e-15)
-    assert allclose(waveplate_to_orthogonal(ONE, math.pi / 2), K, 1e-15)
-    with pytest.raises(ValueError):
-        waveplate_to_orthogonal(ONE + I, 0.0)
-    rng = np.random.default_rng(32)
-    for _ in range(100):
-        q = rand_unit(rng)
-        phi = rng.uniform(-math.pi, math.pi)
-        p = waveplate_to_orthogonal(q, phi)
-        assert abs(p.norm() - 1.0) <= 1e-12
-        assert allclose(q * p, apply_phase(J * q, phi), 1e-12)
-        assert classify_orthogonality(q, q * p) is OrthogonalityClass.ORTHOGONAL_SOP
-

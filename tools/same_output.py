@@ -15,7 +15,11 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   `--degrees`, every tenth with `--branch 1` (exit 2 on a singular target);
 * `convert` output for every (--from, --to) pair of the four forms on two
   inputs each, the second with `--degrees`: 32 runs, the six Stokes-to-other
-  ones exit 3.
+  ones exit 3;
+* each demo script and the README quick start of the tree (`src/..`), run
+  the way tests/test_demos.py runs them: copied into a temporary directory,
+  which is also the working directory, with numpy unimportable.  The
+  directory's path reads the same in both trees' output.
 
 A run's output is its exit code, stdout and stderr.  One line per artifact,
 `identical` or `different`; the exit status is 0 when all are identical.
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,6 +83,44 @@ def _convert_argvs() -> list:
             for src in FORMS for dst in FORMS for degrees in (0, 1)]
 
 
+# how tests/test_demos.py runs a script: numpy unimportable
+_WITHOUT_NUMPY = """
+import runpy
+import sys
+sys.modules["numpy"] = None   # any `import numpy` now raises ImportError
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def _scripts(src: Path) -> list:
+    """(artifact name, file name, text) of each demo and README quick start
+    of the tree whose `src` directory is `src`."""
+    root = src.parent
+    scripts = [(f"demo {path.name}", path.name, path.read_text())
+               for path in sorted((root / "demos").glob("*.py"))]
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    return scripts + [(f"README quick start {k}", f"quick_start_{k}.py", block)
+                      for k, block in enumerate(blocks)]
+
+
+def _run_scripts(src: Path) -> dict:
+    """{artifact name: [digest]} of each script of `_scripts`, each run in a
+    fresh temporary directory with `src` first on the import path."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    digests = {}
+    for name, file_name, text in _scripts(src):
+        with tempfile.TemporaryDirectory() as tmp:
+            script = Path(tmp) / file_name
+            script.write_text(text)
+            proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(script)],
+                                  cwd=tmp, env=env, capture_output=True, text=True,
+                                  check=False)
+        out = f"{proc.returncode}\n{proc.stdout}\n{proc.stderr}\n".replace(tmp, "<tmp>")
+        digests[name] = [hashlib.sha256(out.encode()).hexdigest()]
+    return digests
+
+
 def _child() -> None:
     """Run the spec read from stdin with the `polquat` on the import path and
     print {"polquat": its file, "artifacts": {name: [digest per run]}}."""
@@ -117,9 +160,9 @@ def _run_tree(src: Path, solves: list, converts: list) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{src}: the run failed:\n{proc.stderr}")
     result = json.loads(proc.stdout)
-    if not Path(result["polquat"]).resolve().is_relative_to(src.resolve()):
+    if not Path(result["polquat"]).resolve().is_relative_to(src):
         sys.exit(f"{src}: imported polquat from {result['polquat']}")
-    return result["artifacts"]
+    return {**result["artifacts"], **_run_scripts(src)}
 
 
 def main(argv: list) -> int:
@@ -127,10 +170,11 @@ def main(argv: list) -> int:
         print("usage: python3 tools/same_output.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     solves, converts = _solve_argvs(), _convert_argvs()
-    parent, change = (_run_tree(Path(src), solves, converts) for src in argv)
+    parent, change = (_run_tree(Path(src).resolve(), solves, converts) for src in argv)
     different = 0
-    for name, runs in parent.items():
-        diff = sum(a != b for a, b in zip(runs, change[name]))
+    for name in {**parent, **change}:   # a name only one tree has differs
+        runs = parent.get(name) or [None] * len(change[name])
+        diff = sum(a != b for a, b in zip(runs, change.get(name) or [None] * len(runs)))
         different += diff > 0
         runs_note = f" ({diff} of {len(runs)} runs differ)" if len(runs) > 1 else ""
         print(f"{'different' if diff else 'identical'}  {name}{runs_note}")
