@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .quaternion import J, Quaternion, _record, _require_unit, precess
+from .quaternion import J, Quaternion, _new, _record, _require_unit, precess
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -28,7 +28,7 @@ class Waveplate(_record("Waveplate", "q")):
 
     def __new__(cls, q: Quaternion):
         _require_unit(q, "waveplate transform")
-        return super().__new__(cls, q)
+        return _new(cls, (q,))
 
 
 class WaveplateAxisForm(_record("WaveplateAxisForm", "axis eta")):
@@ -55,7 +55,7 @@ class PartialPolarizer(_record("PartialPolarizer", "pass_axis mu")):
         _require_unit(pass_axis, "polarizer pass axis")
         if not 0.0 <= mu <= 1.0:
             raise ValueError(f"field extinction mu = {mu!r} outside [0, 1]")
-        return super().__new__(cls, pass_axis, mu)
+        return _new(cls, (pass_axis, mu))
 
 
 def apply(signal: Quaternion, plate: Waveplate) -> Quaternion:

@@ -43,6 +43,9 @@ def _no_tuple_operator(self, other):
     raise TypeError(f"{type(self).__name__} has no ordering, concatenation or repetition")
 
 
+_new = tuple.__new__
+
+
 def _record(typename: str, fields: str, defaults=None) -> type:
     """Base of an immutable record type: a named tuple (subclasses add
     `__slots__ = ()`) with three changes.
@@ -54,6 +57,12 @@ def _record(typename: str, fields: str, defaults=None) -> type:
       side (`Quaternion` defines its own `+` and `*`).
     * `_make`, and with it `_replace`, builds through the constructor, so a
       record that validates in `__new__` is validated on every path.
+
+    `_new(cls, values)`, with `values` a tuple of every field in field order,
+    builds the record in one C call, skipping the Python `__new__` frame the
+    named tuple generates.  It checks nothing, so it builds only the types
+    whose constructor checks nothing, and ends a validating `__new__` only
+    after that `__new__` has made its checks.
     """
     base = namedtuple(typename, fields, defaults=defaults)
     base.__eq__ = _same_type_eq
@@ -115,17 +124,10 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3", (0.0, 0.0, 0.0, 0.0))):
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            p0, p1, p2, p3 = self
-            q0, q1, q2, q3 = other
-            return Quaternion(
-                p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-                p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2),
-                p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3),
-                p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1),
-            )
+            return _new(Quaternion, _product(self, other))
         if isinstance(other, (int, float)):
-            return Quaternion(self.q0 * other, self.q1 * other,
-                              self.q2 * other, self.q3 * other)
+            return _new(Quaternion, (self.q0 * other, self.q1 * other,
+                                     self.q2 * other, self.q3 * other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -217,6 +219,16 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3", (0.0, 0.0, 0.0, 0.0))):
         theta = math.atan2(a, self.q0)
         f = theta / a
         return Quaternion(math.log(n), f * self.q1, f * self.q2, f * self.q3)
+
+
+def _product(p, q) -> tuple:
+    """The Hamilton product p q of two 4-sequences of floats, as a tuple."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2),
+            p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3),
+            p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1))
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

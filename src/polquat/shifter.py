@@ -31,7 +31,7 @@ import math
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .quaternion import Quaternion, _record, _require_unit
+from .quaternion import Quaternion, _new, _product, _record, _require_unit
 from .signal import _stokes_parts
 
 _PI = math.pi
@@ -142,27 +142,16 @@ def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:
 def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
     """(P0, s P0) as float 4-tuples, P0 = conj(q) r and s the unit Stokes
     vector of q, after checking both signals are unit.  Every operation of
-    `stokes(q).as_quaternion().normalized()` and the two `Quaternion`
-    products is written out, zero terms included, so the floats are theirs.
+    `stokes(q).as_quaternion().normalized()` is written out, zero terms
+    included, and the products are `Quaternion`'s, so the floats are theirs.
     """
     _require_unit(q_in, "input signal")
     _require_unit(r_out, "output signal")
     q0, q1, q2, q3 = q_in
     s1, s2, s3 = _stokes_parts(q0, q1, q2, q3)
     inv = 1.0 / math.hypot(0.0, s1, s2, s3)
-    s0, s1, s2, s3 = 0.0 * inv, s1 * inv, s2 * inv, s3 * inv
-    # P0 = conj(q) * r
-    c1, c2, c3 = -q1, -q2, -q3
-    r0, r1, r2, r3 = r_out
-    a0 = q0 * r0 - c1 * r1 - c2 * r2 - c3 * r3
-    a1 = q0 * r1 + r0 * c1 + (c2 * r3 - c3 * r2)
-    a2 = q0 * r2 + r0 * c2 + (c3 * r1 - c1 * r3)
-    a3 = q0 * r3 + r0 * c3 + (c1 * r2 - c2 * r1)
-    return ((a0, a1, a2, a3),
-            (s0 * a0 - s1 * a1 - s2 * a2 - s3 * a3,
-             s0 * a1 + a0 * s1 + (s2 * a3 - s3 * a2),
-             s0 * a2 + a0 * s2 + (s3 * a1 - s1 * a3),
-             s0 * a3 + a0 * s3 + (s1 * a2 - s2 * a1)))
+    base = _product((q0, -q1, -q2, -q3), r_out)
+    return base, _product((0.0 * inv, s1 * inv, s2 * inv, s3 * inv), base)
 
 
 def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quaternion:
@@ -174,7 +163,8 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
     (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
     c = math.cos(phi)
     n = math.sin(phi)
-    return Quaternion(c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3)
+    return _new(Quaternion, (c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2,
+                             c * a3 + n * b3))
 
 
 def forward_transform(angles: WaveplateAngles) -> Quaternion:
@@ -194,8 +184,8 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
     sg = math.sin(g)
     diff = c - a
     total = a + c
-    return Quaternion(-cg * math.cos(diff), -sg * math.sin(total),
-                      -cg * math.sin(diff), sg * math.cos(total))
+    return _new(Quaternion, (-cg * math.cos(diff), -sg * math.sin(total),
+                             -cg * math.sin(diff), sg * math.cos(total)))
 
 
 def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
@@ -227,9 +217,9 @@ def _classify(c1: float, c2: float) -> Classification:
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
     """Regular branch 1 or 2 from the half angles of `_split`."""
     quarter, t = (_QUARTER_PI, -t_half) if branch == 1 else (-_QUARTER_PI, t_half)
-    return WaveplateAngles(reduce_angle(a_half - b_half + quarter),
-                           reduce_angle(a_half + t),
-                           reduce_angle(a_half + b_half + quarter))
+    return _new(WaveplateAngles, (reduce_angle(a_half - b_half + quarter),
+                                  reduce_angle(a_half + t),
+                                  reduce_angle(a_half + b_half + quarter)))
 
 
 def solve_angles(p: Quaternion) -> ShifterSolution:
@@ -249,9 +239,9 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     _require_unit(p, "target transform")
     kind, _, _, a_half, b_half, t_half = _split(*p)
     if kind is Classification.REGULAR:
-        return ShifterSolution(branches=(_branch(1, a_half, b_half, t_half),
-                                         _branch(2, a_half, b_half, t_half)))
-    return ShifterSolution(family=SingularFamily(kind, a_half, b_half))
+        return _new(ShifterSolution, ((_branch(1, a_half, b_half, t_half),
+                                       _branch(2, a_half, b_half, t_half)), None))
+    return _new(ShifterSolution, (None, _new(SingularFamily, (kind, a_half, b_half))))
 
 
 def _best_family_point(family: SingularFamily,
@@ -292,13 +282,22 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
 
     Both the target p and the wanted output e^(i phi) r are linear in
     (cos phi, sin phi), so each sample costs two trig calls for them; a
-    regular sample builds only the branch it keeps.
+    regular sample builds only the branch it keeps, and every record of a
+    row is built in one C call, not through its Python constructor.
     """
     return _ramp_points(q_in, r_out, _target_line(q_in, r_out), phi_samples)
 
 
 def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
                  phi_samples: Iterable[float]) -> Iterator[RampPoint]:
+    """The rows of `ramp_trajectory` on the target line (P0, s P0).
+
+    A regular row builds three records, its `WaveplateAngles`, the
+    `Quaternion` of `forward_transform` and its `RampPoint`, each with one
+    `_new` call; its residual takes the product q * forward(angles) as
+    floats.  A family row also builds its `SingularFamily` and the members
+    `_best_family_point` visits.
+    """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
     r0, r1, r2, r3 = r_out
@@ -320,15 +319,15 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
             bid = branch_id
             prev_was_family = False
         else:
-            family = SingularFamily(kind, a_half, b_half)
+            family = _new(SingularFamily, (kind, a_half, b_half))
             choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
             bid = 0
             prev_was_family = True
         step = 0.0 if prev is None else triple_distance(choice, prev)
         # a family row has min(c1, c2) <= SINGULAR_TOL < NEAR_SINGULAR_TOL
         flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
-        out = q_in * forward_transform(choice)
-        residual = math.hypot(out.q0 - (c * r0 + n * ir0), out.q1 - (c * r1 + n * ir1),
-                              out.q2 - (c * r2 + n * ir2), out.q3 - (c * r3 + n * ir3))
-        yield RampPoint(phi, choice, bid, residual, flagged)
+        o0, o1, o2, o3 = _product(q_in, forward_transform(choice))
+        residual = math.hypot(o0 - (c * r0 + n * ir0), o1 - (c * r1 + n * ir1),
+                              o2 - (c * r2 + n * ir2), o3 - (c * r3 + n * ir3))
+        yield _new(RampPoint, (phi, choice, bid, residual, flagged))
         prev = choice

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .quaternion import J, Quaternion, _record
+from .quaternion import J, Quaternion, _new, _record
 
 _PI = math.pi
 
@@ -56,7 +56,7 @@ class EllipseParams(_record("EllipseParams", "r phi epsilon theta")):
             raise ValueError(f"ellipticity {epsilon!r} outside [-pi/4, pi/4]")
         if not -_PI / 2 < theta <= _PI / 2:
             raise ValueError(f"orientation {theta!r} outside (-pi/2, pi/2]")
-        return super().__new__(cls, r, phi, epsilon, theta)
+        return _new(cls, (r, phi, epsilon, theta))
 
 
 class StokesQuaternion(_record("StokesQuaternion", "s1 s2 s3")):
@@ -249,7 +249,8 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     ce, se = math.cos(epsilon), math.sin(epsilon)
     a0, a1 = u0 * ct + u2 * st, u1 * ct + u3 * st
     a2, a3 = u2 * ct - u0 * st, u3 * ct - u1 * st
-    inv = 1.0 / math.hypot(u0, u1, u2, u3)
+    # unscaled, u is q and its norm is r
+    inv = 1.0 / math.hypot(u0, u1, u2, u3) if e else 1.0 / r
     res0, res1 = (a0 * ce + a3 * se) * inv, (a1 * ce - a2 * se) * inv
     res2, res3 = (a2 * ce + a1 * se) * inv, (a3 * ce - a0 * se) * inv
     if max(abs(res2), abs(res3)) > _PHASE_RESIDUAL_TOL:

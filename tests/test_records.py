@@ -2,6 +2,8 @@
 tuples that never equal a record of another type or a plain tuple, and the
 validated ones are validated on every construction path."""
 
+import math
+
 import pytest
 
 from polquat import (
@@ -10,10 +12,18 @@ from polquat import (
     EllipseParams,
     PartialPolarizer,
     Quaternion,
+    RampPoint,
+    ShifterSolution,
     StokesQuaternion,
     Waveplate,
     WaveplateAngles,
+    forward_transform,
+    ramp_trajectory,
+    solve_angles,
+    target_transform,
 )
+from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
+from polquat.shifter import SingularFamily
 
 
 @pytest.mark.parametrize("a, b", [
@@ -75,7 +85,9 @@ def test_records_keep_length_indexing_and_unpacking():
     (EllipseParams(1.0, 0.0, 0.0, 0.0), "phi", 9.0),
     (Waveplate(ONE), "q", Quaternion(2.0)),
     (PartialPolarizer(ONE, 0.5), "mu", 1.5),
-], ids=["ellipse", "waveplate", "polarizer"])
+    (EllipseParams(1.0, 0.0, 0.0, 0.0), "epsilon", 1.0),
+    (EllipseParams(1.0, 0.0, 0.0, 0.0), "theta", -2.0),
+], ids=["ellipse", "waveplate", "polarizer", "ellipse-epsilon", "ellipse-theta"])
 def test_every_construction_path_validates(record, field, bad):
     values = dict(record._asdict(), **{field: bad})
     with pytest.raises(ValueError):
@@ -84,3 +96,33 @@ def test_every_construction_path_validates(record, field, bad):
         record._replace(**{field: bad})
     with pytest.raises(ValueError):
         type(record)._make(values.values())
+
+
+def _assert_constructor_twin(record, cls):
+    twin = cls(*record)
+    assert record == twin and twin == record
+    assert (repr(record), hash(record), len(record)) == (repr(twin), hash(twin), len(twin))
+
+
+@pytest.mark.parametrize("q, r", [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)],
+                         ids=["fig5", "fig7", "identity"])
+def test_fast_built_records_equal_their_constructors(q, r):
+    # the hot paths build records without their Python constructor; each must
+    # be the record that constructor builds from the same fields, of the same
+    # type (== is type-strict).  The identity ramp has singular-family rows.
+    phis = [2.0 * math.pi * k / 16 for k in range(17)]
+    records = [(q * r, Quaternion), (r * q, Quaternion)]
+    for pt in ramp_trajectory(q, r, phis):
+        p = target_transform(q, r, pt.phi)
+        sol = solve_angles(p)
+        records += [(pt, RampPoint), (pt.angles, WaveplateAngles), (p, Quaternion),
+                    (forward_transform(pt.angles), Quaternion), (sol, ShifterSolution)]
+        if sol.family is None:
+            records += [(angles, WaveplateAngles) for angles in sol.branches]
+        else:
+            records += [(angles, WaveplateAngles) for angles in sol.family_samples]
+            records.append((sol.family, SingularFamily))
+    if q is ONE:
+        assert any(cls is SingularFamily for _, cls in records)
+    for record, cls in records:
+        _assert_constructor_twin(record, cls)

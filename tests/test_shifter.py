@@ -325,6 +325,19 @@ def test_ramp_of_signals_within_the_unit_tolerance_yields_every_row():
     assert max(pt.residual for pt in points) <= 1e-9
 
 
+@pytest.mark.parametrize("d, flagged", [(1e-5, True), (9e-5, True), (1.1e-4, False),
+                                        (2e-4, False)])
+def test_near_singular_rows_are_flagged_by_c_alone(d, flagged):
+    # at phi = 0 the target is r itself, so min(c1, c2) = |p1 + p3 j| = sin d,
+    # on either side of NEAR_SINGULAR_TOL; the second row moves by about 1e-9,
+    # so no jump can flag it
+    r = Quaternion(math.cos(d), 0.0, 0.0, math.sin(d))
+    points = list(ramp_trajectory(ONE, r, [0.0, 1e-9]))
+    assert [pt.branch for pt in points] == [1, 1]
+    assert [pt.flagged for pt in points] == [flagged, flagged]
+    assert [pt.branch_label for pt in points] == ["singular" if flagged else "1"] * 2
+
+
 _RAMP_PAIRS = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)] + [
     (rand_unit(np.random.default_rng(seed)), rand_unit(np.random.default_rng(seed + 100)))
     for seed in (81, 82, 83)]

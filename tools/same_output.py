@@ -16,6 +16,12 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
 * `convert` output for every (--from, --to) pair of the four forms on two
   inputs each, the second with `--degrees`: 32 runs, the six Stokes-to-other
   ones exit 3;
+* the records themselves, which a wrong type or field order changes even
+  where the text printed from them stays the same: the `repr` of every
+  `shifter.ramp_trajectory` point of FIG5, FIG7 and the identity at 256
+  samples (the phases `polquat ramp` uses), and of `solve_angles(
+  target_transform(q, r, phi))` and its `family_samples` for each of the
+  solve targets above;
 * each demo script and the README quick start of the tree (`src/..`), run
   the way tests/test_demos.py runs them: copied into a temporary directory,
   which is also the working directory, with numpy unimportable.  The
@@ -33,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -47,6 +54,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 import inputs  # noqa: E402  (stdlib only)
 
 RAMP_SAMPLES = (2, 256, 4096)
+RECORD_RAMP_SAMPLES = 256
 SOLVE_RUNS = 2000
 FORMS = ("quat", "jones", "ellipse", "stokes")
 CONVERT_INPUTS = {
@@ -67,9 +75,13 @@ def _ramp_pairs() -> list:
     return [(name, inputs.quat_text(q), inputs.quat_text(r)) for name, q, r in pairs]
 
 
+def _solve_cases() -> list:
+    return list(islice(inputs.solve_cases(1), SOLVE_RUNS))
+
+
 def _solve_argvs() -> list:
     argvs = []
-    for k, case in enumerate(islice(inputs.solve_cases(1), SOLVE_RUNS)):
+    for k, case in enumerate(_solve_cases()):
         argv = ["--degrees"] * (k % 4 == 0) + [
             "solve", "--q=" + inputs.quat_text(case.q), "--r=" + inputs.quat_text(case.r),
             "--phi", repr(case.phi)]
@@ -125,7 +137,7 @@ def _child() -> None:
     """Run the spec read from stdin with the `polquat` on the import path and
     print {"polquat": its file, "artifacts": {name: [digest per run]}}."""
     import polquat
-    from polquat import cli
+    from polquat import Quaternion, cli, shifter
 
     def digest(argv, path=None) -> str:
         out, err = io.StringIO(), io.StringIO()
@@ -136,15 +148,35 @@ def _child() -> None:
             text += Path(path).read_bytes()
         return hashlib.sha256(text).hexdigest()
 
+    def digest_repr(record) -> str:
+        return hashlib.sha256(repr(record).encode()).hexdigest()
+
     spec = json.load(sys.stdin)
     artifacts = {name: [digest(argv, path)] for name, argv, path in spec["ramps"]}
+    n = RECORD_RAMP_SAMPLES
+    phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
+    for name, q, r in spec["record_ramps"]:
+        points = shifter.ramp_trajectory(Quaternion(*q), Quaternion(*r), phis)
+        artifacts[f"ramp_trajectory records {name} {n}"] = list(map(digest_repr, points))
+    solutions = (shifter.solve_angles(shifter.target_transform(
+        Quaternion(*q), Quaternion(*r), phi)) for q, r, phi in spec["record_solves"])
+    artifacts["solve_angles records"] = [digest_repr((sol, sol.family_samples))
+                                         for sol in solutions]
     artifacts["check stdout"] = [digest(["check"])]
     artifacts["solve output"] = [digest(argv) for argv in spec["solves"]]
     artifacts["convert output"] = [digest(argv) for argv in spec["converts"]]
     json.dump({"polquat": polquat.__file__, "artifacts": artifacts}, sys.stdout)
 
 
-def _run_tree(src: Path, solves: list, converts: list) -> dict:
+def _record_spec() -> dict:
+    """The signals of the record artifacts, as JSON-ready float lists."""
+    one = (1.0, 0.0, 0.0, 0.0)
+    return {"record_ramps": [("fig5", *inputs.FIG5), ("fig7", *inputs.FIG7),
+                             ("identity", one, one)],
+            "record_solves": [(case.q, case.r, case.phi) for case in _solve_cases()]}
+
+
+def _run_tree(src: Path, spec: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         ramps = []
         for name, q, r in _ramp_pairs():
@@ -155,7 +187,7 @@ def _run_tree(src: Path, solves: list, converts: list) -> dict:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
         proc = subprocess.run(
             [sys.executable, "-c", "import same_output; same_output._child()"],
-            input=json.dumps({"ramps": ramps, "solves": solves, "converts": converts}),
+            input=json.dumps({"ramps": ramps, **spec}),
             env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"{src}: the run failed:\n{proc.stderr}")
@@ -169,8 +201,8 @@ def main(argv: list) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/same_output.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
-    solves, converts = _solve_argvs(), _convert_argvs()
-    parent, change = (_run_tree(Path(src).resolve(), solves, converts) for src in argv)
+    spec = {"solves": _solve_argvs(), "converts": _convert_argvs(), **_record_spec()}
+    parent, change = (_run_tree(Path(src).resolve(), spec) for src in argv)
     different = 0
     for name in {**parent, **change}:   # a name only one tree has differs
         runs = parent.get(name) or [None] * len(change[name])
