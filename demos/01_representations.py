@@ -55,7 +55,7 @@ print("\n=== orthogonality classes from p * conj(q) ===")
 base = from_jones(to_jones(ONE + K))
 pairs = [
     ("same state, scaled+phased", apply_phase(base, 1.1) * 2.5),
-    ("orthogonal SOP", orthogonal_sop(base, 0.4)),
+    ("orthogonal SOP", apply_phase(orthogonal_sop(base), 0.4)),
     ("same SOP, quadrature phase", I * base),
     ("unrelated", base + J),
 ]

@@ -107,7 +107,7 @@ def _load_signal(kind: str, value) -> Quaternion:
 
 
 # the output keys that hold angles; --degrees shows each as <key>_deg in degrees
-_ANGLES = {"phi", "epsilon", "theta", "psi_a", "psi_b", "psi_c"}
+_ANGLES = {"phi", "epsilon", "theta", "psi_a", "psi_b", "psi_c", "parameter"}
 
 
 def _shown(obj: dict, degrees: bool) -> dict:
@@ -180,9 +180,9 @@ def cmd_solve(args) -> int:
                 for x, angles in zip(sol.family.parameters, sol.family_samples)]
     solutions = []
     for entry, angles in rows:
-        entry.update(_shown(angles._asdict(), args.degrees))
+        entry.update(angles._asdict())
         entry["residual"] = (shifter.forward_transform(angles) - p).norm()
-        solutions.append(entry)
+        solutions.append(_shown(entry, args.degrees))
     print(_strict_json({"target_p": p.to_list(),
                         "classification": sol.classification.value,
                         "solutions": solutions}))

@@ -103,12 +103,12 @@ def rotate_element(plate: Waveplate, psi: float) -> Waveplate:
     return Waveplate(precess(plate.q, J, psi))
 
 
-def qwp(psi: float = 0.0) -> Waveplate:
+def qwp(psi: float) -> Waveplate:
     """Quarter waveplate with slow axis at angle psi."""
     return rotate_element(Waveplate(Quaternion(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0)), psi)
 
 
-def hwp(psi: float = 0.0) -> Waveplate:
+def hwp(psi: float) -> Waveplate:
     """Half waveplate with slow axis at angle psi."""
     return rotate_element(Waveplate(Quaternion(0.0, 1.0, 0.0, 0.0)), psi)
 

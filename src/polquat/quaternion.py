@@ -46,7 +46,7 @@ def _no_tuple_operator(self, other):
 _new = tuple.__new__
 
 
-def _record(typename: str, fields: str, defaults=None) -> type:
+def _record(typename: str, fields: str) -> type:
     """Base of an immutable record type: a named tuple (subclasses add
     `__slots__ = ()`) with three changes.
 
@@ -58,16 +58,18 @@ def _record(typename: str, fields: str, defaults=None) -> type:
     * `_make`, and with it `_replace`, builds through the constructor, so a
       record that validates in `__new__` is validated on every path.
 
+    No field has a default: a constructor takes every field.  `__eq__` is
+    set after the class is made, so the class keeps tuple's `__hash__`.
+
     `_new(cls, values)`, with `values` a tuple of every field in field order,
     builds the record in one C call, skipping the Python `__new__` frame the
     named tuple generates.  It checks nothing, so it builds only the types
     whose constructor checks nothing, and ends a validating `__new__` only
     after that `__new__` has made its checks.
     """
-    base = namedtuple(typename, fields, defaults=defaults)
+    base = namedtuple(typename, fields)
     base.__eq__ = _same_type_eq
     base.__ne__ = _same_type_ne
-    base.__hash__ = tuple.__hash__
     for name in ("__lt__", "__le__", "__gt__", "__ge__",
                  "__add__", "__radd__", "__mul__", "__rmul__"):
         setattr(base, name, _no_tuple_operator)
@@ -75,7 +77,7 @@ def _record(typename: str, fields: str, defaults=None) -> type:
     return base
 
 
-class Quaternion(_record("Quaternion", "q0 q1 q2 q3", (0.0, 0.0, 0.0, 0.0))):
+class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     __slots__ = ()
 
     # -- construction / serialization ------------------------------------
@@ -241,9 +243,11 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
     """exp(-v theta) * q * exp(v theta) for unit vector quaternion v.
 
     The scalar part and the vector-part magnitude are preserved; the vector
-    part is rotated by angle 2*theta about axis v.
+    part is rotated by angle 2*theta about axis v.  Raises ValueError unless
+    v is a unit vector quaternion.
     """
-    _require_unit_vector(v)
+    if abs(v.q0) > UNIT_TOL or not v.is_unit():
+        raise ValueError("axis must be a unit vector quaternion")
     c = math.cos(theta)
     s = math.sin(theta)
     e_pos = Quaternion(c, v.q1 * s, v.q2 * s, v.q3 * s)
@@ -251,19 +255,12 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
     return e_neg * q * e_pos
 
 
-def allclose(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> bool:
+def allclose(p: Quaternion, q: Quaternion, tol: float) -> bool:
     """Componentwise absolute agreement within tol."""
     return (abs(p.q0 - q.q0) <= tol and abs(p.q1 - q.q1) <= tol
             and abs(p.q2 - q.q2) <= tol and abs(p.q3 - q.q3) <= tol)
 
 
-def _require_unit(q: Quaternion, what: str = "quaternion") -> None:
+def _require_unit(q: Quaternion, what: str) -> None:
     if not q.is_unit():
         raise ValueError(f"{what} must be a unit quaternion, |q| = {q.norm()!r}")
-
-
-def _require_unit_vector(v: Quaternion, what: str = "axis") -> None:
-    if v.q0 != 0.0 and abs(v.q0) > UNIT_TOL:
-        raise ValueError(f"{what} must have zero scalar part")
-    if not v.is_unit():
-        raise ValueError(f"{what} must be a unit vector quaternion")

@@ -92,7 +92,7 @@ class SingularFamily(_record("SingularFamily", "kind a_half b_half")):
         return _branch(1, x + _QUARTER_PI, self.b_half, _QUARTER_PI)
 
 
-class ShifterSolution(_record("ShifterSolution", "branches family", (None, None))):
+class ShifterSolution(_record("ShifterSolution", "branches family")):
     """Either two regular branches (`branches`, a pair of triples) or a
     one-parameter singular family (`family`); the other field is None."""
 
@@ -159,12 +159,19 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
 
     Evaluated as cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, since s is
     a unit vector quaternion and exp(s phi) = cos(phi) + s sin(phi).
+    Raises ValueError unless both signals are unit and phi is finite.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
+    _require_finite(phi)
     c = math.cos(phi)
     n = math.sin(phi)
     return _new(Quaternion, (c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2,
                              c * a3 + n * b3))
+
+
+def _require_finite(phi: float) -> None:
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be a finite number, got {phi!r}")
 
 
 def forward_transform(angles: WaveplateAngles) -> Quaternion:
@@ -191,8 +198,8 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
 def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
 
-    Returns (classification, c1, c2, a_half, b_half, t_half) with the
-    classification of `_classify`, the moduli c1 = |p0 + p2 j| and
+    Returns (kind, c1, c2, a_half, b_half, t_half) with the kind of
+    `_classify` (None for a regular target), the moduli c1 = |p0 + p2 j| and
     c2 = |p1 + p3 j|, the half angles a_half = arg(p1 + p3 j) / 2 and
     b_half = arg(p0 + p2 j) / 2, and t_half = arctan(c1 / c2) / 2.  The
     caller checks that p is unit: `solve_angles` checks p itself, and a ramp
@@ -205,12 +212,13 @@ def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
             0.5 * math.atan2(c1, c2))
 
 
-def _classify(c1: float, c2: float) -> Classification:
+def _classify(c1: float, c2: float) -> Classification | None:
     """The singular decision on the moduli c1 = |p0 + p2 j| and c2 = |p1 + p3 j|
-    of a unit target (c1^2 + c2^2 = 1): singular where the smaller one is at
-    most SINGULAR_TOL, on the side it belongs to."""
+    of a unit target (c1^2 + c2^2 = 1): None for a regular target, which has
+    no family, else, where the smaller one is at most SINGULAR_TOL, the
+    singular kind of the side it belongs to."""
     if min(c1, c2) > SINGULAR_TOL:
-        return Classification.REGULAR
+        return None
     return Classification.SINGULAR_A if c1 <= c2 else Classification.SINGULAR_B
 
 
@@ -238,7 +246,7 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     """
     _require_unit(p, "target transform")
     kind, _, _, a_half, b_half, t_half = _split(*p)
-    if kind is Classification.REGULAR:
+    if kind is None:
         return _new(ShifterSolution, ((_branch(1, a_half, b_half, t_half),
                                        _branch(2, a_half, b_half, t_half)), None))
     return _new(ShifterSolution, (None, _new(SingularFamily, (kind, a_half, b_half))))
@@ -277,7 +285,8 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     triple under the max modulo-pi metric.
 
     The signals are checked at the call (ValueError unless unit); the
-    returned iterator then draws, solves and yields one `RampPoint` per phase.
+    returned iterator then draws, solves and yields one `RampPoint` per phase,
+    and raises ValueError at the first phase that is not finite.
     A row's target has |p| = |q| |r|, so no row checks it again.
 
     Both the target p and the wanted output e^(i phi) r are linear in
@@ -292,6 +301,11 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
                  phi_samples: Iterable[float]) -> Iterator[RampPoint]:
     """The rows of `ramp_trajectory` on the target line (P0, s P0).
 
+    `branch` is the one branch state: 1 or 2 on a regular row, the branch it
+    keeps, and 0 on a family row, after which the next regular row takes the
+    branch nearer the family point and keeps the triple it measured.  It is
+    also the row's `RampPoint.branch`.
+
     A regular row builds three records, its `WaveplateAngles`, the
     `Quaternion` of `forward_transform` and its `RampPoint`, each with one
     `_new` call; its residual takes the product q * forward(angles) as
@@ -303,31 +317,29 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     r0, r1, r2, r3 = r_out
     ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
     prev: WaveplateAngles | None = None
-    prev_was_family = False
-    branch_id = 1
+    branch = 1
     for phi in phi_samples:
+        _require_finite(phi)
         c = math.cos(phi)
         n = math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3
         kind, c1, c2, a_half, b_half, t_half = _split(p0, p1, p2, p3)
-        if kind is Classification.REGULAR:
-            if prev is not None and prev_was_family:
-                d1 = triple_distance(_branch(1, a_half, b_half, t_half), prev)
-                d2 = triple_distance(_branch(2, a_half, b_half, t_half), prev)
-                branch_id = 1 if d1 <= d2 else 2
-            choice = _branch(branch_id, a_half, b_half, t_half)
-            bid = branch_id
-            prev_was_family = False
-        else:
+        if kind is not None:
             family = _new(SingularFamily, (kind, a_half, b_half))
             choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
-            bid = 0
-            prev_was_family = True
+            branch = 0
+        elif branch:
+            choice = _branch(branch, a_half, b_half, t_half)
+        else:   # the row after a family row: prev is that family's point
+            first = _branch(1, a_half, b_half, t_half)
+            second = _branch(2, a_half, b_half, t_half)
+            branch = 1 if triple_distance(first, prev) <= triple_distance(second, prev) else 2
+            choice = first if branch == 1 else second
         step = 0.0 if prev is None else triple_distance(choice, prev)
         # a family row has min(c1, c2) <= SINGULAR_TOL < NEAR_SINGULAR_TOL
         flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
         o0, o1, o2, o3 = _product(q_in, forward_transform(choice))
         residual = math.hypot(o0 - (c * r0 + n * ir0), o1 - (c * r1 + n * ir1),
                               o2 - (c * r2 + n * ir2), o3 - (c * r3 + n * ir3))
-        yield _new(RampPoint, (phi, choice, bid, residual, flagged))
+        yield _new(RampPoint, (phi, choice, branch, residual, flagged))
         prev = choice

@@ -145,13 +145,14 @@ def apply_phase(q: Quaternion, phi: float) -> Quaternion:
     return Quaternion(math.cos(phi), math.sin(phi), 0.0, 0.0) * q
 
 
-def orthogonal_sop(q: Quaternion, phi: float = 0.0) -> Quaternion:
-    """A state orthogonal in polarization to q: e^(i phi) * j * q.
+def orthogonal_sop(q: Quaternion) -> Quaternion:
+    """A state orthogonal in polarization to q: j * q.
 
-    Its Stokes vector quaternion is the negative of stokes(q); phi sweeps the
-    full set of orthogonal states.
+    Its Stokes vector quaternion is the negative of stokes(q);
+    `apply_phase(orthogonal_sop(q), phi)` sweeps the full set of orthogonal
+    states as phi does.
     """
-    return apply_phase(J * q, phi)
+    return J * q
 
 
 # A component of m = p * conj(q) at most this fraction of |m| counts as zero.
@@ -222,12 +223,15 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     The angles come from u = q / 2^e, with 2^e just above the largest
     component: the power-of-two scale is exact, so unit-scale signals give
     the same angles as q itself, while huge and denormal ones neither
-    overflow nor underflow when squared.
+    overflow nor underflow when squared.  Raises ValueError for the zero
+    signal and for a signal whose norm R overflows a float.
     """
     u0, u1, u2, u3 = q
     r = math.hypot(u0, u1, u2, u3)
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
+    if r == math.inf:
+        raise ValueError("the signal's norm overflows a float")
     _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
     if e:
         u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),

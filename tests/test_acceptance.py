@@ -139,13 +139,13 @@ def test_criterion_08_conjugation_properties():
             ok &= allclose(q.partial_conjugate(axis), -(v * q.conjugate() * v), 1e-12)
             ok &= allclose(q.double_conjugate(axis), -(v * q * v), 1e-12)
         phi = float(rng.uniform(-math.pi, math.pi))
-        sa = stokes(orthogonal_sop(q, phi))
+        sa = stokes(apply_phase(orthogonal_sop(q), phi))
         sb = stokes(q)
         ok &= (abs(sa.s1 + sb.s1) <= 1e-12 and abs(sa.s2 + sb.s2) <= 1e-12
                and abs(sa.s3 + sb.s3) <= 1e-12)
         if q.norm() > 1e-3:
             scale = float(rng.uniform(0.1, 4.0))
-            ok &= classify_orthogonality(orthogonal_sop(q, phi) * scale, q) \
+            ok &= classify_orthogonality(apply_phase(orthogonal_sop(q), phi) * scale, q) \
                 is OrthogonalityClass.ORTHOGONAL_SOP
             ok &= classify_orthogonality(apply_phase(q, phi) * scale, q) \
                 is OrthogonalityClass.SAME_SOP

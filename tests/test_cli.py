@@ -121,6 +121,19 @@ def test_solve_prints_the_family_at_its_parameters(capsys):
             (angles.psi_a, angles.psi_b, angles.psi_c)
 
 
+def test_degrees_shows_the_family_parameter_in_degrees(capsys):
+    argv = ("solve", "--q=1,0,0,0", "--r=1,0,0,0", "--phi", "0")
+    radians = json.loads(run(capsys, *argv)[1])["solutions"]
+    code, out, _ = run(capsys, "--degrees", *argv)
+    assert code == 0
+    shown = json.loads(out)["solutions"]
+    assert len(shown) == len(radians) == 16
+    for rad, deg in zip(radians, shown):
+        assert list(deg) == ["branch", "parameter_deg", "psi_a_deg", "psi_b_deg",
+                             "psi_c_deg", "residual"]
+        assert deg["parameter_deg"] == math.degrees(rad["parameter"])
+
+
 def test_solve_fig5_regular(capsys):
     code, out, _ = run(capsys, "solve", "--q", FIG5_Q, "--r", FIG5_R,
                        "--phi", "1.0")

@@ -51,7 +51,7 @@ def test_norm_values():
     assert Quaternion(1, 1, 1, 1).norm() == 2.0
     assert allclose((3.0 * I).normalized(), I, 1e-15)
     with pytest.raises(ValueError):
-        Quaternion().normalized()
+        Quaternion(0.0, 0.0, 0.0, 0.0).normalized()
 
 
 @given(quats)
@@ -78,12 +78,12 @@ def test_division_round_trips():
 
 def test_division_by_zero_raises():
     with pytest.raises(ValueError):
-        ONE / Quaternion()
+        ONE / Quaternion(0.0, 0.0, 0.0, 0.0)
 
 
 def test_exp_euler_cases():
     assert allclose((I * (math.pi / 2)).exp(), I, 1e-15)
-    assert allclose(Quaternion().exp(), ONE, 1e-15)
+    assert allclose(Quaternion(0.0, 0.0, 0.0, 0.0).exp(), ONE, 1e-15)
     v = Quaternion(0, 0.6, 0.8, 0.0)
     got = (v * 0.5).exp()
     assert allclose(got, Quaternion(math.cos(0.5), 0.6 * math.sin(0.5),
@@ -114,7 +114,7 @@ def test_log_round_trip():
 
 def test_log_conventions():
     with pytest.raises(ValueError):
-        Quaternion().log()
+        Quaternion(0.0, 0.0, 0.0, 0.0).log()
     # negative real axis: i axis and angle pi by convention
     assert allclose(Quaternion(-2.0, 0, 0, 0).log(),
                     Quaternion(math.log(2.0), math.pi, 0, 0), 1e-15)

@@ -18,6 +18,7 @@ from polquat import (
     Waveplate,
     WaveplateAngles,
     forward_transform,
+    orthogonal_sop,
     ramp_trajectory,
     solve_angles,
     target_transform,
@@ -39,7 +40,19 @@ def test_records_of_other_types_never_compare_equal(a, b):
 def test_equal_records_hash_equal():
     a, b = WaveplateAngles(0.1, 0.2, 0.3), WaveplateAngles(0.1, 0.2, 0.3)
     assert a == b and hash(a) == hash(b)
-    assert len({Quaternion(1.0), ONE}) == 1
+    assert len({Quaternion(1.0, 0.0, 0.0, 0.0), ONE}) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Quaternion(1.0, 0.0, 0.0),
+    lambda: ShifterSolution(None),
+    lambda: orthogonal_sop(ONE, 0.4),
+], ids=["quaternion-3-fields", "solution-1-field", "orthogonal-sop-phase"])
+def test_constructors_take_every_field_and_no_dropped_argument(call):
+    # no field has a default (a short Quaternion does not mean q3 = 0), and
+    # orthogonal_sop takes no phase: apply_phase(orthogonal_sop(q), phi)
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_fields_cannot_be_assigned():
@@ -83,7 +96,7 @@ def test_records_keep_length_indexing_and_unpacking():
 
 @pytest.mark.parametrize("record, field, bad", [
     (EllipseParams(1.0, 0.0, 0.0, 0.0), "phi", 9.0),
-    (Waveplate(ONE), "q", Quaternion(2.0)),
+    (Waveplate(ONE), "q", Quaternion(2.0, 0.0, 0.0, 0.0)),
     (PartialPolarizer(ONE, 0.5), "mu", 1.5),
     (EllipseParams(1.0, 0.0, 0.0, 0.0), "epsilon", 1.0),
     (EllipseParams(1.0, 0.0, 0.0, 0.0), "theta", -2.0),

@@ -325,6 +325,31 @@ def test_ramp_of_signals_within_the_unit_tolerance_yields_every_row():
     assert max(pt.residual for pt in points) <= 1e-9
 
 
+@pytest.mark.parametrize("phis, kept", [([0.5, 0.0, 0.5, 1.0], 1),
+                                         ([-0.5, 0.0, 0.5, 1.0], 2)],
+                         ids=["back-to-1", "over-to-2"])
+def test_the_row_after_a_mid_ramp_family_row_takes_the_nearer_branch(phis, kept):
+    # at phi = 0 the identity problem's target is exactly 1: SINGULAR_B
+    points = list(ramp_trajectory(ONE, ONE, phis))
+    assert (points[1].branch, points[1].flagged) == (0, True)
+    branches = solve_angles(target_transform(ONE, ONE, 0.5)).branches
+    d1, d2 = (triple_distance(angles, points[1].angles) for angles in branches)
+    assert kept == (1 if d1 <= d2 else 2)
+    assert (points[2].branch, points[2].angles) == (kept, branches[kept - 1])
+    assert points[3].branch == kept
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_phase_is_rejected(bad):
+    with pytest.raises(ValueError, match="phase must be a finite number"):
+        target_transform(FIG5_Q, FIG5_R, bad)
+    # the ramp streams: the row before the bad phase comes out, then it raises
+    points = ramp_trajectory(FIG5_Q, FIG5_R, [0.0, bad, 1.0])
+    assert next(points).branch == 1
+    with pytest.raises(ValueError, match="phase must be a finite number"):
+        next(points)
+
+
 @pytest.mark.parametrize("d, flagged", [(1e-5, True), (9e-5, True), (1.1e-4, False),
                                         (2e-4, False)])
 def test_near_singular_rows_are_flagged_by_c_alone(d, flagged):

@@ -109,8 +109,8 @@ def test_apply_phase():
 
 
 def test_orthogonal_sop():
-    assert allclose(orthogonal_sop(ONE, 0.0), J, 1e-15)
-    assert allclose(orthogonal_sop(ONE, math.pi / 2), K, 1e-15)
+    assert allclose(apply_phase(orthogonal_sop(ONE), 0.0), J, 1e-15)
+    assert allclose(apply_phase(orthogonal_sop(ONE), math.pi / 2), K, 1e-15)
 
 
 def test_classify_examples():
@@ -136,7 +136,7 @@ def test_classify_quaternion_orthogonal_only():
 
 def test_classify_rejects_zero():
     with pytest.raises(ValueError):
-        classify_orthogonality(Quaternion(), ONE)
+        classify_orthogonality(Quaternion(0.0, 0.0, 0.0, 0.0), ONE)
 
 
 def test_from_ellipse_values():
@@ -169,7 +169,9 @@ def test_to_ellipse_values():
     assert abs(e.epsilon) <= 1e-12 and abs(e.theta - math.pi / 4) <= 1e-12
 
     with pytest.raises(ValueError):
-        to_ellipse(Quaternion())
+        to_ellipse(Quaternion(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):   # R overflows a float
+        to_ellipse(Quaternion(1e308, 1e308, 1e308, 1e308))
 
 
 @pytest.mark.parametrize("q, want", [

@@ -28,7 +28,10 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   directory's path reads the same in both trees' output.
 
 A run's output is its exit code, stdout and stderr.  One line per artifact,
-`identical` or `different`; the exit status is 0 when all are identical.
+`identical` or `different`; an artifact of several runs adds how many differ
+and names the first that does: its argv for `solve` and `convert`, its index
+(the row of a ramp, the target of `solve_angles`) for the records.  The exit
+status is 0 when all are identical.
 Standard library only, and not part of the test suite: run it on a change
 that must keep the program's output.
 """
@@ -43,10 +46,11 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -203,12 +207,19 @@ def main(argv: list) -> int:
         return 2
     spec = {"solves": _solve_argvs(), "converts": _convert_argvs(), **_record_spec()}
     parent, change = (_run_tree(Path(src).resolve(), spec) for src in argv)
+    argvs = {"solve output": spec["solves"], "convert output": spec["converts"]}
     different = 0
     for name in {**parent, **change}:   # a name only one tree has differs
-        runs = parent.get(name) or [None] * len(change[name])
-        diff = sum(a != b for a, b in zip(runs, change.get(name) or [None] * len(runs)))
-        different += diff > 0
-        runs_note = f" ({diff} of {len(runs)} runs differ)" if len(runs) > 1 else ""
+        runs = list(zip_longest(parent.get(name, ()), change.get(name, ())))
+        diff = [k for k, (a, b) in enumerate(runs) if a != b]
+        different += bool(diff)
+        runs_note = ""
+        if len(runs) > 1:
+            runs_note = f" ({len(diff)} of {len(runs)} runs differ"
+            if diff:
+                first = shlex.join(argvs[name][diff[0]]) if name in argvs else diff[0]
+                runs_note += f"; first: {first}"
+            runs_note += ")"
         print(f"{'different' if diff else 'identical'}  {name}{runs_note}")
     return 1 if different else 0
 
