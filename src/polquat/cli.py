@@ -15,10 +15,11 @@ import re
 import sys
 
 from . import shifter
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _product
 from .signal import (
     EllipseParams,
     JonesVector,
+    _ellipse_parts,
     from_ellipse,
     from_jones,
     stokes,
@@ -191,7 +192,9 @@ def cmd_solve(args) -> int:
 
 def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
     """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
-    `shifter.RampPoint` with the ellipse of its output q * forward(angles).
+    `shifter.RampPoint` with the ellipse (r, phi, epsilon, theta) of its
+    output q * forward(angles), as floats checked by the range rule of
+    `EllipseParams`.
 
     The signals are checked before this returns (ValueError unless unit);
     then each phase is drawn, solved and given its ellipse as its row is
@@ -199,7 +202,8 @@ def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
     """
     points = shifter.ramp_trajectory(
         q, r, (2.0 * math.pi * k / (samples - 1) for k in range(samples)))
-    return ((pt, to_ellipse(q * shifter.forward_transform(pt.angles))) for pt in points)
+    return ((pt, _ellipse_parts(*_product(q, shifter.forward_transform(pt.angles))))
+            for pt in points)
 
 
 # one ramp CSV row; + 0.0 on each value turns a negative zero into 0.0, so

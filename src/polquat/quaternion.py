@@ -64,8 +64,10 @@ def _record(typename: str, fields: str) -> type:
     `_new(cls, values)`, with `values` a tuple of every field in field order,
     builds the record in one C call, skipping the Python `__new__` frame the
     named tuple generates.  It checks nothing, so it builds only the types
-    whose constructor checks nothing, and ends a validating `__new__` only
-    after that `__new__` has made its checks.
+    whose constructor checks nothing, ends a validating `__new__` only after
+    that `__new__` has made its checks, and builds a validating record only
+    from values that its own check has just returned (`to_ellipse` builds
+    its `EllipseParams` from the tuple `_check_ellipse` returns).
     """
     base = namedtuple(typename, fields)
     base.__eq__ = _same_type_eq
@@ -112,17 +114,18 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = self, other
+        return _new(Quaternion, (p0 + q0, p1 + q1, p2 + q2, p3 + q3))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 - other.q0, self.q1 - other.q1,
-                          self.q2 - other.q2, self.q3 - other.q3)
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = self, other
+        return _new(Quaternion, (p0 - q0, p1 - q1, p2 - q2, p3 - q3))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        q0, q1, q2, q3 = self
+        return _new(Quaternion, (-q0, -q1, -q2, -q3))
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
@@ -149,7 +152,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     # -- conjugations -------------------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
+        q0, q1, q2, q3 = self
+        return _new(Quaternion, (q0, -q1, -q2, -q3))
 
     def partial_conjugate(self, axis: Axis) -> "Quaternion":
         """Negate only the `axis` component of the vector part.
@@ -190,7 +194,7 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return self * (1.0 / n)
 
     def is_unit(self) -> bool:
-        return abs(self.norm() - 1.0) <= UNIT_TOL
+        return abs(math.hypot(*self) - 1.0) <= UNIT_TOL
 
     # -- transcendental -------------------------------------------------------
 
@@ -244,10 +248,11 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
 
     The scalar part and the vector-part magnitude are preserved; the vector
     part is rotated by angle 2*theta about axis v.  Raises ValueError unless
-    v is a unit vector quaternion.
+    v is a unit vector quaternion and theta is finite.
     """
     if abs(v.q0) > UNIT_TOL or not v.is_unit():
         raise ValueError("axis must be a unit vector quaternion")
+    _require_finite(theta, "precession angle")
     c = math.cos(theta)
     s = math.sin(theta)
     e_pos = Quaternion(c, v.q1 * s, v.q2 * s, v.q3 * s)
@@ -264,3 +269,8 @@ def allclose(p: Quaternion, q: Quaternion, tol: float) -> bool:
 def _require_unit(q: Quaternion, what: str) -> None:
     if not q.is_unit():
         raise ValueError(f"{what} must be a unit quaternion, |q| = {q.norm()!r}")
+
+
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")

@@ -31,12 +31,8 @@ import math
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .quaternion import Quaternion, _new, _product, _record, _require_unit
-from .signal import _stokes_parts
-
-_PI = math.pi
-_HALF_PI = math.pi / 2
-_QUARTER_PI = math.pi / 4
+from .quaternion import Quaternion, _new, _product, _record, _require_finite, _require_unit
+from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts
 
 # |c1| or |c2| at or below this is treated as exactly singular.  A family
 # member realizes the nearest target with c = 0, so its residual is about c:
@@ -134,9 +130,10 @@ def reduce_angle(psi: float) -> float:
 
 def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:
     """Max per-angle modulo-pi distance between two triples."""
-    return max(abs(math.remainder(a.psi_a - b.psi_a, _PI)),
-               abs(math.remainder(a.psi_b - b.psi_b, _PI)),
-               abs(math.remainder(a.psi_c - b.psi_c, _PI)))
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return max(abs(math.remainder(a0 - b0, _PI)),
+               abs(math.remainder(a1 - b1, _PI)),
+               abs(math.remainder(a2 - b2, _PI)))
 
 
 def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
@@ -162,16 +159,11 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
     Raises ValueError unless both signals are unit and phi is finite.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
-    _require_finite(phi)
+    _require_finite(phi, "phase")
     c = math.cos(phi)
     n = math.sin(phi)
     return _new(Quaternion, (c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2,
                              c * a3 + n * b3))
-
-
-def _require_finite(phi: float) -> None:
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be a finite number, got {phi!r}")
 
 
 def forward_transform(angles: WaveplateAngles) -> Quaternion:
@@ -319,7 +311,7 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     prev: WaveplateAngles | None = None
     branch = 1
     for phi in phi_samples:
-        _require_finite(phi)
+        _require_finite(phi, "phase")
         c = math.cos(phi)
         n = math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3

@@ -24,15 +24,31 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .quaternion import J, Quaternion, _new, _record
+from .quaternion import J, Quaternion, _new, _product, _record, _require_finite
 
 _PI = math.pi
+_QUARTER_PI = _PI / 4
+_HALF_PI = _PI / 2
 
 
 class JonesVector(_record("JonesVector", "ex ey")):
     """Complex transverse field components (arbitrary field units)."""
 
     __slots__ = ()
+
+
+def _check_ellipse(r: float, phi: float, epsilon: float, theta: float) -> tuple:
+    """(r, phi, epsilon, theta) after the range rule of `EllipseParams`;
+    ValueError names the first field outside its range."""
+    if not r >= 0.0:
+        raise ValueError(f"magnitude must be nonnegative, got {r!r}")
+    if not -_PI < phi <= _PI:
+        raise ValueError(f"phase {phi!r} outside (-pi, pi]")
+    if not -_QUARTER_PI <= epsilon <= _QUARTER_PI:
+        raise ValueError(f"ellipticity {epsilon!r} outside [-pi/4, pi/4]")
+    if not -_HALF_PI < theta <= _HALF_PI:
+        raise ValueError(f"orientation {theta!r} outside (-pi/2, pi/2]")
+    return (r, phi, epsilon, theta)
 
 
 class EllipseParams(_record("EllipseParams", "r phi epsilon theta")):
@@ -48,15 +64,7 @@ class EllipseParams(_record("EllipseParams", "r phi epsilon theta")):
     __slots__ = ()
 
     def __new__(cls, r: float, phi: float, epsilon: float, theta: float):
-        if not r >= 0.0:
-            raise ValueError(f"magnitude must be nonnegative, got {r!r}")
-        if not -_PI < phi <= _PI:
-            raise ValueError(f"phase {phi!r} outside (-pi, pi]")
-        if not -_PI / 4 <= epsilon <= _PI / 4:
-            raise ValueError(f"ellipticity {epsilon!r} outside [-pi/4, pi/4]")
-        if not -_PI / 2 < theta <= _PI / 2:
-            raise ValueError(f"orientation {theta!r} outside (-pi/2, pi/2]")
-        return _new(cls, (r, phi, epsilon, theta))
+        return _new(cls, _check_ellipse(r, phi, epsilon, theta))
 
 
 class StokesQuaternion(_record("StokesQuaternion", "s1 s2 s3")):
@@ -141,8 +149,10 @@ def classical_from_jones(v: JonesVector) -> ClassicalStokes:
 # -- phase and SOP manipulation ----------------------------------------------
 
 def apply_phase(q: Quaternion, phi: float) -> Quaternion:
-    """Left multiplication by e^(i phi): shifts the optical phase by phi."""
-    return Quaternion(math.cos(phi), math.sin(phi), 0.0, 0.0) * q
+    """Left multiplication by e^(i phi): shifts the optical phase by phi.
+    Raises ValueError unless phi is finite."""
+    _require_finite(phi, "phase")
+    return _new(Quaternion, _product((math.cos(phi), math.sin(phi), 0.0, 0.0), q))
 
 
 def orthogonal_sop(q: Quaternion) -> Quaternion:
@@ -206,10 +216,9 @@ def from_ellipse(e: EllipseParams) -> Quaternion:
     ellipticity and orientation; other orders describe the same state with
     different parameter meanings.
     """
-    phase = Quaternion(math.cos(e.phi), math.sin(e.phi), 0.0, 0.0)
     ell = Quaternion(math.cos(e.epsilon), 0.0, 0.0, math.sin(e.epsilon))
     ori = Quaternion(math.cos(e.theta), 0.0, math.sin(e.theta), 0.0)
-    return (phase * ell * ori) * e.r
+    return (apply_phase(ell, e.phi) * ori) * e.r
 
 
 def to_ellipse(q: Quaternion) -> EllipseParams:
@@ -224,13 +233,21 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     component: the power-of-two scale is exact, so unit-scale signals give
     the same angles as q itself, while huge and denormal ones neither
     overflow nor underflow when squared.  Raises ValueError for the zero
-    signal and for a signal whose norm R overflows a float.
+    signal, for a signal with a non-finite component and for a signal whose
+    norm R overflows a float.
     """
-    u0, u1, u2, u3 = q
+    return _new(EllipseParams, _ellipse_parts(*q))
+
+
+def _ellipse_parts(u0: float, u1: float, u2: float, u3: float) -> tuple:
+    """The ellipse (r, phi, epsilon, theta) of `to_ellipse` for the signal
+    (u0, u1, u2, u3), as floats checked by `_check_ellipse`."""
     r = math.hypot(u0, u1, u2, u3)
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
-    if r == math.inf:
+    if not r < math.inf:   # hypot is inf for an inf component, nan for a nan one
+        for u in (u0, u1, u2, u3):
+            _require_finite(u, "signal component")
         raise ValueError("the signal's norm overflows a float")
     _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
     if e:
@@ -246,7 +263,7 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
         theta = 0.0
     else:
         theta = 0.5 * math.atan2(s3, s1)
-        if theta <= -_PI / 2:
+        if theta <= -_HALF_PI:
             theta += _PI
     # res = u * e^(-j theta) * e^(-k epsilon) / |u|, expanded
     ct, st = math.cos(theta), math.sin(theta)
@@ -263,4 +280,4 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     phi = math.atan2(res1, res0)
     if phi == -_PI:
         phi = _PI
-    return EllipseParams(r, phi, epsilon, theta)
+    return _check_ellipse(r, phi, epsilon, theta)

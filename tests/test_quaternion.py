@@ -14,6 +14,7 @@ from polquat import (
     OrthogonalityClass,
     Quaternion,
     allclose,
+    apply_phase,
     classify_orthogonality,
     precess,
 )
@@ -34,6 +35,20 @@ def test_identity_and_scalar_multiplication():
     assert ONE * q == q
     assert q * ONE == q
     assert 2.0 * q == q * 2.0 == q + q
+
+
+@given(quats, quats, finite)
+def test_arithmetic_builds_quaternions_of_the_componentwise_floats(q, p, phi):
+    # repr tells a Quaternion from another record or a tuple, and -0.0 from 0.0
+    q0, q1, q2, q3 = q
+    p0, p1, p2, p3 = p
+    phase = Quaternion(math.cos(phi), math.sin(phi), 0.0, 0.0)
+    for got, want in [(q + p, (q0 + p0, q1 + p1, q2 + p2, q3 + p3)),
+                      (q - p, (q0 - p0, q1 - p1, q2 - p2, q3 - p3)),
+                      (-q, (-q0, -q1, -q2, -q3)),
+                      (q.conjugate(), (q0, -q1, -q2, -q3)),
+                      (apply_phase(p, phi), tuple(phase * p))]:
+        assert repr(got) == repr(Quaternion(*want))
 
 
 def test_conjugate():

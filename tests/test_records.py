@@ -22,8 +22,10 @@ from polquat import (
     ramp_trajectory,
     solve_angles,
     target_transform,
+    to_ellipse,
 )
 from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
+from polquat.cli import ramp_rows
 from polquat.shifter import SingularFamily
 
 
@@ -129,7 +131,8 @@ def test_fast_built_records_equal_their_constructors(q, r):
         p = target_transform(q, r, pt.phi)
         sol = solve_angles(p)
         records += [(pt, RampPoint), (pt.angles, WaveplateAngles), (p, Quaternion),
-                    (forward_transform(pt.angles), Quaternion), (sol, ShifterSolution)]
+                    (forward_transform(pt.angles), Quaternion), (sol, ShifterSolution),
+                    (to_ellipse(q * forward_transform(pt.angles)), EllipseParams)]
         if sol.family is None:
             records += [(angles, WaveplateAngles) for angles in sol.branches]
         else:
@@ -139,3 +142,13 @@ def test_fast_built_records_equal_their_constructors(q, r):
         assert any(cls is SingularFamily for _, cls in records)
     for record, cls in records:
         _assert_constructor_twin(record, cls)
+
+
+@pytest.mark.parametrize("q, r", [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R)], ids=["fig5", "fig7"])
+def test_ramp_row_ellipses_are_the_fields_of_to_ellipse(q, r):
+    # a ramp row holds its ellipse as checked floats, not a record; they are
+    # the fields of the record to_ellipse builds for the row's output
+    rows = list(ramp_rows(q, r, 256))
+    assert len(rows) == 256
+    for pt, ellipse in rows:
+        assert ellipse == tuple(to_ellipse(q * forward_transform(pt.angles)))

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from polquat import (
@@ -23,10 +24,13 @@ from polquat import (
     from_ellipse,
     from_jones,
     orthogonal_sop,
+    precess,
     stokes,
+    target_transform,
     to_ellipse,
     to_jones,
 )
+from polquat.signal import _check_ellipse, _ellipse_parts
 from util import rand_quat
 
 SQ2 = math.sqrt(2.0)
@@ -148,14 +152,16 @@ def test_from_ellipse_values():
 
 
 def test_ellipse_range_validation():
-    with pytest.raises(ValueError):
-        EllipseParams(-1.0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        EllipseParams(1.0, 4.0, 0, 0)
-    with pytest.raises(ValueError):
-        EllipseParams(1.0, 0, 1.0, 0)
-    with pytest.raises(ValueError):
-        EllipseParams(1.0, 0, 0, 2.0)
+    # the record and the float-level rule raise the same message
+    for check in (EllipseParams, _check_ellipse):
+        with pytest.raises(ValueError, match=r"^magnitude must be nonnegative, got -1\.0$"):
+            check(-1.0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"^phase 4\.0 outside \(-pi, pi\]$"):
+            check(1.0, 4.0, 0, 0)
+        with pytest.raises(ValueError, match=r"^ellipticity 1\.0 outside \[-pi/4, pi/4\]$"):
+            check(1.0, 0, 1.0, 0)
+        with pytest.raises(ValueError, match=r"^orientation 2\.0 outside \(-pi/2, pi/2\]$"):
+            check(1.0, 0, 0, 2.0)
 
 
 def test_to_ellipse_values():
@@ -189,6 +195,36 @@ def test_to_ellipse_is_scale_safe(q, want):
     # the same angles as the unit-scale signal
     unit = to_ellipse(Quaternion(*(math.copysign(1.0, c) if c else 0.0 for c in q)))
     assert (e.phi, e.epsilon, e.theta) == (unit.phi, unit.epsilon, unit.theta)
+
+
+@given(st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4),
+       st.sampled_from([1.0, 2.0 ** 1000, 2.0 ** -1000, 2.0 ** -1060]))
+def test_to_ellipse_is_the_record_of_the_float_path(u, scale):
+    # unit, huge, tiny and denormal signals; the ramp rows take the floats
+    q = Quaternion(*(x * scale for x in u))
+    assume(any(q))
+    e = to_ellipse(q)
+    assert type(e) is EllipseParams and tuple(e) == _ellipse_parts(*q)
+    assert EllipseParams(*e) == e
+
+
+# each public function that takes a real number rejects a non-finite one,
+# naming it, where it would return NaN or fail in a math call
+_NON_FINITE_INPUTS = {
+    "apply_phase": (lambda x: apply_phase(ONE, x), "phase"),
+    "precess": (lambda x: precess(I, J, x), "precession angle"),
+    "target_transform": (lambda x: target_transform(ONE, J, x), "phase"),
+    "to_ellipse": (lambda x: to_ellipse(Quaternion(0.6, 0.0, x, 0.8)), "signal component"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_NON_FINITE_INPUTS))
+def test_a_non_finite_input_is_rejected_by_name(name, value):
+    call, what = _NON_FINITE_INPUTS[name]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{what} must be a finite number, got {value!r}") + "$"):
+        call(value)
 
 
 angles = st.floats(min_value=-math.pi + 1e-6, max_value=math.pi,

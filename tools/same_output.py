@@ -19,9 +19,12 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
 * the records themselves, which a wrong type or field order changes even
   where the text printed from them stays the same: the `repr` of every
   `shifter.ramp_trajectory` point of FIG5, FIG7 and the identity at 256
-  samples (the phases `polquat ramp` uses), and of `solve_angles(
+  samples (the phases `polquat ramp` uses) and of the `to_ellipse` of its
+  output q * forward_transform(angles); of `solve_angles(
   target_transform(q, r, phi))` and its `family_samples` for each of the
-  solve targets above;
+  solve targets above, and of q - r, q + r, -q, q.conjugate() and
+  apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
+  ramp signals scaled to huge and denormal size;
 * each demo script and the README quick start of the tree (`src/..`), run
   the way tests/test_demos.py runs them: copied into a temporary directory,
   which is also the working directory, with numpy unimportable.  The
@@ -59,6 +62,8 @@ import inputs  # noqa: E402  (stdlib only)
 
 RAMP_SAMPLES = (2, 256, 4096)
 RECORD_RAMP_SAMPLES = 256
+# huge, unit, tiny and denormal: the scales of the `to_ellipse` record artifact
+ELLIPSE_SCALES = (2.0 ** 1000, 1e300, 1.0, 2.0 ** -1000, 1e-310)
 SOLVE_RUNS = 2000
 FORMS = ("quat", "jones", "ellipse", "stokes")
 CONVERT_INPUTS = {
@@ -141,7 +146,7 @@ def _child() -> None:
     """Run the spec read from stdin with the `polquat` on the import path and
     print {"polquat": its file, "artifacts": {name: [digest per run]}}."""
     import polquat
-    from polquat import Quaternion, cli, shifter
+    from polquat import Quaternion, cli, shifter, signal
 
     def digest(argv, path=None) -> str:
         out, err = io.StringIO(), io.StringIO()
@@ -160,12 +165,23 @@ def _child() -> None:
     n = RECORD_RAMP_SAMPLES
     phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
     for name, q, r in spec["record_ramps"]:
-        points = shifter.ramp_trajectory(Quaternion(*q), Quaternion(*r), phis)
+        q = Quaternion(*q)
+        points = list(shifter.ramp_trajectory(q, Quaternion(*r), phis))
         artifacts[f"ramp_trajectory records {name} {n}"] = list(map(digest_repr, points))
-    solutions = (shifter.solve_angles(shifter.target_transform(
-        Quaternion(*q), Quaternion(*r), phi)) for q, r, phi in spec["record_solves"])
+        artifacts[f"to_ellipse records {name} {n}"] = [
+            digest_repr(signal.to_ellipse(q * shifter.forward_transform(pt.angles)))
+            for pt in points]
+    solves = [(Quaternion(*q), Quaternion(*r), phi) for q, r, phi in spec["record_solves"]]
+    solutions = (shifter.solve_angles(shifter.target_transform(q, r, phi))
+                 for q, r, phi in solves)
     artifacts["solve_angles records"] = [digest_repr((sol, sol.family_samples))
                                          for sol in solutions]
+    artifacts["arithmetic records"] = [
+        digest_repr((q - r, q + r, -q, q.conjugate(), signal.apply_phase(r, phi)))
+        for q, r, phi in solves]
+    artifacts["to_ellipse records scaled"] = [
+        digest_repr(signal.to_ellipse(Quaternion(*q) * scale))
+        for q in spec["ellipse_signals"] for scale in ELLIPSE_SCALES]
     artifacts["check stdout"] = [digest(["check"])]
     artifacts["solve output"] = [digest(argv) for argv in spec["solves"]]
     artifacts["convert output"] = [digest(argv) for argv in spec["converts"]]
@@ -177,7 +193,9 @@ def _record_spec() -> dict:
     one = (1.0, 0.0, 0.0, 0.0)
     return {"record_ramps": [("fig5", *inputs.FIG5), ("fig7", *inputs.FIG7),
                              ("identity", one, one)],
-            "record_solves": [(case.q, case.r, case.phi) for case in _solve_cases()]}
+            "record_solves": [(case.q, case.r, case.phi) for case in _solve_cases()],
+            "ellipse_signals": [[float(x) for x in text.split(",")]
+                                for _, q, r in _ramp_pairs() for text in (q, r)]}
 
 
 def _run_tree(src: Path, spec: dict) -> dict:
