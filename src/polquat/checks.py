@@ -212,8 +212,8 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
 def _constant_sop(rows) -> str:
     """The output SOP holds still along a ramp: the spreads of the output
     orientation and ellipticity over the rows of `cli.ramp_rows`."""
-    thetas = [theta for _, (_, _, _, theta) in rows]
-    epss = [epsilon for _, (_, _, epsilon, _) in rows]
+    thetas = [ell.theta for _, ell in rows]
+    epss = [ell.epsilon for _, ell in rows]
     return ", ".join([_within("orientation", max(thetas) - min(thetas), 1e-8),
                       _within("ellipticity", max(epss) - min(epss), 1e-8)])
 
@@ -225,12 +225,12 @@ def check_fig5_ramp() -> str:
     rows = list(cli.ramp_rows(FIG5_Q, FIG5_R, RAMP_SAMPLES))
     residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-9)
     phases = []
-    for pt, (_, phase, _, _) in rows:
+    for pt, ell in rows:
         _require(not pt.flagged, "no singular crossing expected, flagged at phi=%r", pt.phi)
         _require(pt.branch == rows[0][0].branch, "branch changed at phi=%r", pt.phi)
         # unwrapped: each step is the wrapped phase difference, in [-pi, pi]
-        prev = phases[-1] if phases else phase
-        phases.append(prev + math.remainder(phase - prev, 2.0 * math.pi))
+        prev = phases[-1] if phases else ell.phi
+        phases.append(prev + math.remainder(ell.phi - prev, 2.0 * math.pi))
     span = phases[-1] - phases[0]
     line = max(abs(phase - (phases[0] + pt.phi)) for phase, (pt, _) in zip(phases, rows))
     return ", ".join([residual, _constant_sop(rows),

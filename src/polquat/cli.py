@@ -19,7 +19,6 @@ from .quaternion import Quaternion, _product
 from .signal import (
     EllipseParams,
     JonesVector,
-    _ellipse_parts,
     from_ellipse,
     from_jones,
     stokes,
@@ -192,9 +191,7 @@ def cmd_solve(args) -> int:
 
 def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
     """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
-    `shifter.RampPoint` with the ellipse (r, phi, epsilon, theta) of its
-    output q * forward(angles), as floats checked by the range rule of
-    `EllipseParams`.
+    `shifter.RampPoint` with the ellipse of its output q * forward(angles).
 
     The signals are checked before this returns (ValueError unless unit);
     then each phase is drawn, solved and given its ellipse as its row is
@@ -202,7 +199,7 @@ def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
     """
     points = shifter.ramp_trajectory(
         q, r, (2.0 * math.pi * k / (samples - 1) for k in range(samples)))
-    return ((pt, _ellipse_parts(*_product(q, shifter.forward_transform(pt.angles))))
+    return ((pt, to_ellipse(_product(q, shifter.forward_transform(pt.angles))))
             for pt in points)
 
 

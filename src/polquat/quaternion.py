@@ -114,8 +114,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        (p0, p1, p2, p3), (q0, q1, q2, q3) = self, other
-        return _new(Quaternion, (p0 + q0, p1 + q1, p2 + q2, p3 + q3))
+        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
+                          self.q2 + other.q2, self.q3 + other.q3)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
@@ -124,8 +124,7 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return _new(Quaternion, (p0 - q0, p1 - q1, p2 - q2, p3 - q3))
 
     def __neg__(self) -> "Quaternion":
-        q0, q1, q2, q3 = self
-        return _new(Quaternion, (-q0, -q1, -q2, -q3))
+        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
@@ -152,8 +151,7 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     # -- conjugations -------------------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        q0, q1, q2, q3 = self
-        return _new(Quaternion, (q0, -q1, -q2, -q3))
+        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
 
     def partial_conjugate(self, axis: Axis) -> "Quaternion":
         """Negate only the `axis` component of the vector part.
@@ -194,7 +192,7 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return self * (1.0 / n)
 
     def is_unit(self) -> bool:
-        return abs(math.hypot(*self) - 1.0) <= UNIT_TOL
+        return abs(self.norm() - 1.0) <= UNIT_TOL
 
     # -- transcendental -------------------------------------------------------
 

@@ -234,14 +234,10 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     the same angles as q itself, while huge and denormal ones neither
     overflow nor underflow when squared.  Raises ValueError for the zero
     signal, for a signal with a non-finite component and for a signal whose
-    norm R overflows a float.
+    norm R overflows a float.  q may also be the plain 4-tuple of the
+    components (the ramp rows pass the one `_product` returns).
     """
-    return _new(EllipseParams, _ellipse_parts(*q))
-
-
-def _ellipse_parts(u0: float, u1: float, u2: float, u3: float) -> tuple:
-    """The ellipse (r, phi, epsilon, theta) of `to_ellipse` for the signal
-    (u0, u1, u2, u3), as floats checked by `_check_ellipse`."""
+    u0, u1, u2, u3 = q
     r = math.hypot(u0, u1, u2, u3)
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
@@ -280,4 +276,4 @@ def _ellipse_parts(u0: float, u1: float, u2: float, u3: float) -> tuple:
     phi = math.atan2(res1, res0)
     if phi == -_PI:
         phi = _PI
-    return _check_ellipse(r, phi, epsilon, theta)
+    return _new(EllipseParams, _check_ellipse(r, phi, epsilon, theta))

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polquat import Quaternion, cli
+from polquat import Quaternion, cli, to_ellipse
 from polquat.checks import check_fig5_ramp, check_fig7_singular
 from polquat.cli import CSV_HEADER, main
-from polquat.signal import _ellipse_parts
 
 FIG5_Q = "-0.8888888888888888,0.2222222222222222,0.3333333333333333,0.2222222222222222"
 FIG5_R = "0.2857142857142857,-0.42857142857142855,0,-0.8571428571428571"
@@ -236,29 +235,25 @@ def test_ramp_csv_bytes_are_pinned(tmp_path, capsys, q, r):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _RAMP_SHA256[q, r]
 
 
-def _j_k_swapped(u0, u1, u2, u3):
+def _j_k_swapped(out):
     """The ellipse of the output with its j and k components swapped."""
-    return _ellipse_parts(u0, u1, u3, u2)
-
-
-def _phase_frozen(*u):
-    r, _, epsilon, theta = _ellipse_parts(*u)
-    return (r, 0.0, epsilon, theta)
+    q0, q1, q2, q3 = out
+    return to_ellipse(Quaternion(q0, q1, q3, q2))
 
 
 @pytest.mark.parametrize("wrong, failure", [
     (_j_k_swapped, "orientation"),
-    (_phase_frozen, "span-2pi"),
+    (lambda out: to_ellipse(out)._replace(phi=0.0), "span-2pi"),
 ], ids=["j-k-swapped", "phase-frozen"])
 def test_fig5_group_checks_the_ellipses_ramp_writes(monkeypatch, wrong, failure):
     # the group reads the rows of `cli.ramp_rows`, so a wrong ellipse there fails it
-    monkeypatch.setattr(cli, "_ellipse_parts", wrong)
+    monkeypatch.setattr(cli, "to_ellipse", wrong)
     with pytest.raises(AssertionError, match=failure):
         check_fig5_ramp()
 
 
 def test_fig7_group_checks_the_output_sop(monkeypatch):
-    monkeypatch.setattr(cli, "_ellipse_parts", _j_k_swapped)
+    monkeypatch.setattr(cli, "to_ellipse", _j_k_swapped)
     with pytest.raises(AssertionError, match="orientation"):
         check_fig7_singular()
 

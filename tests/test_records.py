@@ -145,10 +145,11 @@ def test_fast_built_records_equal_their_constructors(q, r):
 
 
 @pytest.mark.parametrize("q, r", [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R)], ids=["fig5", "fig7"])
-def test_ramp_row_ellipses_are_the_fields_of_to_ellipse(q, r):
-    # a ramp row holds its ellipse as checked floats, not a record; they are
-    # the fields of the record to_ellipse builds for the row's output
+def test_ramp_row_ellipses_are_the_records_of_to_ellipse(q, r):
+    # a ramp row passes its output to to_ellipse as a plain tuple; its ellipse
+    # is the record to_ellipse builds for the output Quaternion
     rows = list(ramp_rows(q, r, 256))
     assert len(rows) == 256
     for pt, ellipse in rows:
-        assert ellipse == tuple(to_ellipse(q * forward_transform(pt.angles)))
+        assert repr(ellipse) == repr(to_ellipse(q * forward_transform(pt.angles)))
+        _assert_constructor_twin(ellipse, EllipseParams)
