@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from . import cli, jones, shifter
+from . import jones, shifter
 from .components import (
     PartialPolarizer,
     Waveplate,
@@ -211,7 +211,7 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
 
 def _constant_sop(rows) -> str:
     """The output SOP holds still along a ramp: the spreads of the output
-    orientation and ellipticity over the rows of `cli.ramp_rows`."""
+    orientation and ellipticity over the rows of `shifter.ramp_rows`."""
     thetas = [ell.theta for _, ell in rows]
     epss = [ell.epsilon for _, ell in rows]
     return ", ".join([_within("orientation", max(thetas) - min(thetas), 1e-8),
@@ -221,8 +221,8 @@ def _constant_sop(rows) -> str:
 def check_fig5_ramp() -> str:
     """Smooth, unflagged ramp on one branch: constant output SOP and an
     output phase that runs along a straight line through exactly 2*pi.  Both
-    ramp groups check the rows `polquat ramp` writes (`cli.ramp_rows`)."""
-    rows = list(cli.ramp_rows(FIG5_Q, FIG5_R, RAMP_SAMPLES))
+    ramp groups check the rows `polquat ramp` writes (`shifter.ramp_rows`)."""
+    rows = list(shifter.ramp_rows(FIG5_Q, FIG5_R, RAMP_SAMPLES))
     residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-9)
     phases = []
     for pt, ell in rows:
@@ -244,7 +244,7 @@ def check_fig7_singular() -> str:
     eq, er = to_ellipse(FIG7_Q), to_ellipse(FIG7_R)
     _require(abs(eq.epsilon + 0.23) <= 0.01, "input ellipticity %r", eq.epsilon)
     eps = _within("equal-ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
-    rows = list(cli.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES))
+    rows = list(shifter.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES))
     points = [pt for pt, _ in rows]
     residual = _within("residual", max(pt.residual for pt in points), 1e-9)
     flagged = [i for i, pt in enumerate(points) if pt.flagged]

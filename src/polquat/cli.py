@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import shifter
-from .quaternion import Quaternion, _product
+from .quaternion import Quaternion
 from .signal import (
     EllipseParams,
     JonesVector,
@@ -189,20 +189,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def ramp_rows(q: Quaternion, r: Quaternion, samples: int):
-    """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
-    `shifter.RampPoint` with the ellipse of its output q * forward(angles).
-
-    The signals are checked before this returns (ValueError unless unit);
-    then each phase is drawn, solved and given its ellipse as its row is
-    read, so no row is kept.
-    """
-    points = shifter.ramp_trajectory(
-        q, r, (2.0 * math.pi * k / (samples - 1) for k in range(samples)))
-    return ((pt, to_ellipse(_product(q, shifter.forward_transform(pt.angles))))
-            for pt in points)
-
-
 # one ramp CSV row; + 0.0 on each value turns a negative zero into 0.0, so
 # identical values print identically
 _CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
@@ -213,7 +199,7 @@ def cmd_ramp(args) -> int:
     r = _parse_quat_arg(args.r, "--r")
     if args.samples < 2:
         raise BadInput("--samples must be at least 2")
-    rows = ramp_rows(q, r, args.samples)
+    rows = shifter.ramp_rows(q, r, args.samples)
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")

@@ -31,8 +31,9 @@ import math
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .quaternion import Quaternion, _new, _product, _record, _require_finite, _require_unit
-from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts
+from .quaternion import (UNIT_TOL, Quaternion, _new, _product, _record, _require_finite,
+                         _require_unit)
+from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts, to_ellipse
 
 # |c1| or |c2| at or below this is treated as exactly singular.  A family
 # member realizes the nearest target with c = 0, so its residual is about c:
@@ -141,6 +142,11 @@ def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
     vector of q, after checking both signals are unit.  Every operation of
     `stokes(q).as_quaternion().normalized()` is written out, zero terms
     included, and the products are `Quaternion`'s, so the floats are theirs.
+
+    Two signals each within UNIT_TOL of unit can have |P0| = |q| |r| up to
+    twice that off unit; P0 is then divided by its norm, so the line is that
+    of the unit states the signals approximate.  s P0 is orthogonal to P0
+    and as long, so every target cos(phi) P0 + sin(phi) s P0 is unit.
     """
     _require_unit(q_in, "input signal")
     _require_unit(r_out, "output signal")
@@ -148,6 +154,9 @@ def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
     s1, s2, s3 = _stokes_parts(q0, q1, q2, q3)
     inv = 1.0 / math.hypot(0.0, s1, s2, s3)
     base = _product((q0, -q1, -q2, -q3), r_out)
+    norm = math.hypot(*base)
+    if abs(norm - 1.0) > UNIT_TOL:
+        base = tuple(x / norm for x in base)
     return base, _product((0.0 * inv, s1 * inv, s2 * inv, s3 * inv), base)
 
 
@@ -156,7 +165,9 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
 
     Evaluated as cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, since s is
     a unit vector quaternion and exp(s phi) = cos(phi) + s sin(phi).
-    Raises ValueError unless both signals are unit and phi is finite.
+    Raises ValueError unless both signals are unit and phi is finite.  p is
+    unit even where the product of the two signals' norms is not (see
+    `_target_line`), so `solve_angles` accepts it.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
     _require_finite(phi, "phase")
@@ -190,28 +201,23 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
 def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
 
-    Returns (kind, c1, c2, a_half, b_half, t_half) with the kind of
-    `_classify` (None for a regular target), the moduli c1 = |p0 + p2 j| and
-    c2 = |p1 + p3 j|, the half angles a_half = arg(p1 + p3 j) / 2 and
-    b_half = arg(p0 + p2 j) / 2, and t_half = arctan(c1 / c2) / 2.  The
-    caller checks that p is unit: `solve_angles` checks p itself, and a ramp
-    row's target has |p| = |q| |r| for the signals `ramp_trajectory` checked
-    at its call.
+    Returns (kind, c1, c2, a_half, b_half, t_half) with the moduli
+    c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
+    a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
+    t_half = arctan(c1 / c2) / 2.  kind is the singular decision: None for a
+    regular target, which has no family, else, where the smaller modulus is
+    at most SINGULAR_TOL, the singular kind of the side it belongs to (since
+    c1^2 + c2^2 = 1, at most one side is small).  The caller checks that p is
+    unit: `solve_angles` checks p itself, and a ramp row's target lies on
+    the unit line of `_target_line`.
     """
     c1 = math.hypot(p0, p2)
     c2 = math.hypot(p1, p3)
-    return (_classify(c1, c2), c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
+    # a regular target looks up no enum member
+    kind = (None if min(c1, c2) > SINGULAR_TOL
+            else _SINGULAR_A if c1 <= c2 else Classification.SINGULAR_B)
+    return (kind, c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
             0.5 * math.atan2(c1, c2))
-
-
-def _classify(c1: float, c2: float) -> Classification | None:
-    """The singular decision on the moduli c1 = |p0 + p2 j| and c2 = |p1 + p3 j|
-    of a unit target (c1^2 + c2^2 = 1): None for a regular target, which has
-    no family, else, where the smaller one is at most SINGULAR_TOL, the
-    singular kind of the side it belongs to."""
-    if min(c1, c2) > SINGULAR_TOL:
-        return None
-    return Classification.SINGULAR_A if c1 <= c2 else Classification.SINGULAR_B
 
 
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
@@ -279,7 +285,7 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     The signals are checked at the call (ValueError unless unit); the
     returned iterator then draws, solves and yields one `RampPoint` per phase,
     and raises ValueError at the first phase that is not finite.
-    A row's target has |p| = |q| |r|, so no row checks it again.
+    A row's target is unit by construction, so no row checks it again.
 
     Both the target p and the wanted output e^(i phi) r are linear in
     (cos phi, sin phi), so each sample costs two trig calls for them; a
@@ -335,3 +341,15 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
                               o2 - (c * r2 + n * ir2), o3 - (c * r3 + n * ir3))
         yield _new(RampPoint, (phi, choice, branch, residual, flagged))
         prev = choice
+
+
+def ramp_rows(q: Quaternion, r: Quaternion, samples: int) -> Iterator[tuple]:
+    """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
+    `RampPoint` with the ellipse of its output q * forward(angles).
+
+    The signals are checked before this returns (ValueError unless unit);
+    then each phase is drawn, solved and given its ellipse as its row is
+    read, so no row is kept.
+    """
+    points = ramp_trajectory(q, r, (2.0 * math.pi * k / (samples - 1) for k in range(samples)))
+    return ((pt, to_ellipse(_product(q, forward_transform(pt.angles)))) for pt in points)

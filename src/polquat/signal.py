@@ -172,18 +172,19 @@ _CLASSIFY_TOL = 1e-9
 def classify_orthogonality(p: Quaternion, q: Quaternion) -> OrthogonalityClass:
     """Classify the relation of two nonzero signals from m = p * conj(q).
 
-    The tolerance is relative to |m|, so the answer is invariant under global
-    phase and positive scaling of either argument.  The most specific class
-    that matches is returned.
+    m is formed from the directions p / |p| and q / |q|, so it is a unit
+    quaternion at every scale: no product underflows or overflows, and the
+    tolerance, relative to |m|, makes the answer invariant under global phase
+    and positive scaling of either argument.  The most specific class that
+    matches is returned.
     """
-    if p.norm() == 0.0 or q.norm() == 0.0:
+    pn, qn = p.norm(), q.norm()
+    if pn == 0.0 or qn == 0.0:
         raise ValueError("cannot classify the zero signal")
-    m = p * q.conjugate()
-    t = _CLASSIFY_TOL * m.norm()
-    z0 = abs(m.q0) <= t
-    z1 = abs(m.q1) <= t
-    z2 = abs(m.q2) <= t
-    z3 = abs(m.q3) <= t
+    # division, not a reciprocal: 1 / |p| overflows for a denormal-scale p
+    m = _product([x / pn for x in p], [x / qn for x in q.conjugate()])
+    t = _CLASSIFY_TOL * math.hypot(*m)
+    z0, z1, z2, z3 = (abs(x) <= t for x in m)
     if z0 and z2 and z3:
         return OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE
     if z0 and z1:

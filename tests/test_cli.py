@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polquat import Quaternion, cli, to_ellipse
+from polquat import Quaternion, shifter, to_ellipse
 from polquat.checks import check_fig5_ramp, check_fig7_singular
 from polquat.cli import CSV_HEADER, main
 
@@ -203,9 +203,9 @@ def test_ramp_checks_its_inputs_before_it_opens_the_file(tmp_path, capsys, q, sa
 _STREAM_PROBE = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 28, resource.getrlimit(resource.RLIMIT_AS)[1]))
-from polquat import cli
 from polquat.checks import FIG5_Q, FIG5_R
-pt, ell = next(cli.ramp_rows(FIG5_Q, FIG5_R, 10**12))
+from polquat.shifter import ramp_rows
+pt, ell = next(ramp_rows(FIG5_Q, FIG5_R, 10**12))
 print(pt.phi)
 """
 
@@ -246,14 +246,14 @@ def _j_k_swapped(out):
     (lambda out: to_ellipse(out)._replace(phi=0.0), "span-2pi"),
 ], ids=["j-k-swapped", "phase-frozen"])
 def test_fig5_group_checks_the_ellipses_ramp_writes(monkeypatch, wrong, failure):
-    # the group reads the rows of `cli.ramp_rows`, so a wrong ellipse there fails it
-    monkeypatch.setattr(cli, "to_ellipse", wrong)
+    # the group reads the rows of `shifter.ramp_rows`, so a wrong ellipse there fails it
+    monkeypatch.setattr(shifter, "to_ellipse", wrong)
     with pytest.raises(AssertionError, match=failure):
         check_fig5_ramp()
 
 
 def test_fig7_group_checks_the_output_sop(monkeypatch):
-    monkeypatch.setattr(cli, "to_ellipse", _j_k_swapped)
+    monkeypatch.setattr(shifter, "to_ellipse", _j_k_swapped)
     with pytest.raises(AssertionError, match="orientation"):
         check_fig7_singular()
 

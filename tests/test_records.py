@@ -25,8 +25,7 @@ from polquat import (
     to_ellipse,
 )
 from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
-from polquat.cli import ramp_rows
-from polquat.shifter import SingularFamily
+from polquat.shifter import SingularFamily, ramp_rows
 
 
 @pytest.mark.parametrize("a, b", [

@@ -212,7 +212,7 @@ def test_singular_b_family_identity_case():
     for x in (0.3, -1.1):   # every angle moves with +x
         moved = sol.family.at(x)
         assert all(abs(reduce_angle(m - b - x)) <= 1e-12
-                   for m, b in zip(moved.as_tuple(), base.as_tuple()))
+                   for m, b in zip(moved, base))
     for psi_b in np.linspace(-1.5, 1.5, 8):
         angles = sol.family.at(float(psi_b))
         # arg(p0 + p2 j) = 0, so psi_a = psi_c = psi_b + pi/2
@@ -323,6 +323,19 @@ def test_ramp_of_signals_within_the_unit_tolerance_yields_every_row():
     points = list(ramp_trajectory(q, r, phis))
     assert [pt.phi for pt in points] == phis
     assert max(pt.residual for pt in points) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0 + 0.9e-9, 1.0 - 0.9e-9], ids=["long", "short"])
+def test_solve_of_signals_within_the_unit_tolerance_meets_the_bound(scale):
+    # each signal passes the unit check, while their product is 1.8e-9 off
+    # unit: the target is that of the unit states they approximate
+    q, r = ONE * scale, J * scale
+    for phi in (0.0, 0.3, 2.0, -1.1):
+        p = target_transform(q, r, phi)
+        assert allclose(p, target_transform(q.normalized(), r.normalized(), phi), 1e-15)
+        sol = solve_angles(p)
+        triples = sol.branches or sol.family_samples
+        assert max((forward_transform(a) - p).norm() for a in triples) <= 1e-9
 
 
 @pytest.mark.parametrize("phis, kept", [([0.5, 0.0, 0.5, 1.0], 1),

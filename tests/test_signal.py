@@ -138,6 +138,23 @@ def test_classify_quaternion_orthogonal_only():
         assert classify_orthogonality(q * I, q) is OrthogonalityClass.QUATERNION_ORTHOGONAL
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-170, 1.0, 1e160, 1e300])
+@pytest.mark.parametrize("p, q, want", [
+    (ONE, J, OrthogonalityClass.ORTHOGONAL_SOP),
+    (ONE, I, OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE),
+    (ONE + I + J, ONE, OrthogonalityClass.NONE),
+    (I + J, ONE, OrthogonalityClass.QUATERNION_ORTHOGONAL),
+    (ONE + J, (ONE + J) * 3.0, OrthogonalityClass.SAME_SOP),
+], ids=["orthogonal-sop", "same-sop-orthogonal-phase", "none", "quaternion-orthogonal",
+        "same-sop"])
+def test_classify_is_scale_invariant(p, q, want, scale):
+    # at 1e-170 and 1e160, p conj(q) itself would underflow to 0 or overflow
+    # to inf; a denormal scale leaves no reciprocal of the norm
+    assert classify_orthogonality(p * scale, q * scale) is want
+    assert classify_orthogonality(p * scale, q) is want
+    assert classify_orthogonality(p, q * scale) is want
+
+
 def test_classify_rejects_zero():
     with pytest.raises(ValueError):
         classify_orthogonality(Quaternion(0.0, 0.0, 0.0, 0.0), ONE)

@@ -25,6 +25,8 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   solve targets above, and of q - r, q + r, -q, q.conjugate() and
   apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
   ramp signals scaled to huge and denormal size;
+* the `classify_orthogonality` answer (its `.value`) for each solve target's
+  (q, r), (q, e^(i phi) j q) and (q, i q);
 * each demo script and the README quick start of the tree (`src/..`), run
   the way tests/test_demos.py runs them: copied into a temporary directory,
   which is also the working directory, with numpy unimportable.  The
@@ -146,7 +148,7 @@ def _child() -> None:
     """Run the spec read from stdin with the `polquat` on the import path and
     print {"polquat": its file, "artifacts": {name: [digest per run]}}."""
     import polquat
-    from polquat import Quaternion, cli, shifter, signal
+    from polquat import I, Quaternion, cli, shifter, signal
 
     def digest(argv, path=None) -> str:
         out, err = io.StringIO(), io.StringIO()
@@ -178,6 +180,10 @@ def _child() -> None:
                                          for sol in solutions]
     artifacts["arithmetic records"] = [
         digest_repr((q - r, q + r, -q, q.conjugate(), signal.apply_phase(r, phi)))
+        for q, r, phi in solves]
+    artifacts["classification"] = [
+        digest_repr(tuple(signal.classify_orthogonality(q, other).value for other in (
+            r, signal.apply_phase(signal.orthogonal_sop(q), phi), I * q)))
         for q, r, phi in solves]
     artifacts["to_ellipse records scaled"] = [
         digest_repr(signal.to_ellipse(Quaternion(*q) * scale))
