@@ -37,9 +37,7 @@ from .signal import (
 from .components import (
     PartialPolarizer,
     Waveplate,
-    WaveplateAxisForm,
     apply,
-    axis_retardance,
     compose,
     hwp,
     polarizer_apply,

@@ -2,6 +2,8 @@
 
 A waveplate is a unit quaternion applied to the signal by right
 multiplication; propagation through a sequence of plates reads left to right.
+Its axis-angle form is its quaternion log: `plate.q.log()` is eta * s, with
+s the Stokes unit vector of the slow axis and eta half the retardance.
 A partial polarizer cannot be a single right factor and is applied through
 the two-term expression of `polarizer_apply`.
 """
@@ -16,10 +18,6 @@ from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# Below this vector-part magnitude a plate is the identity (up to sign):
-# retardance zero, axis genuinely undefined.
-_IDENTITY_TOL = 1e-12
-
 
 class Waveplate(_record("Waveplate", "q")):
     """Lossless retarder; `q` is the unit-quaternion transform."""
@@ -29,17 +27,6 @@ class Waveplate(_record("Waveplate", "q")):
     def __new__(cls, q: Quaternion):
         _require_unit(q, "waveplate transform")
         return _new(cls, (q,))
-
-
-class WaveplateAxisForm(_record("WaveplateAxisForm", "axis eta")):
-    """Axis-angle form of a plate: exp(axis * eta) with unit vector `axis`
-    (the Stokes unit vector of the slow axis) and eta half the retardance."""
-
-    __slots__ = ()
-
-    @property
-    def retardance(self) -> float:
-        return 2.0 * self.eta
 
 
 class PartialPolarizer(_record("PartialPolarizer", "pass_axis mu")):
@@ -81,20 +68,6 @@ def waveplate_from_axis(slow: Quaternion, eta: float) -> Waveplate:
     _require_unit(slow, "slow axis signal")
     phase = Quaternion(math.cos(eta), math.sin(eta), 0.0, 0.0)
     return Waveplate(slow.conjugate() * phase * slow)
-
-
-def axis_retardance(plate: Waveplate) -> WaveplateAxisForm:
-    """Principal log of the plate: unit axis plus eta in (0, pi).
-
-    Raises for the identity plate (either sign), whose axis is undefined.
-    """
-    q = plate.q
-    a = q.vector_norm()
-    if a < _IDENTITY_TOL:
-        raise ValueError("zero retardance, axis undefined")
-    eta = math.atan2(a, q.q0)
-    axis = Quaternion(0.0, q.q1 / a, q.q2 / a, q.q3 / a)
-    return WaveplateAxisForm(axis, eta)
 
 
 def rotate_element(plate: Waveplate, psi: float) -> Waveplate:

@@ -140,12 +140,20 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return NotImplemented
 
     def __truediv__(self, other):
-        """Right division p / q = p * conj(q) / |q|^2."""
+        """Right division p / q = p * conj(q / |q|) / |q|.
+
+        The divisor enters through its direction `q.normalized()`, and the
+        product is divided by |q| rather than multiplied by a reciprocal, so
+        no intermediate underflows or overflows: a divisor at 1e-300 or
+        1e300 scale divides as well as a unit one.  Raises ValueError for
+        the zero divisor and for a non-finite one.
+        """
         if isinstance(other, Quaternion):
-            n2 = other.norm_sq()
-            if n2 == 0.0:
+            n = other.norm()
+            if n == 0.0:
                 raise ValueError("division by zero quaternion")
-            return (self * other.conjugate()) * (1.0 / n2)
+            m = _product(self, other.normalized().conjugate())
+            return _new(Quaternion, (m[0] / n, m[1] / n, m[2] / n, m[3] / n))
         return NotImplemented
 
     # -- conjugations -------------------------------------------------------
@@ -154,15 +162,12 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
 
     def partial_conjugate(self, axis: Axis) -> "Quaternion":
-        """Negate only the `axis` component of the vector part.
+        """Negate only the `axis` component of the vector part: the full
+        conjugate of the double conjugate that keeps `axis`.
 
         Equals -v * conj(q) * v for the base vector v of `axis`.
         """
-        if axis is Axis.I:
-            return Quaternion(self.q0, -self.q1, self.q2, self.q3)
-        if axis is Axis.J:
-            return Quaternion(self.q0, self.q1, -self.q2, self.q3)
-        return Quaternion(self.q0, self.q1, self.q2, -self.q3)
+        return self.double_conjugate(axis).conjugate()
 
     def double_conjugate(self, kept: Axis) -> "Quaternion":
         """Negate the two vector components other than `kept`.
@@ -186,10 +191,26 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return math.hypot(*self)
 
     def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
+        """The unit quaternion in the direction of self, at every scale.
+
+        The components are first divided by 2^e, the power of two just above
+        the largest |component|.  That division is exact, so a unit-scale
+        quaternion gives exactly the floats of self * (1 / |self|), while a
+        denormal or huge one neither underflows nor overflows on the way.
+        Raises ValueError for the zero quaternion and for a non-finite one.
+        """
+        u0, u1, u2, u3 = self
+        _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
+        if e:
+            u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),
+                              math.ldexp(u2, -e), math.ldexp(u3, -e))
+        n = math.hypot(u0, u1, u2, u3)
+        if not 0.0 < n < math.inf:   # hypot is inf or nan for a non-finite component
+            for x in self:
+                _require_finite(x, "quaternion component")
             raise ValueError("cannot normalize the zero quaternion")
-        return self * (1.0 / n)
+        inv = 1.0 / n
+        return _new(Quaternion, (u0 * inv, u1 * inv, u2 * inv, u3 * inv))
 
     def is_unit(self) -> bool:
         return abs(self.norm() - 1.0) <= UNIT_TOL

@@ -172,17 +172,15 @@ _CLASSIFY_TOL = 1e-9
 def classify_orthogonality(p: Quaternion, q: Quaternion) -> OrthogonalityClass:
     """Classify the relation of two nonzero signals from m = p * conj(q).
 
-    m is formed from the directions p / |p| and q / |q|, so it is a unit
-    quaternion at every scale: no product underflows or overflows, and the
-    tolerance, relative to |m|, makes the answer invariant under global phase
-    and positive scaling of either argument.  The most specific class that
-    matches is returned.
+    m is formed from the directions `p.normalized()` and `q.normalized()`,
+    so it is a unit quaternion at every scale: no product underflows or
+    overflows, and the tolerance, relative to |m|, makes the answer invariant
+    under global phase and positive scaling of either argument.  The most
+    specific class that matches is returned.
     """
-    pn, qn = p.norm(), q.norm()
-    if pn == 0.0 or qn == 0.0:
+    if not any(p) or not any(q):
         raise ValueError("cannot classify the zero signal")
-    # division, not a reciprocal: 1 / |p| overflows for a denormal-scale p
-    m = _product([x / pn for x in p], [x / qn for x in q.conjugate()])
+    m = _product(p.normalized(), q.normalized().conjugate())
     t = _CLASSIFY_TOL * math.hypot(*m)
     z0, z1, z2, z3 = (abs(x) <= t for x in m)
     if z0 and z2 and z3:
@@ -246,6 +244,8 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
         for u in (u0, u1, u2, u3):
             _require_finite(u, "signal component")
         raise ValueError("the signal's norm overflows a float")
+    # the prescale of `Quaternion.normalized`, written out: this runs once per
+    # ramp row, and a shared helper would add a call there to save four lines
     _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
     if e:
         u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),

@@ -22,7 +22,6 @@ from polquat import (
     allclose,
     apply,
     apply_phase,
-    axis_retardance,
     classify_orthogonality,
     compose,
     hwp,
@@ -100,11 +99,12 @@ def test_criterion_06_precession():
         q = rand_quat(rng)
         plate = waveplate_from_axis(rand_unit(rng),
                                     float(rng.uniform(0.01, math.pi - 0.01)))
-        form = axis_retardance(plate)
+        log = plate.q.log()   # eta * axis
+        eta = log.vector_norm()
         s_in = to_classical(stokes(q))
         s_out = to_classical(stokes(apply(q, plate)))
-        axis = np.array([form.axis.q1, form.axis.q3, form.axis.q2])
-        want = rodrigues(axis, form.retardance) @ np.array([s_in.S1, s_in.S2, s_in.S3])
+        axis = np.array([log.q1, log.q3, log.q2]) / eta
+        want = rodrigues(axis, 2.0 * eta) @ np.array([s_in.S1, s_in.S2, s_in.S3])
         got = np.array([s_out.S1, s_out.S2, s_out.S3])
         worst = max(worst, float(np.max(np.abs(got - want))))
     _report("criterion-06 precession", worst <= 1e-10, f"worst {worst:.2e}")

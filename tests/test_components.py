@@ -14,7 +14,6 @@ from polquat import (
     allclose,
     apply,
     apply_phase,
-    axis_retardance,
     compose,
     hwp,
     orthogonal_sop,
@@ -84,28 +83,18 @@ def test_waveplate_from_axis_two_construction_paths():
         assert allclose(via_division, via_exp, 1e-12)
 
 
-def test_axis_retardance():
-    form = axis_retardance(Waveplate(QWP_H))
-    assert allclose(form.axis, I, 1e-15)
-    assert abs(form.eta - math.pi / 4) <= 1e-15
-    assert abs(form.retardance - math.pi / 2) <= 1e-15
-    form = axis_retardance(Waveplate(I))
-    assert allclose(form.axis, I, 1e-15) and abs(form.eta - math.pi / 2) <= 1e-15
-    with pytest.raises(ValueError):
-        axis_retardance(Waveplate(ONE))
-    with pytest.raises(ValueError):
-        axis_retardance(Waveplate(-ONE))
-
-
-def test_axis_retardance_round_trip():
+def test_plate_log_is_slow_axis_times_half_retardance():
+    # golden values: QWP_H and I are pi/4 and pi/2 about the i axis
+    assert allclose(Waveplate(QWP_H).q.log(), I * (math.pi / 4), 1e-15)
+    assert allclose(Waveplate(I).q.log(), I * (math.pi / 2), 1e-15)
     rng = np.random.default_rng(43)
     for _ in range(100):
         slow = rand_unit(rng)
         eta = rng.uniform(0.01, math.pi - 0.01)
         plate = waveplate_from_axis(slow, eta)
-        form = axis_retardance(plate)
-        assert abs(form.eta - eta) <= 1e-10
-        assert allclose((form.axis * form.eta).exp(), plate.q, 1e-10)
+        log = plate.q.log()
+        assert abs(log.vector_norm() - eta) <= 1e-10
+        assert allclose(log.exp(), plate.q, 1e-10)
 
 
 def test_rotate_element():
@@ -118,8 +107,8 @@ def test_rotate_element():
         psi = rng.uniform(-math.pi, math.pi)
         if w.q.vector_norm() < 1e-6:
             continue
-        assert abs(axis_retardance(rotate_element(w, psi)).eta
-                   - axis_retardance(w).eta) <= 1e-10
+        assert abs(rotate_element(w, psi).q.log().vector_norm()
+                   - w.q.log().vector_norm()) <= 1e-10
 
 
 def test_standard_plates():

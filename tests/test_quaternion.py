@@ -69,6 +69,34 @@ def test_norm_values():
         Quaternion(0.0, 0.0, 0.0, 0.0).normalized()
 
 
+# power-of-two, denormal, tiny, unit and huge scales; 1e308 times a component
+# of at most 1 still fits a float, and small-integer components keep their
+# ratios exactly even at denormal scale
+NORMALIZE_SCALES = (2.0 ** -1060, 1e-310, 1e-170, 1.0, 1e160, 1e300, 1e308)
+DIRECTIONS = ((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, -1.0, 0.0),
+              (0.0, -1.0, 1.0, 1.0), (0.0, 0.0, 0.0, -1.0))
+
+
+@pytest.mark.parametrize("scale", NORMALIZE_SCALES)
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_normalized_is_the_unit_direction_at_every_scale(direction, scale):
+    want = Quaternion(*direction).normalized()
+    got = (Quaternion(*direction) * scale).normalized()
+    assert abs(got.norm() - 1.0) <= 1e-15
+    assert allclose(got, want, 1e-15)
+    if math.frexp(scale)[0] == 0.5:   # a power of two scales exactly
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("q", [Quaternion(math.nan, 0.0, 0.0, 0.0),
+                               Quaternion(0.0, math.inf, 0.0, 0.0),
+                               Quaternion(1.0, 0.0, -math.inf, 0.0),
+                               Quaternion(math.nan, math.inf, 0.0, 1.0)])
+def test_normalized_rejects_a_non_finite_quaternion(q):
+    with pytest.raises(ValueError, match="finite"):
+        q.normalized()
+
+
 @given(quats)
 def test_norm_squared_is_scalar_of_qdagq(q):
     m = q.conjugate() * q
@@ -89,6 +117,18 @@ def test_division_round_trips():
         if q.norm() < 1e-3:
             continue
         assert allclose((p / q) * q, p, 1e-10)
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1e-170, 1.0, 1e160, 1e300))
+def test_division_round_trips_at_every_divisor_scale(scale):
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        p, q = rand_quat(rng), rand_quat(rng)
+        if q.norm() < 1e-3:
+            continue
+        divisor = q * scale
+        assert allclose((p / divisor) * divisor, p, 1e-12 * max(1.0, p.norm() / q.norm()))
+    assert allclose((ONE / (J * scale)) * (J * scale), ONE, 1e-15)
 
 
 def test_division_by_zero_raises():

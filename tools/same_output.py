@@ -25,6 +25,9 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   solve targets above, and of q - r, q + r, -q, q.conjugate() and
   apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
   ramp signals scaled to huge and denormal size;
+* the `repr` of `partial_conjugate` and `double_conjugate` about every axis
+  and of `normalized()`, for each solve target's q and r, and of `qwp(psi)`
+  and `hwp(psi)` on a grid of `PLATE_ANGLES` orientations over [-pi, pi];
 * the `classify_orthogonality` answer (its `.value`) for each solve target's
   (q, r), (q, e^(i phi) j q) and (q, i q);
 * each demo script and the README quick start of the tree (`src/..`), run
@@ -67,6 +70,7 @@ RECORD_RAMP_SAMPLES = 256
 # huge, unit, tiny and denormal: the scales of the `to_ellipse` record artifact
 ELLIPSE_SCALES = (2.0 ** 1000, 1e300, 1.0, 2.0 ** -1000, 1e-310)
 SOLVE_RUNS = 2000
+PLATE_ANGLES = 4001
 FORMS = ("quat", "jones", "ellipse", "stokes")
 CONVERT_INPUTS = {
     "quat": ("[0.6,0.2,-0.5,0.3]", "[0.7071067811865476,0,0,0.7071067811865476]"),
@@ -148,7 +152,7 @@ def _child() -> None:
     """Run the spec read from stdin with the `polquat` on the import path and
     print {"polquat": its file, "artifacts": {name: [digest per run]}}."""
     import polquat
-    from polquat import I, Quaternion, cli, shifter, signal
+    from polquat import Axis, I, Quaternion, cli, hwp, qwp, shifter, signal
 
     def digest(argv, path=None) -> str:
         out, err = io.StringIO(), io.StringIO()
@@ -181,6 +185,12 @@ def _child() -> None:
     artifacts["arithmetic records"] = [
         digest_repr((q - r, q + r, -q, q.conjugate(), signal.apply_phase(r, phi)))
         for q, r, phi in solves]
+    psis = [math.pi * (2.0 * k / (PLATE_ANGLES - 1) - 1.0) for k in range(PLATE_ANGLES)]
+    artifacts["conjugation, normalized and plate records"] = [
+        digest_repr((*map(x.partial_conjugate, Axis), *map(x.double_conjugate, Axis),
+                     x.normalized()))
+        for q, r, _ in solves for x in (q, r)] + [
+        digest_repr((qwp(psi), hwp(psi))) for psi in psis]
     artifacts["classification"] = [
         digest_repr(tuple(signal.classify_orthogonality(q, other).value for other in (
             r, signal.apply_phase(signal.orthogonal_sop(q), phi), I * q)))
