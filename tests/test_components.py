@@ -83,10 +83,16 @@ def test_waveplate_from_axis_two_construction_paths():
         assert allclose(via_division, via_exp, 1e-12)
 
 
-def test_plate_log_is_slow_axis_times_half_retardance():
-    # golden values: QWP_H and I are pi/4 and pi/2 about the i axis
+def test_axis_retardance():
+    # a plate's log is eta * slow axis: QWP_H and I are pi/4 and pi/2 about i
     assert allclose(Waveplate(QWP_H).q.log(), I * (math.pi / 4), 1e-15)
     assert allclose(Waveplate(I).q.log(), I * (math.pi / 2), 1e-15)
+    # the +-1 plates have no axis; log gives 0 and pi * i by its convention
+    assert allclose(Waveplate(ONE).q.log(), Quaternion(0, 0, 0, 0), 1e-15)
+    assert allclose(Waveplate(-ONE).q.log(), I * math.pi, 1e-15)
+
+
+def test_axis_retardance_round_trip():
     rng = np.random.default_rng(43)
     for _ in range(100):
         slow = rand_unit(rng)
