@@ -143,17 +143,21 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         """Right division p / q = p * conj(q / |q|) / |q|.
 
         The divisor enters through its direction `q.normalized()`, and the
-        product is divided by |q| rather than multiplied by a reciprocal, so
-        no intermediate underflows or overflows: a divisor at 1e-300 or
-        1e300 scale divides as well as a unit one.  Raises ValueError for
-        the zero divisor and for a non-finite one.
+        product is divided by |q| = 2^e |u| (see `_prescaled`) as a division
+        by |u| and then an exact scaling by 2^-e, so no intermediate
+        underflows or overflows: a divisor at 1e-300 or 1e308 scale divides
+        as well as a unit one, even where |q| itself exceeds the largest
+        float.  Raises ValueError for the zero divisor and for a non-finite
+        one, and OverflowError where a component of the quotient exceeds the
+        largest float.
         """
         if isinstance(other, Quaternion):
-            n = other.norm()
+            _, e, n = _prescaled(other)
             if n == 0.0:
                 raise ValueError("division by zero quaternion")
-            m = _product(self, other.normalized().conjugate())
-            return _new(Quaternion, (m[0] / n, m[1] / n, m[2] / n, m[3] / n))
+            m0, m1, m2, m3 = _product(self, other.normalized().conjugate())
+            return _new(Quaternion, (math.ldexp(m0 / n, -e), math.ldexp(m1 / n, -e),
+                                     math.ldexp(m2 / n, -e), math.ldexp(m3 / n, -e)))
         return NotImplemented
 
     # -- conjugations -------------------------------------------------------
@@ -193,21 +197,15 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     def normalized(self) -> "Quaternion":
         """The unit quaternion in the direction of self, at every scale.
 
-        The components are first divided by 2^e, the power of two just above
-        the largest |component|.  That division is exact, so a unit-scale
-        quaternion gives exactly the floats of self * (1 / |self|), while a
-        denormal or huge one neither underflows nor overflows on the way.
+        The components are first divided by 2^e (see `_prescaled`).  That
+        division is exact, so a unit-scale quaternion gives exactly the
+        floats of self * (1 / |self|), while a denormal or huge one neither
+        underflows nor overflows on the way.
         Raises ValueError for the zero quaternion and for a non-finite one.
         """
-        u0, u1, u2, u3 = self
-        _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
-        if e:
-            u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),
-                              math.ldexp(u2, -e), math.ldexp(u3, -e))
-        n = math.hypot(u0, u1, u2, u3)
+        (u0, u1, u2, u3), _, n = _prescaled(self)
         if not 0.0 < n < math.inf:   # hypot is inf or nan for a non-finite component
-            for x in self:
-                _require_finite(x, "quaternion component")
+            _require_finite_components(self, "quaternion")
             raise ValueError("cannot normalize the zero quaternion")
         inv = 1.0 / n
         return _new(Quaternion, (u0 * inv, u1 * inv, u2 * inv, u3 * inv))
@@ -231,19 +229,44 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         """Principal logarithm; the vector angle atan2(|v|, q0) lies in [0, pi].
 
         A negative real quaternion (zero vector part, q0 < 0) has no preferred
-        axis; by convention the i axis is returned with angle pi.
+        axis; by convention the i axis is returned with angle pi.  The angle
+        comes from u = q / 2^e (see `_prescaled`) and, where |q| is not a
+        normal float, the scalar from log|u| + e ln 2: the log is finite for
+        every finite nonzero q, also where |q| exceeds the largest float.
         """
-        n = self.norm()
+        (u0, u1, u2, u3), e, n = _prescaled(self)
         if n == 0.0:
             raise ValueError("zero quaternion has no logarithm")
-        a = self.vector_norm()
+        # log|q| itself where |q| = 2^e |u| is a normal float; past either end
+        # of that range, log|u| + e ln 2
+        log_n = math.log(math.ldexp(n, e)) if -1022 < e < 1024 else math.log(n) + e * _LN2
+        a = math.hypot(u1, u2, u3)
         if a == 0.0:
-            if self.q0 > 0.0:
-                return Quaternion(math.log(n), 0.0, 0.0, 0.0)
-            return Quaternion(math.log(n), math.pi, 0.0, 0.0)
-        theta = math.atan2(a, self.q0)
+            if u0 > 0.0:
+                return Quaternion(log_n, 0.0, 0.0, 0.0)
+            return Quaternion(log_n, math.pi, 0.0, 0.0)
+        theta = math.atan2(a, u0)
         f = theta / a
-        return Quaternion(math.log(n), f * self.q1, f * self.q2, f * self.q3)
+        return Quaternion(log_n, f * u1, f * u2, f * u3)
+
+
+_LN2 = math.log(2.0)
+
+
+def _prescaled(q) -> tuple:
+    """(u, e, |u|) for a 4-sequence q: u = q / 2^e, with 2^e the power of
+    two just above the largest |component| (e = 0 for the zero q).
+
+    The division is exact and, for a finite nonzero q, |u| lies in [0.5, 2),
+    so |q| = 2^e |u| even where |q| itself overflows or underflows a float.
+    |u| is inf or nan for a non-finite q.
+    """
+    u0, u1, u2, u3 = q
+    _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
+    if e:
+        u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),
+                          math.ldexp(u2, -e), math.ldexp(u3, -e))
+    return (u0, u1, u2, u3), e, math.hypot(u0, u1, u2, u3)
 
 
 def _product(p, q) -> tuple:
@@ -286,10 +309,20 @@ def allclose(p: Quaternion, q: Quaternion, tol: float) -> bool:
 
 
 def _require_unit(q: Quaternion, what: str) -> None:
+    # a non-finite q is never unit, so naming its component costs a passing
+    # check nothing
     if not q.is_unit():
+        _require_finite_components(q, what)
         raise ValueError(f"{what} must be a unit quaternion, |q| = {q.norm()!r}")
 
 
 def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _require_finite_components(q, what: str) -> None:
+    """ValueError `<what> component must be a finite number, got <value>`
+    for the first non-finite component of the 4-sequence q."""
+    for x in q:
+        _require_finite(x, f"{what} component")

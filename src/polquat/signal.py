@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .quaternion import J, Quaternion, _new, _product, _record, _require_finite
+from .quaternion import (J, Quaternion, _new, _product, _record, _require_finite,
+                         _require_finite_components)
 
 _PI = math.pi
 _QUARTER_PI = _PI / 4
@@ -107,6 +108,9 @@ def from_jones(v: JonesVector) -> Quaternion:
 
 
 def to_jones(q: Quaternion) -> JonesVector:
+    """(Ex, Ey) = (q0 + q1 i, q2 + q3 i); raises ValueError naming a
+    non-finite component."""
+    _require_finite_components(q, "signal")
     return JonesVector(complex(q.q0, q.q1), complex(q.q2, q.q3))
 
 
@@ -128,8 +132,10 @@ def stokes(q: Quaternion) -> StokesQuaternion:
         s2 = 2 (q1 q2 - q0 q3)
         s3 = 2 (q0 q2 + q1 q3)
 
-    Phase-blind: stokes(e^(i phi) * q) == stokes(q).
+    Phase-blind: stokes(e^(i phi) * q) == stokes(q).  Raises ValueError
+    naming a non-finite component.
     """
+    _require_finite_components(q, "signal")
     return StokesQuaternion(*_stokes_parts(*q))
 
 
@@ -241,10 +247,9 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
     if not r < math.inf:   # hypot is inf for an inf component, nan for a nan one
-        for u in (u0, u1, u2, u3):
-            _require_finite(u, "signal component")
+        _require_finite_components(q, "signal")
         raise ValueError("the signal's norm overflows a float")
-    # the prescale of `Quaternion.normalized`, written out: this runs once per
+    # the prescale of `quaternion._prescaled`, written out: this runs once per
     # ramp row, and a shared helper would add a call there to save four lines
     _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
     if e:

@@ -482,7 +482,8 @@ codes = [cli.main(["convert", "--from", "quat", "--to", "ellipse", "--input", "[
          cli.main(["solve", "--q=" + sys.argv[1], "--r=" + sys.argv[2], "--phi", "0.3"]),
          cli.main(["ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "9",
                    "--out", sys.argv[3]])]
-loaded = [m for m in ("numpy", "polquat.jones", "polquat.checks") if m in sys.modules]
+loaded = [m for m in ("numpy", "polquat.jones", "polquat.checks", "polquat.components")
+          if m in sys.modules]
 print("probe", codes, loaded)
 """
 
@@ -498,7 +499,9 @@ def _run_probe(*argv):
 
 def test_commands_never_import_the_oracle_or_numpy(tmp_path):
     # numpy stays out of every command, and the Jones oracle out of every
-    # command but `check` (which needs no numpy either, see below)
+    # command but `check` (which needs no numpy either, see below); the lazy
+    # package keeps `polquat.components`, which only `check` and the demos
+    # use, out of these three
     proc = _run_probe("-c", _IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "probe [0, 0, 0] []"
@@ -510,6 +513,56 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
                       "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# the public names of `import polquat`: its 40 functions, types and constants
+# and the 4 library submodules
+_PUBLIC = sorted("""
+    quaternion Axis I J K ONE Quaternion allclose precess
+    signal ClassicalStokes EllipseParams JonesVector OrthogonalityClass StokesQuaternion
+    apply_phase classical_from_jones classify_orthogonality from_ellipse from_jones
+    orthogonal_sop stokes to_classical to_ellipse to_jones
+    components PartialPolarizer Waveplate apply compose hwp polarizer_apply qwp
+    rotate_element waveplate_from_axis
+    shifter Classification RampPoint ShifterSolution WaveplateAngles forward_transform
+    ramp_trajectory solve_angles target_transform
+""".split())
+
+
+def test_import_polquat_loads_no_submodule():
+    proc = _run_probe("-c", "import sys, polquat; "
+                      "print(sorted(m for m in sys.modules if m.startswith('polquat')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['polquat']\n"
+
+
+_SURFACE_PROBE = """
+import polquat
+print(sorted(n for n in dir(polquat) if not n.startswith("_")))
+names = {}
+exec("from polquat import *", names)
+print(sorted(n for n in names if n != "__builtins__"))
+"""
+
+
+def test_each_public_name_is_the_attribute_of_its_submodule():
+    import importlib
+
+    import polquat
+
+    assert sorted(polquat._SUBMODULE) == _PUBLIC
+    for name, module in polquat._SUBMODULE.items():
+        sub = importlib.import_module("polquat." + module)
+        assert getattr(polquat, name) is (sub if name == module else getattr(sub, name))
+    with pytest.raises(AttributeError, match="^module 'polquat' has no attribute 'nope'$"):
+        polquat.nope
+    with pytest.raises(ImportError):
+        from polquat import nope  # noqa: F401
+    # in a fresh interpreter: `dir` before any submodule is loaded, then the
+    # names a star import binds
+    proc = _run_probe("-c", _SURFACE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [repr(_PUBLIC)] * 2
 
 
 _NO_NUMPY_CHECK = """

@@ -119,16 +119,27 @@ def test_division_round_trips():
         assert allclose((p / q) * q, p, 1e-10)
 
 
-@pytest.mark.parametrize("scale", (1e-300, 1e-170, 1.0, 1e160, 1e300))
+@pytest.mark.parametrize("scale", (1e-300, 1e-170, 1.0, 1e160, 1e300, 1e308))
 def test_division_round_trips_at_every_divisor_scale(scale):
     rng = np.random.default_rng(10)
     for _ in range(50):
         p, q = rand_quat(rng), rand_quat(rng)
-        if q.norm() < 1e-3:
-            continue
         divisor = q * scale
+        if q.norm() < 1e-3 or not all(map(math.isfinite, divisor)):
+            continue
         assert allclose((p / divisor) * divisor, p, 1e-12 * max(1.0, p.norm() / q.norm()))
     assert allclose((ONE / (J * scale)) * (J * scale), ONE, 1e-15)
+    # four components of one size: at 1e308, |divisor| = 2e308 exceeds the
+    # largest float, and the quotient conj(q) / |q|^2 is denormal
+    four = Quaternion(1.0, -1.0, 1.0, 1.0) * scale
+    quotient = ONE / four
+    assert allclose(quotient * scale, Quaternion(0.25, 0.25, -0.25, -0.25), 1e-14)
+    assert allclose(quotient * four, ONE, 1e-14)
+
+
+def test_a_quotient_past_the_largest_float_raises():
+    with pytest.raises(OverflowError):
+        Quaternion(1e300, 0.0, 0.0, 0.0) / Quaternion(1e-300, 0.0, 0.0, 0.0)
 
 
 def test_division_by_zero_raises():
@@ -175,6 +186,17 @@ def test_log_conventions():
                     Quaternion(math.log(2.0), math.pi, 0, 0), 1e-15)
     assert allclose(Quaternion(3.0, 0, 0, 0).log(),
                     Quaternion(math.log(3.0), 0, 0, 0), 1e-15)
+
+
+@pytest.mark.parametrize("scale", (1e308, 1e-310))
+@pytest.mark.parametrize("signs", ((1.0, 1.0, 1.0, 1.0), (-1.0, 1.0, -1.0, 1.0)))
+def test_log_holds_where_the_norm_is_past_a_normal_float(signs, scale):
+    # |q| = 2 scale: above the largest float at 1e308, denormal at 1e-310
+    q = Quaternion(*signs) * scale
+    got = q.log()
+    assert math.isclose(got.q0, math.log(2.0) + math.log(scale), rel_tol=1e-12)
+    unit = q.normalized().log()
+    assert allclose(Quaternion(0.0, *got[1:]), Quaternion(0.0, *unit[1:]), 1e-15)
 
 
 @given(quats, quats)

@@ -15,8 +15,10 @@ from polquat import (
     K,
     ONE,
     OrthogonalityClass,
+    PartialPolarizer,
     Quaternion,
     StokesQuaternion,
+    Waveplate,
     allclose,
     apply_phase,
     classical_from_jones,
@@ -25,10 +27,13 @@ from polquat import (
     from_jones,
     orthogonal_sop,
     precess,
+    ramp_trajectory,
+    solve_angles,
     stokes,
     target_transform,
     to_ellipse,
     to_jones,
+    waveplate_from_axis,
 )
 from polquat.signal import _check_ellipse
 from util import rand_quat
@@ -224,13 +229,33 @@ def test_to_ellipse_of_the_plain_tuple_is_the_checked_record(u, scale):
     assert repr(to_ellipse(tuple(q))) == repr(e) == repr(EllipseParams(*e))
 
 
-# each public function that takes a real number rejects a non-finite one,
-# naming it, where it would return NaN or fail in a math call
+def _with(x: float) -> Quaternion:
+    """A unit signal with its q2 component replaced by x."""
+    return Quaternion(0.6, 0.0, x, 0.8)
+
+
+# each public function that takes a real number or a signal rejects a
+# non-finite one, naming it, where it would return NaN, fail in a math call
+# or report only a non-unit norm
 _NON_FINITE_INPUTS = {
     "apply_phase": (lambda x: apply_phase(ONE, x), "phase"),
     "precess": (lambda x: precess(I, J, x), "precession angle"),
     "target_transform": (lambda x: target_transform(ONE, J, x), "phase"),
-    "to_ellipse": (lambda x: to_ellipse(Quaternion(0.6, 0.0, x, 0.8)), "signal component"),
+    "to_ellipse": (lambda x: to_ellipse(_with(x)), "signal component"),
+    "target_transform_q": (lambda x: target_transform(_with(x), J, 0.3),
+                           "input signal component"),
+    "target_transform_r": (lambda x: target_transform(ONE, _with(x), 0.3),
+                           "output signal component"),
+    "solve_angles": (lambda x: solve_angles(_with(x)), "target transform component"),
+    "ramp_trajectory": (lambda x: ramp_trajectory(_with(x), J, [0.0]),
+                        "input signal component"),
+    "Waveplate": (lambda x: Waveplate(_with(x)), "waveplate transform component"),
+    "PartialPolarizer": (lambda x: PartialPolarizer(_with(x), 0.5),
+                         "polarizer pass axis component"),
+    "waveplate_from_axis": (lambda x: waveplate_from_axis(_with(x), 0.3),
+                            "slow axis signal component"),
+    "stokes": (lambda x: stokes(_with(x)), "signal component"),
+    "to_jones": (lambda x: to_jones(_with(x)), "signal component"),
 }
 
 

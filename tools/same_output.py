@@ -30,6 +30,10 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   and `hwp(psi)` on a grid of `PLATE_ANGLES` orientations over [-pi, pi];
 * the `classify_orthogonality` answer (its `.value`) for each solve target's
   (q, r), (q, e^(i phi) j q) and (q, i q);
+* the public surface: for each public name of `dir(polquat)` right after
+  `import polquat`, the name, the type name of its value and the value's
+  `__module__` (a submodule's own name), so a package that drops or
+  misroutes a name differs;
 * each demo script and the README quick start of the tree (`src/..`), run
   the way tests/test_demos.py runs them: copied into a temporary directory,
   which is also the working directory, with numpy unimportable.  The
@@ -58,6 +62,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import types
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -152,6 +157,15 @@ def _child() -> None:
     """Run the spec read from stdin with the `polquat` on the import path and
     print {"polquat": its file, "artifacts": {name: [digest per run]}}."""
     import polquat
+
+    # taken before any other import, so the names are those `import polquat`
+    # alone makes public
+    surface = []
+    for name in dir(polquat):
+        if not name.startswith("_"):
+            value = getattr(polquat, name)
+            module = value.__name__ if isinstance(value, types.ModuleType) else value.__module__
+            surface.append((name, type(value).__name__, module))
     from polquat import Axis, I, Quaternion, cli, hwp, qwp, shifter, signal
 
     def digest(argv, path=None) -> str:
@@ -168,6 +182,7 @@ def _child() -> None:
 
     spec = json.load(sys.stdin)
     artifacts = {name: [digest(argv, path)] for name, argv, path in spec["ramps"]}
+    artifacts["public surface"] = list(map(digest_repr, surface))
     n = RECORD_RAMP_SAMPLES
     phis = [2.0 * math.pi * k / (n - 1) for k in range(n)]
     for name, q, r in spec["record_ramps"]:
