@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .quaternion import J, Quaternion, _new, _record, _require_unit, precess
+from .quaternion import (J, Quaternion, _new, _record, _require_finite_components,
+                         _require_unit, precess)
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -46,7 +47,9 @@ class PartialPolarizer(_record("PartialPolarizer", "pass_axis mu")):
 
 
 def apply(signal: Quaternion, plate: Waveplate) -> Quaternion:
-    """Transmit `signal` through `plate`: right multiplication signal * q."""
+    """Transmit `signal` through `plate`: right multiplication signal * q.
+    Raises ValueError naming a non-finite component of `signal`."""
+    _require_finite_components(signal, "signal")
     return signal * plate.q
 
 
@@ -76,14 +79,19 @@ def rotate_element(plate: Waveplate, psi: float) -> Waveplate:
     return Waveplate(precess(plate.q, J, psi))
 
 
+# the unrotated plates `qwp` and `hwp` rotate, slow axis at psi = 0
+_QWP = Waveplate(Quaternion(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0))
+_HWP = Waveplate(Quaternion(0.0, 1.0, 0.0, 0.0))
+
+
 def qwp(psi: float) -> Waveplate:
     """Quarter waveplate with slow axis at angle psi."""
-    return rotate_element(Waveplate(Quaternion(_SQRT_HALF, _SQRT_HALF, 0.0, 0.0)), psi)
+    return rotate_element(_QWP, psi)
 
 
 def hwp(psi: float) -> Waveplate:
     """Half waveplate with slow axis at angle psi."""
-    return rotate_element(Waveplate(Quaternion(0.0, 1.0, 0.0, 0.0)), psi)
+    return rotate_element(_HWP, psi)
 
 
 def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
@@ -92,8 +100,10 @@ def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
     r = ((1 + mu) q - (1 - mu) i q s) / 2 with s the Stokes unit vector
     quaternion of the pass axis.  Pass-axis inputs e^(i phi) p come through
     unchanged; the blocked axis e^(i phi) j p is scaled by mu.  Linear in q
-    over real coefficients.
+    over real coefficients.  Raises ValueError naming a non-finite component
+    of q.
     """
+    _require_finite_components(q, "signal")
     s = stokes(pol.pass_axis).as_quaternion()
     i_q_s = Quaternion(0.0, 1.0, 0.0, 0.0) * q * s
     return (q * (1.0 + pol.mu) - i_q_s * (1.0 - pol.mu)) * 0.5

@@ -114,8 +114,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 + other.q0, self.q1 + other.q1,
-                          self.q2 + other.q2, self.q3 + other.q3)
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = self, other
+        return _new(Quaternion, (p0 + q0, p1 + q1, p2 + q2, p3 + q3))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
@@ -124,7 +124,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return _new(Quaternion, (p0 - q0, p1 - q1, p2 - q2, p3 - q3))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, -self.q1, -self.q2, -self.q3)
+        q0, q1, q2, q3 = self
+        return _new(Quaternion, (-q0, -q1, -q2, -q3))
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
@@ -163,7 +164,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     # -- conjugations -------------------------------------------------------
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.q0, -self.q1, -self.q2, -self.q3)
+        q0, q1, q2, q3 = self
+        return _new(Quaternion, (q0, -q1, -q2, -q3))
 
     def partial_conjugate(self, axis: Axis) -> "Quaternion":
         """Negate only the `axis` component of the vector part: the full
@@ -211,7 +213,7 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         return _new(Quaternion, (u0 * inv, u1 * inv, u2 * inv, u3 * inv))
 
     def is_unit(self) -> bool:
-        return abs(self.norm() - 1.0) <= UNIT_TOL
+        return abs(math.hypot(*self) - 1.0) <= UNIT_TOL
 
     # -- transcendental -------------------------------------------------------
 
@@ -297,9 +299,9 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
     _require_finite(theta, "precession angle")
     c = math.cos(theta)
     s = math.sin(theta)
-    e_pos = Quaternion(c, v.q1 * s, v.q2 * s, v.q3 * s)
-    e_neg = Quaternion(c, -v.q1 * s, -v.q2 * s, -v.q3 * s)
-    return e_neg * q * e_pos
+    e_pos = (c, v.q1 * s, v.q2 * s, v.q3 * s)
+    e_neg = (c, -v.q1 * s, -v.q2 * s, -v.q3 * s)
+    return _new(Quaternion, _product(_product(e_neg, q), e_pos))
 
 
 def allclose(p: Quaternion, q: Quaternion, tol: float) -> bool:
@@ -325,4 +327,5 @@ def _require_finite_components(q, what: str) -> None:
     """ValueError `<what> component must be a finite number, got <value>`
     for the first non-finite component of the 4-sequence q."""
     for x in q:
-        _require_finite(x, f"{what} component")
+        if not math.isfinite(x):   # the message is formatted only for a failing one
+            _require_finite(x, f"{what} component")

@@ -56,8 +56,16 @@ class Classification(Enum):
 
 
 # an enum member looked up on its class costs a descriptor call (CPython 3.11),
-# and `SingularFamily.at` runs once per family sample
+# and `_split` reads one on every solve and ramp row
 _SINGULAR_A = Classification.SINGULAR_A
+
+
+def reduce_angle(psi: float) -> float:
+    """Reduce modulo pi into (-pi/2, pi/2]."""
+    r = math.remainder(psi, _PI)
+    if r <= -_HALF_PI:
+        r += _PI
+    return r
 
 
 class WaveplateAngles(_record("WaveplateAngles", "psi_a psi_b psi_c")):
@@ -69,24 +77,53 @@ class WaveplateAngles(_record("WaveplateAngles", "psi_a psi_b psi_c")):
         return tuple(self)
 
 
+def _b_column(x: float) -> tuple:
+    """(s, psi_b) of the SINGULAR_B member at x: s = x + pi/4 and the plate
+    angle reduce(s - pi/4), which depends on x alone."""
+    s = x + _QUARTER_PI
+    return s, reduce_angle(s - _QUARTER_PI)
+
+
 class SingularFamily(_record("SingularFamily", "kind a_half b_half")):
     """The one-parameter family of triples solving a singular target.
 
     It is branch 1 with the half angle that c = 0 leaves undefined set free:
     at c1 = 0 (SINGULAR_A) b_half = -x, and at c2 = 0 (SINGULAR_B), where
     t_half = pi/4, a_half = x + pi/4, so x is psi_b itself.  Both branches
-    are members.  The angles move with x as (+x, constant, -x) in the A case
-    and (+x, +x, +x) in the B case.
+    are members.  Written out, the members are affine in x:
+
+        A:  (reduce(a_half + x + pi/4), reduce(a_half), reduce(a_half - x + pi/4))
+        B:  (reduce(s - b_half + pi/4), reduce(s - pi/4), reduce(s + b_half + pi/4))
+
+    with s = x + pi/4 and reduce = `reduce_angle`: the float operations of
+    branch 1 at those half angles, so the angles move as (+x, constant, -x)
+    in the A case and (+x, +x, +x) in the B case.  A's psi_b is the same for
+    every member, and B's depends on no target, so neither is reduced per
+    member of `ShifterSolution.family_samples`.
     """
 
     __slots__ = ()
     # the free parameters x = -pi/2 + pi*m/FAMILY_SAMPLES the samples sit at
     parameters = tuple(-_HALF_PI + _PI * m / FAMILY_SAMPLES for m in range(FAMILY_SAMPLES))
+    # `_b_column` of each of `parameters`
+    _b_columns = tuple(map(_b_column, parameters))
 
     def at(self, x: float) -> WaveplateAngles:
+        return self._members((x,), (_b_column(x),))[0]
+
+    def _members(self, xs: tuple, b_columns: tuple) -> tuple:
+        """The members at the free parameters `xs`; a B family reads their
+        `_b_column`s from `b_columns` instead."""
+        a_half = self.a_half
         if self.kind is _SINGULAR_A:
-            return _branch(1, self.a_half, -x, 0.0)
-        return _branch(1, x + _QUARTER_PI, self.b_half, _QUARTER_PI)
+            psi_b = reduce_angle(a_half)
+            return tuple([_new(WaveplateAngles, (reduce_angle(a_half + x + _QUARTER_PI), psi_b,
+                                                 reduce_angle(a_half - x + _QUARTER_PI)))
+                          for x in xs])
+        b_half = self.b_half
+        return tuple([_new(WaveplateAngles, (reduce_angle(s - b_half + _QUARTER_PI), psi_b,
+                                             reduce_angle(s + b_half + _QUARTER_PI)))
+                      for s, psi_b in b_columns])
 
 
 class ShifterSolution(_record("ShifterSolution", "branches family")):
@@ -103,7 +140,7 @@ class ShifterSolution(_record("ShifterSolution", "branches family")):
     def family_samples(self) -> tuple | None:
         """The family's triples at its `parameters`; None for a regular solution."""
         family = self.family
-        return None if family is None else tuple(map(family.at, family.parameters))
+        return None if family is None else family._members(family.parameters, family._b_columns)
 
 
 class RampPoint(_record("RampPoint", "phi angles branch residual flagged")):
@@ -119,14 +156,6 @@ class RampPoint(_record("RampPoint", "phi angles branch residual flagged")):
     @property
     def branch_label(self) -> str:
         return "singular" if self.flagged else str(self.branch)
-
-
-def reduce_angle(psi: float) -> float:
-    """Reduce modulo pi into (-pi/2, pi/2]."""
-    r = math.remainder(psi, _PI)
-    if r <= -_HALF_PI:
-        r += _PI
-    return r
 
 
 def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:

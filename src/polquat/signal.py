@@ -103,8 +103,11 @@ class OrthogonalityClass(Enum):
 # -- Jones <-> quaternion ----------------------------------------------------
 
 def from_jones(v: JonesVector) -> Quaternion:
-    """q = Ex + Ey*j with Ex, Ey read as complex numbers in i."""
-    return Quaternion(v.ex.real, v.ex.imag, v.ey.real, v.ey.imag)
+    """q = Ex + Ey*j with Ex, Ey read as complex numbers in i; raises
+    ValueError naming a non-finite part."""
+    q = (v.ex.real, v.ex.imag, v.ey.real, v.ey.imag)
+    _require_finite_components(q, "Jones vector")
+    return _new(Quaternion, q)
 
 
 def to_jones(q: Quaternion) -> JonesVector:
@@ -156,8 +159,13 @@ def classical_from_jones(v: JonesVector) -> ClassicalStokes:
 
 def apply_phase(q: Quaternion, phi: float) -> Quaternion:
     """Left multiplication by e^(i phi): shifts the optical phase by phi.
-    Raises ValueError unless phi is finite."""
+    Raises ValueError unless phi and the components of q are finite."""
     _require_finite(phi, "phase")
+    q0, q1, q2, q3 = q
+    # a finite sum has finite terms: a finite signal, as in every solve, costs
+    # one sum, and only a non-finite sum looks for the component to name
+    if not math.isfinite(q0 + q1 + q2 + q3):
+        _require_finite_components(q, "signal")
     return _new(Quaternion, _product((math.cos(phi), math.sin(phi), 0.0, 0.0), q))
 
 
@@ -166,8 +174,9 @@ def orthogonal_sop(q: Quaternion) -> Quaternion:
 
     Its Stokes vector quaternion is the negative of stokes(q);
     `apply_phase(orthogonal_sop(q), phi)` sweeps the full set of orthogonal
-    states as phi does.
+    states as phi does.  Raises ValueError naming a non-finite component.
     """
+    _require_finite_components(q, "signal")
     return J * q
 
 

@@ -28,6 +28,7 @@ from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
 from polquat.shifter import (
     NEAR_SINGULAR_TOL,
     SINGULAR_TOL,
+    ShifterSolution,
     SingularFamily,
     _best_family_point,
     _branch,
@@ -39,6 +40,7 @@ from polquat.shifter import (
 from util import rand_unit
 
 HALF_PI = math.pi / 2
+QUARTER_PI = math.pi / 4
 
 
 def jc(x: float, y: float) -> complex:
@@ -232,6 +234,32 @@ def test_family_callable_matches_samples():
     for m, (x, angles) in enumerate(zip(sol.family.parameters, sol.family_samples)):
         assert x == -HALF_PI + math.pi * m / 16
         assert angles == sol.family.at(x)
+
+
+def _bits(angles) -> tuple:
+    # repr tells -0.0 from 0.0, which == does not
+    return tuple(map(repr, angles))
+
+
+@pytest.mark.parametrize("kind", [Classification.SINGULAR_A, Classification.SINGULAR_B])
+def test_family_members_are_branch_1_bit_for_bit(kind):
+    # the affine form of a member keeps every float operation of branch 1 at
+    # the half angles the family frees, signs of zero included
+    rng = np.random.default_rng(20)
+    halves = [0.0, -0.0, QUARTER_PI, -HALF_PI] + list(rng.uniform(-math.pi, math.pi, 20))
+    xs = [*SingularFamily.parameters, 0.0, -0.0, HALF_PI, -HALF_PI,
+          *rng.uniform(-2 * math.pi, 2 * math.pi, 40)]
+    for a_half, b_half in itertools.product(map(float, halves), repeat=2):
+        family = SingularFamily(kind, a_half, b_half)
+        for x in map(float, xs):
+            if kind is Classification.SINGULAR_A:
+                want = _branch(1, a_half, -x, 0.0)
+            else:
+                want = _branch(1, x + QUARTER_PI, b_half, QUARTER_PI)
+            assert _bits(family.at(x)) == _bits(want), (a_half, b_half, x)
+        samples = ShifterSolution(None, family).family_samples
+        assert samples == tuple(map(family.at, family.parameters))
+        assert list(map(_bits, samples)) == [_bits(family.at(x)) for x in family.parameters]
 
 
 def test_both_branches_lie_on_the_family():

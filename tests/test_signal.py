@@ -20,12 +20,14 @@ from polquat import (
     StokesQuaternion,
     Waveplate,
     allclose,
+    apply,
     apply_phase,
     classical_from_jones,
     classify_orthogonality,
     from_ellipse,
     from_jones,
     orthogonal_sop,
+    polarizer_apply,
     precess,
     ramp_trajectory,
     solve_angles,
@@ -256,6 +258,13 @@ _NON_FINITE_INPUTS = {
                             "slow axis signal component"),
     "stokes": (lambda x: stokes(_with(x)), "signal component"),
     "to_jones": (lambda x: to_jones(_with(x)), "signal component"),
+    "apply_phase_q": (lambda x: apply_phase(_with(x), 0.3), "signal component"),
+    "orthogonal_sop": (lambda x: orthogonal_sop(_with(x)), "signal component"),
+    "apply": (lambda x: apply(_with(x), Waveplate(J)), "signal component"),
+    "polarizer_apply": (lambda x: polarizer_apply(_with(x), PartialPolarizer(ONE, 0.5)),
+                        "signal component"),
+    "from_jones": (lambda x: from_jones(JonesVector(complex(0.6, x), 0.8 + 0j)),
+                   "Jones vector component"),
 }
 
 

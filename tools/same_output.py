@@ -25,6 +25,11 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   solve targets above, and of q - r, q + r, -q, q.conjugate() and
   apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
   ramp signals scaled to huge and denormal size;
+* the `repr` of `SingularFamily(kind, a_half, b_half).at(x)` and of the
+  `family_samples` of its `ShifterSolution`, for both singular kinds and
+  FAMILY_HALVES `random.Random(2024)` (a_half, b_half) pairs, which include
+  +-0.0, at x over the family `parameters`, +-0.0, +-pi/2 and FAMILY_XS
+  random values: the solve targets reach only about 140 families;
 * the `repr` of `partial_conjugate` and `double_conjugate` about every axis
   and of `normalized()`, for each solve target's q and r, and of `qwp(psi)`
   and `hwp(psi)` on a grid of `PLATE_ANGLES` orientations over [-pi, pi];
@@ -76,6 +81,8 @@ RECORD_RAMP_SAMPLES = 256
 ELLIPSE_SCALES = (2.0 ** 1000, 1e300, 1.0, 2.0 ** -1000, 1e-310)
 SOLVE_RUNS = 2000
 PLATE_ANGLES = 4001
+FAMILY_HALVES = 200
+FAMILY_XS = 40
 FORMS = ("quat", "jones", "ellipse", "stokes")
 CONVERT_INPUTS = {
     "quat": ("[0.6,0.2,-0.5,0.3]", "[0.7071067811865476,0,0,0.7071067811865476]"),
@@ -166,7 +173,7 @@ def _child() -> None:
             value = getattr(polquat, name)
             module = value.__name__ if isinstance(value, types.ModuleType) else value.__module__
             surface.append((name, type(value).__name__, module))
-    from polquat import Axis, I, Quaternion, cli, hwp, qwp, shifter, signal
+    from polquat import Axis, Classification, I, Quaternion, cli, hwp, qwp, shifter, signal
 
     def digest(argv, path=None) -> str:
         out, err = io.StringIO(), io.StringIO()
@@ -197,6 +204,13 @@ def _child() -> None:
                  for q, r, phi in solves)
     artifacts["solve_angles records"] = [digest_repr((sol, sol.family_samples))
                                          for sol in solutions]
+    xs = [*shifter.SingularFamily.parameters, *spec["family_xs"]]
+    families = [shifter.SingularFamily(kind, a_half, b_half)
+                for a_half, b_half in spec["family_halves"]
+                for kind in (Classification.SINGULAR_A, Classification.SINGULAR_B)]
+    artifacts["singular family members"] = [
+        digest_repr((*map(family.at, xs), shifter.ShifterSolution(None, family).family_samples))
+        for family in families]
     artifacts["arithmetic records"] = [
         digest_repr((q - r, q + r, -q, q.conjugate(), signal.apply_phase(r, phi)))
         for q, r, phi in solves]
@@ -220,9 +234,16 @@ def _child() -> None:
 
 
 def _record_spec() -> dict:
-    """The signals of the record artifacts, as JSON-ready float lists."""
+    """The inputs of the record artifacts, as JSON-ready float lists."""
     one = (1.0, 0.0, 0.0, 0.0)
-    return {"record_ramps": [("fig5", *inputs.FIG5), ("fig7", *inputs.FIG7),
+    rng = random.Random(2024)
+    halves = [(0.0, -0.0), (-0.0, 0.0)] + [
+        (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+        for _ in range(FAMILY_HALVES - 2)]
+    xs = [0.0, -0.0, math.pi / 2, -math.pi / 2] + [
+        rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(FAMILY_XS)]
+    return {"family_halves": halves, "family_xs": xs,
+            "record_ramps": [("fig5", *inputs.FIG5), ("fig7", *inputs.FIG7),
                              ("identity", one, one)],
             "record_solves": [(case.q, case.r, case.phi) for case in _solve_cases()],
             "ellipse_signals": [[float(x) for x in text.split(",")]
