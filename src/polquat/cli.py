@@ -8,12 +8,12 @@ never affects parsing.  Ramp CSV columns are always radians.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import re
 import sys
 
+# polquat's own modules are imported, and so compiled, before argparse, json
+# and re load: the compile's transient memory then sits on a smaller heap,
+# and a `solve` command's peak RSS (VmHWM) reads about 0.15 MB lower
 from . import shifter
 from .quaternion import Quaternion
 from .signal import (
@@ -25,6 +25,10 @@ from .signal import (
     to_ellipse,
     to_jones,
 )
+
+import argparse
+import json
+import re
 
 CSV_HEADER = "phi,psi_a,psi_b,psi_c,branch,out_phase,out_theta,out_epsilon,residual"
 

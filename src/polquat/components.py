@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .quaternion import (J, Quaternion, _new, _record, _require_finite_components,
-                         _require_unit, precess)
+from .quaternion import (J, Quaternion, _new, _record, _require_finite,
+                         _require_finite_components, _require_unit, precess)
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -66,16 +66,19 @@ def waveplate_from_axis(slow: Quaternion, eta: float) -> Waveplate:
 
     p = conj(slow) * e^(i eta) * slow, which equals exp(s * eta) for s the
     Stokes unit vector quaternion of the slow axis.  Slow-axis inputs gain
-    phase eta; the orthogonal (fast) axis loses phase eta.
+    phase eta; the orthogonal (fast) axis loses phase eta.  Raises ValueError
+    unless slow is unit and eta is finite.
     """
     _require_unit(slow, "slow axis signal")
+    _require_finite(eta, "eta")
     phase = Quaternion(math.cos(eta), math.sin(eta), 0.0, 0.0)
     return Waveplate(slow.conjugate() * phase * slow)
 
 
 def rotate_element(plate: Waveplate, psi: float) -> Waveplate:
     """The same plate physically rotated by psi: its precession about j,
-    e^(-j psi) * q * e^(j psi)."""
+    e^(-j psi) * q * e^(j psi).  Raises ValueError unless psi is finite."""
+    _require_finite(psi, "plate angle")
     return Waveplate(precess(plate.q, J, psi))
 
 

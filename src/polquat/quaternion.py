@@ -219,7 +219,9 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
 
     def exp(self) -> "Quaternion":
         """Quaternion exponential e^(q0) * (cos|v| + v_hat sin|v|) with v the
-        vector part.  For a unit vector v, exp(v*t) = cos t + v sin t."""
+        vector part.  For a unit vector v, exp(v*t) = cos t + v sin t.
+        Raises ValueError naming a non-finite component."""
+        _require_finite_components(self, "quaternion")
         a = self.vector_norm()
         s = math.exp(self.q0)
         if a == 0.0:
@@ -235,9 +237,11 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
         comes from u = q / 2^e (see `_prescaled`) and, where |q| is not a
         normal float, the scalar from log|u| + e ln 2: the log is finite for
         every finite nonzero q, also where |q| exceeds the largest float.
+        Raises ValueError for the zero quaternion and for a non-finite one.
         """
         (u0, u1, u2, u3), e, n = _prescaled(self)
-        if n == 0.0:
+        if not 0.0 < n < math.inf:   # hypot is inf or nan for a non-finite component
+            _require_finite_components(self, "quaternion")
             raise ValueError("zero quaternion has no logarithm")
         # log|q| itself where |q| = 2^e |u| is a normal float; past either end
         # of that range, log|u| + e ln 2
@@ -292,11 +296,15 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
 
     The scalar part and the vector-part magnitude are preserved; the vector
     part is rotated by angle 2*theta about axis v.  Raises ValueError unless
-    v is a unit vector quaternion and theta is finite.
+    v is a unit vector quaternion and theta and the components of q are
+    finite.
     """
     if abs(v.q0) > UNIT_TOL or not v.is_unit():
         raise ValueError("axis must be a unit vector quaternion")
     _require_finite(theta, "precession angle")
+    # a finite sum has finite terms, so a finite q costs one sum
+    if not math.isfinite(sum(q)):
+        _require_finite_components(q, "quaternion")
     c = math.cos(theta)
     s = math.sin(theta)
     e_pos = (c, v.q1 * s, v.q2 * s, v.q3 * s)
@@ -325,7 +333,7 @@ def _require_finite(value: float, what: str) -> None:
 
 def _require_finite_components(q, what: str) -> None:
     """ValueError `<what> component must be a finite number, got <value>`
-    for the first non-finite component of the 4-sequence q."""
+    for the first non-finite component of the sequence q."""
     for x in q:
         if not math.isfinite(x):   # the message is formatted only for a failing one
             _require_finite(x, f"{what} component")

@@ -55,11 +55,6 @@ class Classification(Enum):
     SINGULAR_B = "singular_b"   # p1 = p3 = 0
 
 
-# an enum member looked up on its class costs a descriptor call (CPython 3.11),
-# and `_split` reads one on every solve and ramp row
-_SINGULAR_A = Classification.SINGULAR_A
-
-
 def reduce_angle(psi: float) -> float:
     """Reduce modulo pi into (-pi/2, pi/2]."""
     r = math.remainder(psi, _PI)
@@ -84,16 +79,18 @@ def _b_column(x: float) -> tuple:
     return s, reduce_angle(s - _QUARTER_PI)
 
 
-class SingularFamily(_record("SingularFamily", "kind a_half b_half")):
+class SingularFamily(_record("SingularFamily", "kind half")):
     """The one-parameter family of triples solving a singular target.
 
-    It is branch 1 with the half angle that c = 0 leaves undefined set free:
-    at c1 = 0 (SINGULAR_A) b_half = -x, and at c2 = 0 (SINGULAR_B), where
-    t_half = pi/4, a_half = x + pi/4, so x is psi_b itself.  Both branches
-    are members.  Written out, the members are affine in x:
+    It is branch 1 with the half angle that c = 0 leaves undefined set free,
+    and `half` is the one it keeps: at c1 = 0 (SINGULAR_A) b_half = -x and
+    half = a_half = arg(p1 + p3 j) / 2; at c2 = 0 (SINGULAR_B), where
+    t_half = pi/4, a_half = x + pi/4, so x is psi_b itself, and half =
+    b_half = arg(p0 + p2 j) / 2.  Both branches are members.  Written out,
+    the members are affine in x:
 
-        A:  (reduce(a_half + x + pi/4), reduce(a_half), reduce(a_half - x + pi/4))
-        B:  (reduce(s - b_half + pi/4), reduce(s - pi/4), reduce(s + b_half + pi/4))
+        A:  (reduce(half + x + pi/4), reduce(half), reduce(half - x + pi/4))
+        B:  (reduce(s - half + pi/4), reduce(s - pi/4), reduce(s + half + pi/4))
 
     with s = x + pi/4 and reduce = `reduce_angle`: the float operations of
     branch 1 at those half angles, so the angles move as (+x, constant, -x)
@@ -114,15 +111,14 @@ class SingularFamily(_record("SingularFamily", "kind a_half b_half")):
     def _members(self, xs: tuple, b_columns: tuple) -> tuple:
         """The members at the free parameters `xs`; a B family reads their
         `_b_column`s from `b_columns` instead."""
-        a_half = self.a_half
-        if self.kind is _SINGULAR_A:
-            psi_b = reduce_angle(a_half)
-            return tuple([_new(WaveplateAngles, (reduce_angle(a_half + x + _QUARTER_PI), psi_b,
-                                                 reduce_angle(a_half - x + _QUARTER_PI)))
+        kind, half = self
+        if kind is Classification.SINGULAR_A:
+            psi_b = reduce_angle(half)
+            return tuple([_new(WaveplateAngles, (reduce_angle(half + x + _QUARTER_PI), psi_b,
+                                                 reduce_angle(half - x + _QUARTER_PI)))
                           for x in xs])
-        b_half = self.b_half
-        return tuple([_new(WaveplateAngles, (reduce_angle(s - b_half + _QUARTER_PI), psi_b,
-                                             reduce_angle(s + b_half + _QUARTER_PI)))
+        return tuple([_new(WaveplateAngles, (reduce_angle(s - half + _QUARTER_PI), psi_b,
+                                             reduce_angle(s + half + _QUARTER_PI)))
                       for s, psi_b in b_columns])
 
 
@@ -216,6 +212,9 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
 
     for a = psi_a, c = psi_c, i.e. c1 = p0 + p2 j = -e^(j(c-a)) cos g and
     c2 = p1 + p3 j = j e^(j(a+c)) sin g.
+
+    It takes solver output, whose angles are finite and reduced, and checks
+    nothing: a ramp row calls it twice.  A non-finite angle gives NaN.
     """
     a, b, c = angles
     g = 2.0 * b - a - c
@@ -230,23 +229,25 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
 def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
 
-    Returns (kind, c1, c2, a_half, b_half, t_half) with the moduli
-    c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
+    Returns (family, c_min, a_half, b_half, t_half) with c_min the smaller
+    of the moduli c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
     a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
-    t_half = arctan(c1 / c2) / 2.  kind is the singular decision: None for a
-    regular target, which has no family, else, where the smaller modulus is
-    at most SINGULAR_TOL, the singular kind of the side it belongs to (since
-    c1^2 + c2^2 = 1, at most one side is small).  The caller checks that p is
-    unit: `solve_angles` checks p itself, and a ramp row's target lies on
-    the unit line of `_target_line`.
+    t_half = arctan(c1 / c2) / 2.  family is the singular decision: None for
+    a regular target, else, where c_min is at most SINGULAR_TOL, the
+    `SingularFamily` of the side it belongs to (since c1^2 + c2^2 = 1, at
+    most one side is small), holding the one half angle its members use.
+    The caller checks that p is unit: `solve_angles` checks p itself, and a
+    ramp row's target lies on the unit line of `_target_line`.
     """
     c1 = math.hypot(p0, p2)
     c2 = math.hypot(p1, p3)
-    # a regular target looks up no enum member
-    kind = (None if min(c1, c2) > SINGULAR_TOL
-            else _SINGULAR_A if c1 <= c2 else Classification.SINGULAR_B)
-    return (kind, c1, c2, 0.5 * math.atan2(p3, p1), 0.5 * math.atan2(p2, p0),
-            0.5 * math.atan2(c1, c2))
+    c_min = min(c1, c2)
+    a_half = 0.5 * math.atan2(p3, p1)
+    b_half = 0.5 * math.atan2(p2, p0)
+    family = (None if c_min > SINGULAR_TOL
+              else _new(SingularFamily, (Classification.SINGULAR_A, a_half)) if c1 <= c2
+              else _new(SingularFamily, (Classification.SINGULAR_B, b_half)))
+    return family, c_min, a_half, b_half, 0.5 * math.atan2(c1, c2)
 
 
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
@@ -272,11 +273,11 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     Raises ValueError unless |p| = 1.
     """
     _require_unit(p, "target transform")
-    kind, _, _, a_half, b_half, t_half = _split(*p)
-    if kind is None:
+    family, _, a_half, b_half, t_half = _split(*p)
+    if family is None:
         return _new(ShifterSolution, ((_branch(1, a_half, b_half, t_half),
                                        _branch(2, a_half, b_half, t_half)), None))
-    return _new(ShifterSolution, (None, _new(SingularFamily, (kind, a_half, b_half))))
+    return _new(ShifterSolution, (None, family))
 
 
 def _best_family_point(family: SingularFamily,
@@ -290,9 +291,9 @@ def _best_family_point(family: SingularFamily,
     every zero: the arc left by the largest gap between neighbouring zeros.
     """
     base = family.at(0.0)
-    if family.kind is _SINGULAR_A:   # psi_a = base + x, psi_c = base - x
+    if family.kind is Classification.SINGULAR_A:   # psi_a = base + x, psi_c = base - x
         zeros = [prev.psi_a - base.psi_a, base.psi_c - prev.psi_c]
-    else:                            # every angle is base + x
+    else:                                          # every angle is base + x
         zeros = [p - b for p, b in zip(prev, base)]
     zeros = sorted(math.remainder(z, _PI) for z in zeros)
     gap, k = max((zeros[j + 1] - zeros[j], j) for j in range(len(zeros) - 1))
@@ -336,8 +337,8 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     A regular row builds three records, its `WaveplateAngles`, the
     `Quaternion` of `forward_transform` and its `RampPoint`, each with one
     `_new` call; its residual takes the product q * forward(angles) as
-    floats.  A family row also builds its `SingularFamily` and the members
-    `_best_family_point` visits.
+    floats.  A family row takes its `SingularFamily` from `_split` and also
+    builds the members `_best_family_point` visits.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
@@ -350,9 +351,8 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
         c = math.cos(phi)
         n = math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3
-        kind, c1, c2, a_half, b_half, t_half = _split(p0, p1, p2, p3)
-        if kind is not None:
-            family = _new(SingularFamily, (kind, a_half, b_half))
+        family, c_min, a_half, b_half, t_half = _split(p0, p1, p2, p3)
+        if family is not None:
             choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
             branch = 0
         elif branch:
@@ -363,8 +363,8 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
             branch = 1 if triple_distance(first, prev) <= triple_distance(second, prev) else 2
             choice = first if branch == 1 else second
         step = 0.0 if prev is None else triple_distance(choice, prev)
-        # a family row has min(c1, c2) <= SINGULAR_TOL < NEAR_SINGULAR_TOL
-        flagged = min(c1, c2) <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
+        # a family row has c_min <= SINGULAR_TOL < NEAR_SINGULAR_TOL
+        flagged = c_min <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
         o0, o1, o2, o3 = _product(q_in, forward_transform(choice))
         residual = math.hypot(o0 - (c * r0 + n * ir0), o1 - (c * r1 + n * ir1),
                               o2 - (c * r2 + n * ir2), o3 - (c * r3 + n * ir3))

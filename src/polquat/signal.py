@@ -41,7 +41,8 @@ class JonesVector(_record("JonesVector", "ex ey")):
 def _check_ellipse(r: float, phi: float, epsilon: float, theta: float) -> tuple:
     """(r, phi, epsilon, theta) after the range rule of `EllipseParams`;
     ValueError names the first field outside its range."""
-    if not r >= 0.0:
+    if not 0.0 <= r < math.inf:
+        _require_finite(r, "magnitude")
         raise ValueError(f"magnitude must be nonnegative, got {r!r}")
     if not -_PI < phi <= _PI:
         raise ValueError(f"phase {phi!r} outside (-pi, pi]")
@@ -55,7 +56,7 @@ def _check_ellipse(r: float, phi: float, epsilon: float, theta: float) -> tuple:
 class EllipseParams(_record("EllipseParams", "r phi epsilon theta")):
     """Polarization ellipse description of a signal.
 
-    r        field magnitude, >= 0
+    r        field magnitude, finite and >= 0
     phi      optical phase, in (-pi, pi]
     epsilon  angle of ellipticity, in [-pi/4, pi/4]; +-pi/4 are the circular
              states (orientation is then degenerate with phase)
@@ -143,12 +144,16 @@ def stokes(q: Quaternion) -> StokesQuaternion:
 
 
 def to_classical(s: StokesQuaternion) -> ClassicalStokes:
-    """Reorder quaternion components (s1, s2, s3) -> (S1, S2, S3) = (s1, s3, s2)."""
+    """Reorder quaternion components (s1, s2, s3) -> (S1, S2, S3) = (s1, s3, s2).
+    Raises ValueError naming a non-finite component."""
+    _require_finite_components(s, "Stokes")
     return ClassicalStokes(s.s1, s.s3, s.s2)
 
 
 def classical_from_jones(v: JonesVector) -> ClassicalStokes:
-    """Conventional Stokes components straight from the field components."""
+    """Conventional Stokes components straight from the field components;
+    raises ValueError naming a non-finite part."""
+    _require_finite_components((v.ex.real, v.ex.imag, v.ey.real, v.ey.imag), "Jones vector")
     ax2 = v.ex.real * v.ex.real + v.ex.imag * v.ex.imag
     ay2 = v.ey.real * v.ey.real + v.ey.imag * v.ey.imag
     c = v.ex * v.ey.conjugate()

@@ -249,14 +249,14 @@ def test_family_members_are_branch_1_bit_for_bit(kind):
     halves = [0.0, -0.0, QUARTER_PI, -HALF_PI] + list(rng.uniform(-math.pi, math.pi, 20))
     xs = [*SingularFamily.parameters, 0.0, -0.0, HALF_PI, -HALF_PI,
           *rng.uniform(-2 * math.pi, 2 * math.pi, 40)]
-    for a_half, b_half in itertools.product(map(float, halves), repeat=2):
-        family = SingularFamily(kind, a_half, b_half)
+    for half in map(float, halves):
+        family = SingularFamily(kind, half)
         for x in map(float, xs):
             if kind is Classification.SINGULAR_A:
-                want = _branch(1, a_half, -x, 0.0)
+                want = _branch(1, half, -x, 0.0)
             else:
-                want = _branch(1, x + QUARTER_PI, b_half, QUARTER_PI)
-            assert _bits(family.at(x)) == _bits(want), (a_half, b_half, x)
+                want = _branch(1, x + QUARTER_PI, half, QUARTER_PI)
+            assert _bits(family.at(x)) == _bits(want), (half, x)
         samples = ShifterSolution(None, family).family_samples
         assert samples == tuple(map(family.at, family.parameters))
         assert list(map(_bits, samples)) == [_bits(family.at(x)) for x in family.parameters]
@@ -271,11 +271,11 @@ def test_both_branches_lie_on_the_family():
         rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * float(rng.choice([1.0, -1.0]))
         for p, kind in ((I * rot, Classification.SINGULAR_A),
                         (rot, Classification.SINGULAR_B)):
-            split = _split(p.q0, p.q1, p.q2, p.q3)
-            assert split[0] is kind
-            family = solve_angles(p).family
+            family, _, *halves = _split(p.q0, p.q1, p.q2, p.q3)
+            assert family.kind is kind
+            assert solve_angles(p).family == family
             for branch in (1, 2):
-                br = _branch(branch, *split[3:])
+                br = _branch(branch, *halves)
                 assert triple_distance(_best_family_point(family, br), br) <= 1e-12
 
 
@@ -285,7 +285,8 @@ def test_best_family_point_is_no_farther_than_a_fine_grid_minimum():
     grid = np.linspace(-HALF_PI, HALF_PI, 2001)
     for kind in (Classification.SINGULAR_A, Classification.SINGULAR_B):
         for _ in range(50):
-            family = SingularFamily(kind, *map(float, rng.uniform(-math.pi, math.pi, 2)))
+            a_half, b_half = map(float, rng.uniform(-math.pi, math.pi, 2))
+            family = SingularFamily(kind, a_half if kind is Classification.SINGULAR_A else b_half)
             prev = WaveplateAngles(*(reduce_angle(float(a))
                                      for a in rng.uniform(-math.pi, math.pi, 3)))
             brute = min(triple_distance(family.at(float(x)), prev) for x in grid)

@@ -26,13 +26,17 @@ from polquat import (
     classify_orthogonality,
     from_ellipse,
     from_jones,
+    hwp,
     orthogonal_sop,
     polarizer_apply,
     precess,
+    qwp,
     ramp_trajectory,
+    rotate_element,
     solve_angles,
     stokes,
     target_transform,
+    to_classical,
     to_ellipse,
     to_jones,
     waveplate_from_axis,
@@ -265,6 +269,19 @@ _NON_FINITE_INPUTS = {
                         "signal component"),
     "from_jones": (lambda x: from_jones(JonesVector(complex(0.6, x), 0.8 + 0j)),
                    "Jones vector component"),
+    "EllipseParams": (lambda x: EllipseParams(x, 0.3, 0.1, 0.2), "magnitude"),
+    "qwp": (qwp, "plate angle"),
+    "hwp": (hwp, "plate angle"),
+    "rotate_element": (lambda x: rotate_element(Waveplate(J), x), "plate angle"),
+    "waveplate_from_axis_eta": (lambda x: waveplate_from_axis(ONE, x), "eta"),
+    "precess_q": (lambda x: precess(_with(x), J, 0.3), "quaternion component"),
+    "classical_from_jones": (
+        lambda x: classical_from_jones(JonesVector(complex(0.6, x), 0.8 + 0j)),
+        "Jones vector component"),
+    "to_classical": (lambda x: to_classical(StokesQuaternion(0.6, x, 0.8)),
+                     "Stokes component"),
+    "exp": (lambda x: _with(x).exp(), "quaternion component"),
+    "log": (lambda x: _with(x).log(), "quaternion component"),
 }
 
 

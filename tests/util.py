@@ -23,15 +23,3 @@ def rand_unit_vector(rng: np.random.Generator) -> Quaternion:
         if n > 1e-3:
             return Quaternion(0.0, *(float(x / n) for x in v))
 
-
-def rodrigues(axis, angle: float) -> np.ndarray:
-    """Rotation matrix about a unit 3-vector, right-hand rule.
-
-    Kept deliberately independent of the quaternion code paths: this is the
-    reference for the Poincare-sphere precession law.
-    """
-    axis = np.asarray(axis, dtype=float)
-    k = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)

@@ -25,11 +25,14 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   solve targets above, and of q - r, q + r, -q, q.conjugate() and
   apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
   ramp signals scaled to huge and denormal size;
-* the `repr` of `SingularFamily(kind, a_half, b_half).at(x)` and of the
-  `family_samples` of its `ShifterSolution`, for both singular kinds and
-  FAMILY_HALVES `random.Random(2024)` (a_half, b_half) pairs, which include
-  +-0.0, at x over the family `parameters`, +-0.0, +-pi/2 and FAMILY_XS
-  random values: the solve targets reach only about 140 families;
+* the `repr` of a `SingularFamily`'s `at(x)` and of the `family_samples`
+  of its `ShifterSolution`, for both singular kinds and FAMILY_HALVES
+  `random.Random(2024)` (a_half, b_half) pairs, which include +-0.0, at x
+  over the family `parameters`, +-0.0, +-pi/2 and FAMILY_XS random values:
+  the solve targets reach only about 140 families.  A family holds the one
+  half angle its kind uses (a_half for SINGULAR_A, b_half for SINGULAR_B);
+  a tree whose `SingularFamily` still has the fields (kind, a_half, b_half)
+  gets both, so the two trees' members compare;
 * the `repr` of `partial_conjugate` and `double_conjugate` about every axis
   and of `normalized()`, for each solve target's q and r, and of `qwp(psi)`
   and `hwp(psi)` on a grid of `PLATE_ANGLES` orientations over [-pi, pi];
@@ -205,9 +208,12 @@ def _child() -> None:
     artifacts["solve_angles records"] = [digest_repr((sol, sol.family_samples))
                                          for sol in solutions]
     xs = [*shifter.SingularFamily.parameters, *spec["family_xs"]]
-    families = [shifter.SingularFamily(kind, a_half, b_half)
+    two_halves = shifter.SingularFamily._fields == ("kind", "a_half", "b_half")
+    families = [shifter.SingularFamily(kind, a_half, b_half) if two_halves
+                else shifter.SingularFamily(kind, half)
                 for a_half, b_half in spec["family_halves"]
-                for kind in (Classification.SINGULAR_A, Classification.SINGULAR_B)]
+                for kind, half in ((Classification.SINGULAR_A, a_half),
+                                   (Classification.SINGULAR_B, b_half))]
     artifacts["singular family members"] = [
         digest_repr((*map(family.at, xs), shifter.ShifterSolution(None, family).family_samples))
         for family in families]
