@@ -220,7 +220,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     def exp(self) -> "Quaternion":
         """Quaternion exponential e^(q0) * (cos|v| + v_hat sin|v|) with v the
         vector part.  For a unit vector v, exp(v*t) = cos t + v sin t.
-        Raises ValueError naming a non-finite component."""
+        Raises ValueError naming a non-finite component, and OverflowError
+        where e^(q0) exceeds the largest float (q0 above about 709.78)."""
         _require_finite_components(self, "quaternion")
         a = self.vector_norm()
         s = math.exp(self.q0)

@@ -29,20 +29,80 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_convert_jones_to_quat(capsys):
-    code, out, _ = run(capsys, "convert", "--from", "jones", "--to", "quat",
-                       "--input", '{"ex":[1,0],"ey":[0,0]}')
-    assert code == 0
-    assert json.loads(out) == [1.0, 0.0, 0.0, 0.0]
+def _convert(src, dst, text):
+    return ("convert", "--from", src, "--to", dst, "--input", text)
 
 
-def test_convert_ellipse_to_quat(capsys):
-    code, out, _ = run(capsys, "convert", "--from", "ellipse", "--to", "quat",
-                       "--input",
-                       '{"r":1.4142135,"phi":0,"epsilon":0.7853981,"theta":0}')
-    assert code == 0
-    got = json.loads(out)
-    assert max(abs(a - b) for a, b in zip(got, [1.0, 0.0, 0.0, 1.0])) <= 1e-5
+def _solved(classification, branches):
+    """A test of `solve` output: its class, the branch of each solution, and
+    every residual below the 1e-9 bound."""
+    return lambda got: (got["classification"] == classification
+                        and [s["branch"] for s in got["solutions"]] == branches
+                        and all(s["residual"] < 1e-9 for s in got["solutions"]))
+
+
+_STOKES = '{"s1":1,"s2":0,"s3":0}'
+_FIG7_CROSSING = "1.2490457723982544"   # the Fig. 7 ramp crosses a singularity here
+
+# The command examples as one argv table.  Each row is a list of (argv, exit
+# code, want) steps and runs as the test `test_<name>`; `want` is a phrase of
+# the error message, a test on the JSON that stdout holds, or that JSON itself,
+# which stdout must print exactly, keys in order.
+_EXAMPLES = {
+    "convert_jones_to_quat": [
+        (_convert("jones", "quat", '{"ex":[1,0],"ey":[0,0]}'), 0, [1.0, 0.0, 0.0, 0.0])],
+    "convert_ellipse_to_quat": [
+        (_convert("ellipse", "quat", '{"r":1.4142135,"phi":0,"epsilon":0.7853981,"theta":0}'),
+         0, lambda got: max(abs(a - b) for a, b in zip(got, [1.0, 0.0, 0.0, 1.0])) <= 1e-5)],
+    "convert_stokes_round_trip_and_rejection": [
+        (_convert("stokes", "stokes", _STOKES), 0, {"s1": 1.0, "s2": 0.0, "s3": 0.0}),
+        (_convert("stokes", "quat", _STOKES), 3, "phase")],
+    # each form's reader and writer agree; stokes keys print in their order
+    "json_forms_round_trip": [
+        (_convert("quat", "quat", "[0.1,-0.2,0.3,-0.4]"), 0, [0.1, -0.2, 0.3, -0.4]),
+        (_convert("jones", "jones", '{"ey":[0,2],"ex":[1.5,-0.5]}'), 0,
+         {"ex": [1.5, -0.5], "ey": [0.0, 2.0]}),
+        (_convert("stokes", "stokes", '{"s3":0.5,"s1":1,"s2":-2}'), 0,
+         {"s1": 1.0, "s2": -2.0, "s3": 0.5})],
+    "convert_malformed_json_is_exit_2": [(_convert("quat", "quat", "[1,2,"), 2, "JSON")],
+    "convert_degrees_display": [
+        (("--degrees", *_convert("quat", "ellipse", "[0,0,0,1]")), 0,
+         lambda got: max(abs(got["phi_deg"] - 90.0), abs(got["theta_deg"] - 90.0)) <= 1e-9)],
+    "solve_identity_is_singular_b": [
+        (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0"), 0,
+         _solved("singular_b", ["singular"] * 16))],
+    "solve_fig5_regular": [
+        (("solve", "--q", FIG5_Q, "--r", FIG5_R, "--phi", "1.0"), 0, _solved("regular", [1, 2]))],
+    "solve_branch_filter": [
+        (("solve", "--q", FIG5_Q, "--r", FIG5_R, "--phi", "0.3", "--branch", "2"), 0,
+         _solved("regular", [2]))],
+    "solve_fig7_singular_phase": [
+        (("solve", "--q", FIG7_Q, "--r", FIG7_R, "--phi", _FIG7_CROSSING), 0,
+         _solved("singular_b", ["singular"] * 16))],
+    "solve_non_unit_is_exit_2": [
+        (("solve", "--q", "1,1,0,0", "--r", "1,0,0,0", "--phi", "0"), 2, "unit")],
+    "ramp_untouchable_path_is_exit_4": [
+        (("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "4",
+          "--out", "/no/such/dir/x.csv"), 4, "cannot write")],
+}
+
+
+def _example_test(steps):
+    def test(capsys):
+        for argv, want_code, want in steps:
+            code, out, err = run(capsys, *argv)
+            assert code == want_code, err
+            if isinstance(want, str):
+                assert want in err
+            elif callable(want):
+                assert want(json.loads(out))
+            else:
+                assert out == json.dumps(want) + "\n"
+    return test
+
+
+for _name, _steps in _EXAMPLES.items():
+    globals()["test_" + _name] = _example_test(_steps)
 
 
 def test_convert_quat_ellipse_round_trip(capsys):
@@ -57,60 +117,10 @@ def test_convert_quat_ellipse_round_trip(capsys):
     assert max(abs(a - b) for a, b in zip(got, q)) <= 1e-12
 
 
-def test_convert_stokes_round_trip_and_rejection(capsys):
-    code, out, _ = run(capsys, "convert", "--from", "stokes", "--to", "stokes",
-                       "--input", '{"s1":1,"s2":0,"s3":0}')
-    assert code == 0
-    assert json.loads(out) == {"s1": 1.0, "s2": 0.0, "s3": 0.0}
-    code, _, err = run(capsys, "convert", "--from", "stokes", "--to", "quat",
-                       "--input", '{"s1":1,"s2":0,"s3":0}')
-    assert code == 3
-    assert "phase" in err
-
-
-def test_json_forms_round_trip(capsys):
-    # each form's reader and writer agree; stokes keys print in their order
-    for kind, text, want in [
-            ("quat", "[0.1,-0.2,0.3,-0.4]", [0.1, -0.2, 0.3, -0.4]),
-            ("jones", '{"ey":[0,2],"ex":[1.5,-0.5]}', {"ex": [1.5, -0.5], "ey": [0.0, 2.0]}),
-            ("stokes", '{"s3":0.5,"s1":1,"s2":-2}', {"s1": 1.0, "s2": -2.0, "s3": 0.5})]:
-        code, out, _ = run(capsys, "convert", "--from", kind, "--to", kind, "--input", text)
-        assert code == 0
-        assert out == json.dumps(want) + "\n"
-
-
-def test_convert_malformed_json_is_exit_2(capsys):
-    code, _, err = run(capsys, "convert", "--from", "quat", "--to", "quat",
-                       "--input", "[1,2,")
-    assert code == 2
-    assert "JSON" in err
-
-
-def test_convert_degrees_display(capsys):
-    code, out, _ = run(capsys, "--degrees", "convert", "--from", "quat",
-                       "--to", "ellipse", "--input", "[0,0,0,1]")
-    assert code == 0
-    got = json.loads(out)
-    assert abs(got["phi_deg"] - 90.0) <= 1e-9
-    assert abs(got["theta_deg"] - 90.0) <= 1e-9
-
-
-def test_solve_identity_is_singular_b(capsys):
-    code, out, _ = run(capsys, "solve", "--q", "1,0,0,0", "--r", "1,0,0,0",
-                       "--phi", "0")
-    assert code == 0
-    got = json.loads(out)
-    assert got["classification"] == "singular_b"
-    assert len(got["solutions"]) == 16
-    assert all(s["residual"] < 1e-9 for s in got["solutions"])
-    assert all(s["branch"] == "singular" for s in got["solutions"])
-
-
 def test_solve_prints_the_family_at_its_parameters(capsys):
     from polquat import solve_angles
 
-    code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R,
-                       "--phi", "1.2490457723982544")
+    code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R, "--phi", _FIG7_CROSSING)
     assert code == 0
     got = json.loads(out)
     family = solve_angles(Quaternion(*got["target_p"])).family
@@ -134,41 +144,6 @@ def test_degrees_shows_the_family_parameter_in_degrees(capsys):
         assert deg["parameter_deg"] == math.degrees(rad["parameter"])
 
 
-def test_solve_fig5_regular(capsys):
-    code, out, _ = run(capsys, "solve", "--q", FIG5_Q, "--r", FIG5_R,
-                       "--phi", "1.0")
-    assert code == 0
-    got = json.loads(out)
-    assert got["classification"] == "regular"
-    assert [s["branch"] for s in got["solutions"]] == [1, 2]
-    assert all(s["residual"] < 1e-9 for s in got["solutions"])
-
-
-def test_solve_branch_filter(capsys):
-    code, out, _ = run(capsys, "solve", "--q", FIG5_Q, "--r", FIG5_R,
-                       "--phi", "0.3", "--branch", "2")
-    assert code == 0
-    got = json.loads(out)
-    assert [s["branch"] for s in got["solutions"]] == [2]
-
-
-def test_solve_fig7_singular_phase(capsys):
-    # the ramp for the Fig. 7 pair crosses a singularity at this phase
-    code, out, _ = run(capsys, "solve", "--q", FIG7_Q, "--r", FIG7_R,
-                       "--phi", "1.2490457723982544")
-    assert code == 0
-    got = json.loads(out)
-    assert got["classification"] == "singular_b"
-    assert len(got["solutions"]) == 16
-
-
-def test_solve_non_unit_is_exit_2(capsys):
-    code, _, err = run(capsys, "solve", "--q", "1,1,0,0", "--r", "1,0,0,0",
-                       "--phi", "0")
-    assert code == 2
-    assert "unit" in err
-
-
 def test_ramp_two_identical_rows_for_identity_problem(tmp_path, capsys):
     out_path = tmp_path / "two.csv"
     code, _, _ = run(capsys, "ramp", "--q", "1,0,0,0", "--r", "1,0,0,0",
@@ -180,13 +155,6 @@ def test_ramp_two_identical_rows_for_identity_problem(tmp_path, capsys):
     second = lines[2].split(",")
     for c in (1, 2, 3):
         assert abs(float(first[c]) - float(second[c])) <= 1e-9
-
-
-def test_ramp_untouchable_path_is_exit_4(capsys):
-    code, _, err = run(capsys, "ramp", "--q", "1,0,0,0", "--r", "1,0,0,0",
-                       "--samples", "4", "--out", "/no/such/dir/x.csv")
-    assert code == 4
-    assert "cannot write" in err
 
 
 @pytest.mark.parametrize("q, samples", [("2,0,0,0", "256"), ("1,0,0,0", "1")],

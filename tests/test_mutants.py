@@ -17,3 +17,9 @@ def test_every_mutant_replaces_text_that_occurs_exactly_once():
     for path, old, new, why in _mutants():
         assert old != new, why
         assert (ROOT / path).read_text().count(old) == 1, (path, old, why)
+
+
+def test_every_module_with_unit_tests_has_a_mutant():
+    mutated = {Path(path).stem for path, *_ in _mutants()}
+    for module in ("quaternion", "signal", "components", "shifter", "cli", "jones"):
+        assert module in mutated, module

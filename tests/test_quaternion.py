@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +18,16 @@ from polquat import (
     classify_orthogonality,
     precess,
 )
-from util import rand_quat, rand_unit_vector
+from polquat.checks import _rand_quat
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
+
+
+def _unit_vector(rng: random.Random) -> Quaternion:
+    """The direction of the vector part of a drawn quaternion."""
+    return Quaternion(0.0, *_rand_quat(rng)[1:]).normalized()
 
 
 def test_hand_expanded_product():
@@ -111,9 +116,9 @@ def test_division_examples():
 
 
 def test_division_round_trips():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(100):
-        p, q = rand_quat(rng), rand_quat(rng)
+        p, q = _rand_quat(rng), _rand_quat(rng)
         if q.norm() < 1e-3:
             continue
         assert allclose((p / q) * q, p, 1e-10)
@@ -121,9 +126,9 @@ def test_division_round_trips():
 
 @pytest.mark.parametrize("scale", (1e-300, 1e-170, 1.0, 1e160, 1e300, 1e308))
 def test_division_round_trips_at_every_divisor_scale(scale):
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     for _ in range(50):
-        p, q = rand_quat(rng), rand_quat(rng)
+        p, q = _rand_quat(rng), _rand_quat(rng)
         divisor = q * scale
         if q.norm() < 1e-3 or not all(map(math.isfinite, divisor)):
             continue
@@ -137,9 +142,15 @@ def test_division_round_trips_at_every_divisor_scale(scale):
     assert allclose(quotient * four, ONE, 1e-14)
 
 
-def test_a_quotient_past_the_largest_float_raises():
+# the two documented OverflowErrors: a quotient component and e^(q0) of exp
+# past the largest float
+@pytest.mark.parametrize("call", [
+    lambda: Quaternion(1e300, 0.0, 0.0, 0.0) / Quaternion(1e-300, 0.0, 0.0, 0.0),
+    lambda: Quaternion(1000.0, 0.0, 0.0, 0.0).exp(),
+], ids=["quotient", "exp"])
+def test_a_quotient_past_the_largest_float_raises(call):
     with pytest.raises(OverflowError):
-        Quaternion(1e300, 0.0, 0.0, 0.0) / Quaternion(1e-300, 0.0, 0.0, 0.0)
+        call()
 
 
 def test_division_by_zero_raises():
@@ -157,12 +168,12 @@ def test_exp_euler_cases():
 
 
 def test_exp_additivity_for_parallel_vector_parts():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(50):
-        v = rand_unit_vector(rng)
-        a0, a1, b0, b1 = rng.normal(size=4)
-        p = Quaternion(float(a0), 0, 0, 0) + v * float(a1)
-        q = Quaternion(float(b0), 0, 0, 0) + v * float(b1)
+        v = _unit_vector(rng)
+        a0, a1, b0, b1 = _rand_quat(rng)
+        p = Quaternion(a0, 0.0, 0.0, 0.0) + v * a1
+        q = Quaternion(b0, 0.0, 0.0, 0.0) + v * b1
         lhs = p.exp() * q.exp()
         rhs = (p + q).exp()
         scale = max(1.0, rhs.norm())
@@ -171,9 +182,9 @@ def test_exp_additivity_for_parallel_vector_parts():
 
 
 def test_log_round_trip():
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     for _ in range(200):
-        v = rand_unit_vector(rng)
+        v = _unit_vector(rng)
         theta = rng.uniform(0.01, math.pi - 0.01)
         assert allclose((v * theta).exp().log(), v * theta, 1e-10)
 
@@ -208,9 +219,9 @@ def test_partial_conjugate_product_rule_exchanges(p, q):
 
 
 def test_partial_conjugate_sum_and_products_lack_axis_component():
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     for _ in range(50):
-        q = rand_quat(rng)
+        q = _rand_quat(rng)
         for axis, pick in ((Axis.I, "q1"), (Axis.J, "q2"), (Axis.K, "q3")):
             qc = q.partial_conjugate(axis)
             assert getattr(q + qc, pick) == 0.0
@@ -231,10 +242,10 @@ def test_precess_quarter_turn():
 
 
 def test_precess_identity_and_invariants():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(50):
-        q = rand_quat(rng)
-        v = rand_unit_vector(rng)
+        q = _rand_quat(rng)
+        v = _unit_vector(rng)
         theta = rng.uniform(-3, 3)
         out = precess(q, v, theta)
         assert allclose(precess(q, v, 0.0), q, 1e-15)
@@ -259,11 +270,11 @@ def is_orthogonal(p, q):
 def test_orthogonality():
     assert is_orthogonal(ONE, I)
     assert not is_orthogonal(ONE, ONE)
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     for _ in range(50):
-        q = rand_quat(rng)
-        v = rand_unit_vector(rng)
-        p = rand_quat(rng)
+        q = _rand_quat(rng)
+        v = _unit_vector(rng)
+        p = _rand_quat(rng)
         if q.norm() < 1e-3 or p.norm() < 1e-3:
             continue
         assert is_orthogonal(q, q * v)
@@ -275,46 +286,47 @@ def test_orthogonality():
 
 
 def test_unit_vector_squares_to_minus_one():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(1000):
-        v = rand_unit_vector(rng)
+        v = _unit_vector(rng)
         assert allclose(v * v, -ONE, 1e-12)
 
 
 # -- multiplication reordering rules -------------------------------------------
 
 def test_reordering_rule_1_parallel_vector_parts_commute():
-    rng = np.random.default_rng(14)
+    rng = random.Random(14)
     for _ in range(50):
-        v = rand_unit_vector(rng)
-        p = Quaternion(rng.normal(), 0, 0, 0) + v * rng.normal()
-        q = Quaternion(rng.normal(), 0, 0, 0) + v * rng.normal()
+        v = _unit_vector(rng)
+        a0, a1, b0, b1 = _rand_quat(rng)
+        p = Quaternion(a0, 0.0, 0.0, 0.0) + v * a1
+        q = Quaternion(b0, 0.0, 0.0, 0.0) + v * b1
         assert allclose(p * q, q * p, 1e-12)
 
 
 def test_reordering_rule_2_orthogonal_vector_flips_conjugate():
-    rng = np.random.default_rng(15)
+    rng = random.Random(15)
     for _ in range(50):
-        q = rand_quat(rng)
+        q = _rand_quat(rng)
         # orthogonality of a vector quaternion to q only involves the vector
-        # parts, so project a random 3-vector off Ve(q)
-        qv = np.array([q.q1, q.q2, q.q3])
-        w = rng.normal(size=3)
-        if np.linalg.norm(qv) > 1e-12:
-            w = w - qv * float(w @ qv) / float(qv @ qv)
-        if np.linalg.norm(w) < 1e-3:
+        # parts, so project a random vector quaternion off Ve(q); the dot
+        # product of vector quaternions a, b is Sc(a conj(b))
+        qv = Quaternion(0.0, *q[1:])
+        w = Quaternion(0.0, *_rand_quat(rng)[1:])
+        if qv.norm() > 1e-12:
+            w = w - qv * ((w * qv.conjugate()).q0 / qv.norm_sq())
+        if w.norm() < 1e-3:
             continue
-        w = w / np.linalg.norm(w)
-        v = Quaternion(0.0, *(float(x) for x in w))
+        v = w.normalized()
         assert abs((q * v.conjugate()).q0) <= 1e-12 * max(1.0, q.norm())
         assert allclose(q * v, v * q.conjugate(), 1e-10)
 
 
 def test_reordering_rule_3_swaps_exponential_axis():
-    rng = np.random.default_rng(16)
+    rng = random.Random(16)
     for _ in range(50):
-        u = rand_unit_vector(rng)
-        w = rand_unit_vector(rng)
+        u = _unit_vector(rng)
+        w = _unit_vector(rng)
         w = w - u * (u * w.conjugate()).q0
         if w.norm() < 1e-3:
             continue
@@ -330,11 +342,11 @@ def test_reordering_rule_3_swaps_exponential_axis():
 
 
 def test_reordering_rule_4_precessed_axis():
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for _ in range(50):
-        u = rand_unit_vector(rng)
-        v = rand_unit_vector(rng)
-        alpha, beta = rng.uniform(-3, 3, size=2)
+        u = _unit_vector(rng)
+        v = _unit_vector(rng)
+        alpha, beta = rng.uniform(-3, 3), rng.uniform(-3, 3)
         w = (u * alpha).exp() * v * (u * (-alpha)).exp()
         lhs = (u * alpha).exp() * (v * beta).exp()
         rhs = (w * beta).exp() * (u * alpha).exp()
@@ -344,9 +356,9 @@ def test_reordering_rule_4_precessed_axis():
 # -- serialization -----------------------------------------------------------------
 
 def test_text_round_trip_is_exact():
-    rng = np.random.default_rng(19)
+    rng = random.Random(19)
     for _ in range(100):
-        q = rand_quat(rng, scale=10.0)
+        q = _rand_quat(rng) * 10.0
         assert Quaternion.from_text(",".join(map(repr, q))) == q
     assert Quaternion.from_text("1, -2.5,3e-4 ,0") == Quaternion(1.0, -2.5, 3e-4, 0.0)
 

@@ -1,7 +1,8 @@
+import cmath
 import itertools
 import math
+import random
 
-import numpy as np
 import pytest
 
 from polquat import (
@@ -13,6 +14,7 @@ from polquat import (
     Quaternion,
     WaveplateAngles,
     allclose,
+    apply,
     apply_phase,
     compose,
     forward_transform,
@@ -24,7 +26,7 @@ from polquat import (
     stokes,
     target_transform,
 )
-from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R
+from polquat.checks import FIG5_Q, FIG5_R, FIG7_Q, FIG7_R, _rand_unit
 from polquat.shifter import (
     NEAR_SINGULAR_TOL,
     SINGULAR_TOL,
@@ -37,7 +39,6 @@ from polquat.shifter import (
     reduce_angle,
     triple_distance,
 )
-from util import rand_unit
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
@@ -49,27 +50,34 @@ def jc(x: float, y: float) -> complex:
 
 
 def test_target_transform_examples():
-    q = rand_unit(np.random.default_rng(70))
+    q = _rand_unit(random.Random(70))
     assert allclose(target_transform(q, q, 0.0), ONE, 1e-12)
     assert allclose(target_transform(ONE, ONE, HALF_PI), I, 1e-12)
 
 
 def test_target_transform_defining_property():
-    rng = np.random.default_rng(71)
+    # q p = e^(i phi) r, and the solved angles of a regular p, realized as an
+    # actual qwp/hwp/qwp train, send q there too
+    rng = random.Random(71)
     for _ in range(300):
-        q, r = rand_unit(rng), rand_unit(rng)
+        q, r = _rand_unit(rng), _rand_unit(rng)
         phi = rng.uniform(-math.pi, math.pi)
         p = target_transform(q, r, phi)
+        want = apply_phase(r, phi)
         assert abs(p.norm() - 1.0) <= 1e-12
-        assert (q * p - apply_phase(r, phi)).norm() <= 1e-12
+        assert (q * p - want).norm() <= 1e-12
+        for angles in solve_angles(p).branches:
+            out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
+                        qwp(angles.psi_c))
+            assert (out - want).norm() <= 1e-9
 
 
 def test_target_transform_matches_the_product_form():
     # the closed line cos(phi) P0 + sin(phi) s P0 against exp(s phi) conj(q) r
-    rng = np.random.default_rng(73)
+    rng = random.Random(73)
     for _ in range(2000):
-        q, r = rand_unit(rng), rand_unit(rng)
-        phi = float(rng.uniform(-math.pi, math.pi))
+        q, r = _rand_unit(rng), _rand_unit(rng)
+        phi = rng.uniform(-math.pi, math.pi)
         s = stokes(q).as_quaternion().normalized()
         want = (s * phi).exp() * q.conjugate() * r
         assert allclose(target_transform(q, r, phi), want, 1e-14)
@@ -78,10 +86,10 @@ def test_target_transform_matches_the_product_form():
 def test_target_line_has_the_floats_of_the_record_algebra():
     # (P0, s P0) on floats is bit for bit the Quaternion algebra it replaces,
     # signed zeros included
-    rng = np.random.default_rng(74)
+    rng = random.Random(74)
     circular = Quaternion(1.0, 0.0, 0.0, 1.0).normalized()
     pairs = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE), (circular, FIG5_R)] + [
-        (rand_unit(rng), rand_unit(rng)) for _ in range(200)]
+        (_rand_unit(rng), _rand_unit(rng)) for _ in range(200)]
     for q, r in pairs:
         p0 = q.conjugate() * r
         want = (tuple(p0), tuple(stokes(q).as_quaternion().normalized() * p0))
@@ -106,43 +114,26 @@ def test_forward_transform_all_zero():
 
 def test_forward_transform_split_complex_equations():
     # p0 + p2 j = -e^(j(c-a)) cos(-a+2b-c), p1 + p3 j = j e^(j(a+c)) sin(-a+2b-c)
-    rng = np.random.default_rng(72)
+    rng = random.Random(72)
     for _ in range(300):
-        a, b, c = rng.uniform(-math.pi, math.pi, size=3)
+        a, b, c = (rng.uniform(-math.pi, math.pi) for _ in range(3))
         p = forward_transform(WaveplateAngles(a, b, c))
         delta = -a + 2 * b - c
         lhs02 = jc(p.q0, p.q2)
-        rhs02 = -np.exp(1j * (c - a)) * math.cos(delta)
+        rhs02 = -cmath.exp(1j * (c - a)) * math.cos(delta)
         lhs13 = jc(p.q1, p.q3)
-        rhs13 = 1j * np.exp(1j * (a + c)) * math.sin(delta)
+        rhs13 = 1j * cmath.exp(1j * (a + c)) * math.sin(delta)
         assert abs(lhs02 - rhs02) <= 1e-12
         assert abs(lhs13 - rhs13) <= 1e-12
 
 
 def test_forward_transform_matches_the_composed_stack():
-    rng = np.random.default_rng(75)
-    # (-pi, pi]^3: negate draws from [-pi, pi)
-    for a, b, c in -rng.uniform(-math.pi, math.pi, size=(10000, 3)):
+    rng = random.Random(75)
+    for _ in range(10000):
+        # (-pi, pi]^3: negate draws from [-pi, pi)
+        a, b, c = (-rng.uniform(-math.pi, math.pi) for _ in range(3))
         want = compose([qwp(a), hwp(b), qwp(c)]).q
         assert allclose(forward_transform(WaveplateAngles(a, b, c)), want, 1e-14)
-
-
-def test_end_to_end_through_physical_plates():
-    # the solved angles, realized as an actual qwp/hwp/qwp train, must send
-    # q to e^(i phi) r
-    from polquat import apply
-
-    rng = np.random.default_rng(80)
-    for _ in range(200):
-        q, r = rand_unit(rng), rand_unit(rng)
-        phi = rng.uniform(-math.pi, math.pi)
-        sol = solve_angles(target_transform(q, r, phi))
-        if sol.classification is not Classification.REGULAR:
-            continue
-        for angles in sol.branches:
-            out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
-                        qwp(angles.psi_c))
-            assert (out - apply_phase(r, phi)).norm() <= 1e-9
 
 
 def test_solve_rejects_non_unit():
@@ -153,10 +144,10 @@ def test_solve_rejects_non_unit():
 def test_sign_pairing_is_the_verified_one():
     # swapping the psi_b sign choice between branches breaks the solution:
     # the +- options of the closed-form inversion must be taken consistently
-    rng = np.random.default_rng(74)
+    rng = random.Random(74)
     checked = 0
     for _ in range(200):
-        p = rand_unit(rng)
+        p = _rand_unit(rng)
         if math.hypot(p.q0, p.q2) < 0.1 or math.hypot(p.q1, p.q3) < 0.1:
             continue
         sol = solve_angles(p)
@@ -181,7 +172,7 @@ def test_is_singular_classification():
 
 def _target_with_c(rng, c: float, small_first: bool) -> Quaternion:
     """Unit p whose c1 = |p0 + p2 j| (small_first) or c2 = |p1 + p3 j| is c."""
-    a, b = rng.uniform(-math.pi, math.pi, size=2)
+    a, b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     big = math.sqrt(1.0 - c * c)
     small = (c * math.cos(b), c * math.sin(b))
     large = (big * math.cos(a), big * math.sin(a))
@@ -195,7 +186,7 @@ def test_every_target_is_solved_within_the_bound(small_first):
     # exact answers at every distance c from the singular set: a family
     # member realizes the nearest c = 0 target, so its residual is about c,
     # which the singular threshold keeps below the 1e-9 bound of the checks
-    rng = np.random.default_rng(84)
+    rng = random.Random(84)
     worst = {}
     for c in [0.0] + [10.0 ** -e for e in range(300, 0, -1)]:
         for _ in range(20):
@@ -215,8 +206,8 @@ def test_singular_b_family_identity_case():
         moved = sol.family.at(x)
         assert all(abs(reduce_angle(m - b - x)) <= 1e-12
                    for m, b in zip(moved, base))
-    for psi_b in np.linspace(-1.5, 1.5, 8):
-        angles = sol.family.at(float(psi_b))
+    for psi_b in (-1.5 + 3.0 * m / 7 for m in range(8)):
+        angles = sol.family.at(psi_b)
         # arg(p0 + p2 j) = 0, so psi_a = psi_c = psi_b + pi/2
         assert abs(reduce_angle(angles.psi_a - angles.psi_b) - HALF_PI) <= 1e-12
         assert abs(reduce_angle(angles.psi_c - angles.psi_b) - HALF_PI) <= 1e-12
@@ -245,13 +236,14 @@ def _bits(angles) -> tuple:
 def test_family_members_are_branch_1_bit_for_bit(kind):
     # the affine form of a member keeps every float operation of branch 1 at
     # the half angles the family frees, signs of zero included
-    rng = np.random.default_rng(20)
-    halves = [0.0, -0.0, QUARTER_PI, -HALF_PI] + list(rng.uniform(-math.pi, math.pi, 20))
+    rng = random.Random(20)
+    halves = [0.0, -0.0, QUARTER_PI, -HALF_PI] + [rng.uniform(-math.pi, math.pi)
+                                                  for _ in range(20)]
     xs = [*SingularFamily.parameters, 0.0, -0.0, HALF_PI, -HALF_PI,
-          *rng.uniform(-2 * math.pi, 2 * math.pi, 40)]
-    for half in map(float, halves):
+          *(rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(40))]
+    for half in halves:
         family = SingularFamily(kind, half)
-        for x in map(float, xs):
+        for x in xs:
             if kind is Classification.SINGULAR_A:
                 want = _branch(1, half, -x, 0.0)
             else:
@@ -266,9 +258,10 @@ def test_both_branches_lie_on_the_family():
     # a family is branch 1 with the half angle that c = 0 leaves undefined set
     # free, so the branch formulas at an exactly singular target are members
     assert SINGULAR_TOL < NEAR_SINGULAR_TOL   # every family ramp row is flagged
-    rng = np.random.default_rng(85)
-    for x in rng.uniform(-math.pi, math.pi, size=500):
-        rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * float(rng.choice([1.0, -1.0]))
+    rng = random.Random(85)
+    for _ in range(500):
+        x = rng.uniform(-math.pi, math.pi)
+        rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * rng.choice([1.0, -1.0])
         for p, kind in ((I * rot, Classification.SINGULAR_A),
                         (rot, Classification.SINGULAR_B)):
             family, _, *halves = _split(p.q0, p.q1, p.q2, p.q3)
@@ -281,15 +274,15 @@ def test_both_branches_lie_on_the_family():
 
 def test_best_family_point_is_no_farther_than_a_fine_grid_minimum():
     # the closed form against brute force over x, for families of both kinds
-    rng = np.random.default_rng(86)
-    grid = np.linspace(-HALF_PI, HALF_PI, 2001)
+    rng = random.Random(86)
+    grid = [-HALF_PI + math.pi * m / 2000 for m in range(2001)]
     for kind in (Classification.SINGULAR_A, Classification.SINGULAR_B):
         for _ in range(50):
-            a_half, b_half = map(float, rng.uniform(-math.pi, math.pi, 2))
+            a_half, b_half = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
             family = SingularFamily(kind, a_half if kind is Classification.SINGULAR_A else b_half)
-            prev = WaveplateAngles(*(reduce_angle(float(a))
-                                     for a in rng.uniform(-math.pi, math.pi, 3)))
-            brute = min(triple_distance(family.at(float(x)), prev) for x in grid)
+            prev = WaveplateAngles(*(reduce_angle(rng.uniform(-math.pi, math.pi))
+                                     for _ in range(3)))
+            brute = min(triple_distance(family.at(x), prev) for x in grid)
             assert triple_distance(_best_family_point(family, prev), prev) <= brute + 1e-12
 
 
@@ -297,12 +290,12 @@ def test_singular_set_of_ellipse_conditions():
     # opposite ellipticity with a +-pi/2 phase advance gives p0 = p2 = 0 (A),
     # equal ellipticity with an advance of 0 or pi gives p1 = p3 = 0 (B),
     # whatever the two orientations
-    rng = np.random.default_rng(77)
+    rng = random.Random(77)
     for _ in range(100):
-        phi = float(rng.uniform(-2.0, 2.0))
-        eps = float(rng.uniform(-math.pi / 4 + 0.05, math.pi / 4 - 0.05))
-        th1 = float(rng.uniform(-1.4, 1.4))
-        th2 = float(rng.uniform(-1.4, 1.4))
+        phi = rng.uniform(-2.0, 2.0)
+        eps = rng.uniform(-math.pi / 4 + 0.05, math.pi / 4 - 0.05)
+        th1 = rng.uniform(-1.4, 1.4)
+        th2 = rng.uniform(-1.4, 1.4)
         q = from_ellipse(EllipseParams(1.0, phi, eps, th1))
 
         dphi = HALF_PI if rng.random() < 0.5 else -HALF_PI
@@ -406,7 +399,7 @@ def test_near_singular_rows_are_flagged_by_c_alone(d, flagged):
 
 
 _RAMP_PAIRS = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)] + [
-    (rand_unit(np.random.default_rng(seed)), rand_unit(np.random.default_rng(seed + 100)))
+    (_rand_unit(random.Random(seed)), _rand_unit(random.Random(seed + 100)))
     for seed in (81, 82, 83)]
 
 

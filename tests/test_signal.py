@@ -1,7 +1,7 @@
 import math
+import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -41,8 +41,8 @@ from polquat import (
     to_jones,
     waveplate_from_axis,
 )
+from polquat.checks import _rand_quat
 from polquat.signal import _check_ellipse
-from util import rand_quat
 
 SQ2 = math.sqrt(2.0)
 
@@ -66,9 +66,9 @@ def test_jones_table(q, v):
 
 
 def test_jones_round_trip_exact():
-    rng = np.random.default_rng(20)
+    rng = random.Random(20)
     for _ in range(100):
-        q = rand_quat(rng)
+        q = _rand_quat(rng)
         assert from_jones(to_jones(q)) == q
 
 
@@ -78,28 +78,22 @@ def test_stokes_values():
     assert abs(s.s1) <= 1e-15 and abs(s.s2 + 2.0) <= 1e-15 and abs(s.s3) <= 1e-15
 
 
-def test_stokes_scalar_part_is_exactly_zero():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        q = rand_quat(rng, scale=3.0)
+def test_stokes_matches_the_product_form():
+    # the product's scalar part is exactly zero, so stokes stores none
+    rng = random.Random(26)
+    for _ in range(2000):
+        q = _rand_quat(rng) * 3.0
         raw = I * q.partial_conjugate(Axis.I) * q
         assert raw.q0 == 0.0
-
-
-def test_stokes_matches_the_product_form():
-    rng = np.random.default_rng(26)
-    for _ in range(2000):
-        q = rand_quat(rng, scale=3.0)
-        raw = I * q.partial_conjugate(Axis.I) * q
         s = stokes(q)
         worst = max(abs(s.s1 - raw.q1), abs(s.s2 - raw.q2), abs(s.s3 - raw.q3))
         assert worst <= 1e-14 * q.norm_sq()
 
 
 def test_stokes_norm_is_power():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for _ in range(100):
-        q = rand_quat(rng)
+        q = _rand_quat(rng)
         assert abs(math.hypot(*stokes(q)) - q.norm_sq()) <= 1e-12 * max(1.0, q.norm_sq())
 
 
@@ -115,10 +109,10 @@ def test_apply_phase():
     assert allclose(apply_phase(ONE, math.pi / 2), I, 1e-15)
     q = Quaternion(0.1, 0.2, 0.3, 0.4)
     assert apply_phase(q, 0.0) == q
-    rng = np.random.default_rng(25)
+    rng = random.Random(25)
     for _ in range(50):
-        q = rand_quat(rng)
-        a, b = rng.uniform(-3, 3, size=2)
+        q = _rand_quat(rng)
+        a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
         assert allclose(apply_phase(apply_phase(q, a), b),
                         apply_phase(q, a + b), 1e-12)
 
@@ -128,22 +122,12 @@ def test_orthogonal_sop():
     assert allclose(apply_phase(orthogonal_sop(ONE), math.pi / 2), K, 1e-15)
 
 
-def test_classify_examples():
-    assert classify_orthogonality(ONE, J) is OrthogonalityClass.ORTHOGONAL_SOP
-    assert classify_orthogonality(ONE, I) is OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE
-    # p * conj(q) = 1 * (1-i-j) has nonzero scalar, i and j parts
-    assert classify_orthogonality(ONE, ONE + I + J) is OrthogonalityClass.NONE
-
-
 def test_classify_quaternion_orthogonal_only():
-    # 4D-orthogonal but neither same nor orthogonal SOP: m = p conj(q) has
-    # only its scalar part vanishing
-    assert classify_orthogonality(I + J, ONE) is OrthogonalityClass.QUATERNION_ORTHOGONAL
     # right multiplication by a vector unit is 4D-orthogonal but generically
     # lands in no more specific class
-    rng = np.random.default_rng(33)
+    rng = random.Random(33)
     for _ in range(20):
-        q = rand_quat(rng)
+        q = _rand_quat(rng)
         if q.norm() < 1e-3:
             continue
         assert classify_orthogonality(q * I, q) is OrthogonalityClass.QUATERNION_ORTHOGONAL
@@ -154,10 +138,13 @@ def test_classify_quaternion_orthogonal_only():
     (ONE, J, OrthogonalityClass.ORTHOGONAL_SOP),
     (ONE, I, OrthogonalityClass.SAME_SOP_ORTHOGONAL_PHASE),
     (ONE + I + J, ONE, OrthogonalityClass.NONE),
+    # 4D-orthogonal but neither same nor orthogonal SOP: only m0 vanishes
     (I + J, ONE, OrthogonalityClass.QUATERNION_ORTHOGONAL),
     (ONE + J, (ONE + J) * 3.0, OrthogonalityClass.SAME_SOP),
+    # m = 1 - i - j has nonzero scalar, i and j parts
+    (ONE, ONE + I + J, OrthogonalityClass.NONE),
 ], ids=["orthogonal-sop", "same-sop-orthogonal-phase", "none", "quaternion-orthogonal",
-        "same-sop"])
+        "same-sop", "none-reversed"])
 def test_classify_is_scale_invariant(p, q, want, scale):
     # at 1e-170 and 1e160, p conj(q) itself would underflow to 0 or overflow
     # to inf; a denormal scale leaves no reciprocal of the norm
@@ -215,6 +202,8 @@ def test_to_ellipse_values():
     (Quaternion(1e-200, 0, 1e-200, 0), (SQ2 * 1e-200, 0.0, 0.0, math.pi / 4)),
     (Quaternion(0, 0, 1e-310, 0), (1e-310, 0.0, 0.0, math.pi / 2)),
     (Quaternion(1e300, 0, 0, 1e300), (SQ2 * 1e300, 0.0, math.pi / 4, 0.0)),
+    # s1 < 0 with s3 = -0.0: atan2 gives -pi, and theta wraps to pi/2
+    (Quaternion(-0.0, 0.0, 1.0, -0.0), (1.0, 0.0, 0.0, math.pi / 2)),
 ])
 def test_to_ellipse_is_scale_safe(q, want):
     e = to_ellipse(q)
@@ -312,18 +301,18 @@ def test_ellipse_round_trip_params(r, phi, eps, theta):
 
 
 def test_ellipse_round_trip_quaternion():
-    rng = np.random.default_rng(28)
+    rng = random.Random(28)
     for _ in range(300):
-        q = rand_quat(rng)
+        q = _rand_quat(rng)
         if q.norm() < 1e-2:
             continue
         assert allclose(from_ellipse(to_ellipse(q)), q, 1e-10 * max(1.0, q.norm()))
     # within d of a circular state, where theta is all but undefined
     for d in (4e-13, 1e-10, 4e-10, 4e-9):
         for _ in range(50):
-            phi = float(rng.uniform(-math.pi, math.pi))
-            theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
-            eps = float(rng.choice([1.0, -1.0])) * (math.pi / 4 - d)
+            phi = rng.uniform(-math.pi, math.pi)
+            theta = rng.uniform(-math.pi / 2, math.pi / 2)
+            eps = rng.choice([1.0, -1.0]) * (math.pi / 4 - d)
             q = from_ellipse(EllipseParams(1.0, phi, eps, theta))
             assert allclose(from_ellipse(to_ellipse(q)), q, 1e-10), (d, q)
 
@@ -331,11 +320,11 @@ def test_ellipse_round_trip_quaternion():
 def test_circular_phase_orientation_ambiguity():
     # orientation is degenerate with phase on the circular states; the trade
     # is (phi+d, theta-d) for right circular and (phi+d, theta+d) for left
-    rng = np.random.default_rng(29)
+    rng = random.Random(29)
     for _ in range(50):
-        phi = float(rng.uniform(-1.0, 1.0))
-        theta = float(rng.uniform(-1.0, 1.0))
-        delta = float(rng.uniform(-0.4, 0.4))
+        phi = rng.uniform(-1.0, 1.0)
+        theta = rng.uniform(-1.0, 1.0)
+        delta = rng.uniform(-0.4, 0.4)
         right = from_ellipse(EllipseParams(2.0, phi, -math.pi / 4, theta))
         assert allclose(
             from_ellipse(EllipseParams(2.0, phi + delta, -math.pi / 4, theta - delta)),
@@ -347,18 +336,18 @@ def test_circular_phase_orientation_ambiguity():
 
 
 def test_poincare_angle_doubling_for_linear_states():
-    rng = np.random.default_rng(30)
+    rng = random.Random(30)
     for _ in range(100):
-        theta = float(rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01))
+        theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         q = from_ellipse(EllipseParams(1.0, 0.0, 0.0, theta))
         s = stokes(q)
         assert abs(math.remainder(math.atan2(s.s3, s.s1) - 2 * theta, 2 * math.pi)) <= 1e-12
 
 
 def test_classify_invariances():
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     for _ in range(100):
-        p, q = rand_quat(rng), rand_quat(rng)
+        p, q = _rand_quat(rng), _rand_quat(rng)
         if p.norm() < 1e-3 or q.norm() < 1e-3:
             continue
         base = classify_orthogonality(p, q)

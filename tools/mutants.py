@@ -8,9 +8,13 @@ the script copies the tree into a fresh temporary directory, applies the
 row there and runs `python -m polquat check` and `python -m pytest -q
 tests` (without tests/test_mutants.py, which fails on every mutant) with
 that copy's `src` on the import path and no bytecode written.  It first
-runs the unmutated copy the same way and stops unless both pass.  It prints the kill table: per mutant the exit
-code of `check`, the number of failing test cases and test functions, and
-the failing test ids.
+runs the unmutated copy the same way and stops unless both pass.  It prints
+the kill table: per mutant the exit code of `check`, the number of failing
+test cases and test functions, and the failing test ids.  After the table it
+prints each mutant's unique killer (the one test function that fails on it,
+if only one does) and the test functions that fail on no mutant.  The
+hypothesis tests draw fixed examples (tests/conftest.py), so a rerun prints
+the same table.
 
 Standard library only, and not part of the test suite (a mutant costs one
 full run of tests/); tests/test_mutants.py checks that every row still
@@ -31,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SHIFTER = "src/polquat/shifter.py"
 SIGNAL = "src/polquat/signal.py"
 COMPONENTS = "src/polquat/components.py"
+QUATERNION = "src/polquat/quaternion.py"
+CLI = "src/polquat/cli.py"
+JONES = "src/polquat/jones.py"
 
 MUTANTS = [
     (SHIFTER, "SINGULAR_TOL = 1e-10", "SINGULAR_TOL = 1e-7",
@@ -72,21 +79,57 @@ MUTANTS = [
      "_split swaps a_half and b_half"),
     (SHIFTER, "half - x + _QUARTER_PI", "half - x - _QUARTER_PI",
      "family A's psi_c takes - pi/4"),
+    (QUATERNION, "p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)",
+     "p0 * q1 + q0 * p1 + (p3 * q2 - p2 * q3)",
+     "the product's i component flips the sign of its cross term"),
+    (QUATERNION, "return Quaternion(log_n, math.pi, 0.0, 0.0)",
+     "return Quaternion(log_n, 0.0, 0.0, math.pi)",
+     "log of a negative real takes the k axis, not the i axis"),
+    (QUATERNION, "return self.double_conjugate(axis).conjugate()",
+     "return self.double_conjugate(axis)",
+     "partial_conjugate returns the double conjugate"),
+    (QUATERNION, "math.ldexp(m0 / n, -e)", "m0 / n",
+     "the quotient's scalar part skips its 2^-e rescale"),
+    (SIGNAL, "2.0 * (q1 * q2 - q0 * q3)", "2.0 * (q1 * q2 + q0 * q3)",
+     "stokes s2 flips the sign of its q0 q3 term"),
+    (SIGNAL, "if z0 and z1:", "if z1:",
+     "classify_orthogonality reads m1 = 0 alone as an orthogonal SOP"),
+    (COMPONENTS, "precess(plate.q, J, psi)", "precess(plate.q, J, -psi)",
+     "rotate_element turns the plate the wrong way"),
+    (COMPONENTS, "slow.conjugate() * phase * slow", "slow * phase * slow.conjugate()",
+     "waveplate_from_axis conjugates the slow axis on the wrong side"),
+    (CLI, "if not isinstance(value, float):", "if not isinstance(value, (int, float)):",
+     "a JSON boolean is read as a number"),
+    (CLI, "return q.normalized()", "return q",
+     "an accepted near-unit --q or --r is used as given, not as its unit state"),
+    (CLI, "        return 3", "        return 2",
+     "an unrecoverable conversion exits 2, not 3"),
+    (JONES, "complex(-q.q2, q.q3)", "complex(q.q2, q.q3)",
+     "the oracle's M(q) takes +q2 in its top-right entry"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+_PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py",
+           "tests"]
+
+
+def _env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _function(test_id: str) -> str:
+    """The test function of a test id: the id without its parameters."""
+    return test_id.split("[")[0]
 
 
 def _run(tree: Path) -> tuple:
     """(exit code of `check`, failing test ids) of the tree copy at `tree`;
     a pytest run that fails without naming a test reports its exit code."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    check = subprocess.run([sys.executable, "-m", "polquat", "check"], cwd=tree, env=env,
+    check = subprocess.run([sys.executable, "-m", "polquat", "check"], cwd=tree,
+                           env=_env(tree), capture_output=True, text=True, check=False)
+    tests = subprocess.run([sys.executable, *_PYTEST, "-rfE"], cwd=tree, env=_env(tree),
                            capture_output=True, text=True, check=False)
-    tests = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-                            "no:cacheprovider", "--ignore=tests/test_mutants.py", "tests"],
-                           cwd=tree, env=env, capture_output=True, text=True, check=False)
     failed = _FAILED.findall(tests.stdout)
     if tests.returncode != 0 and not failed:
         failed = [f"(pytest exit {tests.returncode})"]
@@ -107,6 +150,13 @@ def _mutant_run(row) -> tuple:
         return _run(tree)
 
 
+def _test_functions() -> list:
+    """The test functions the kill table's pytest run collects, in file order."""
+    out = subprocess.run([sys.executable, *_PYTEST, "--collect-only"], cwd=ROOT,
+                         env=_env(ROOT), capture_output=True, text=True, check=True).stdout
+    return list(dict.fromkeys(_function(line) for line in out.splitlines() if "::" in line))
+
+
 def main() -> int:
     code, failed = _mutant_run(None)
     if code != 0 or failed:
@@ -115,14 +165,24 @@ def main() -> int:
     print("| # | mutant | `check` | `tests/` (cases; functions) | failing tests |")
     print("|---|---|---|---|---|")
     check_kills = test_kills = 0
+    killers = []
     for n, row in enumerate(MUTANTS, 1):
         code, failed = _mutant_run(row)
-        functions = sorted({test_id.split("[")[0] for test_id in failed})
+        killers.append(sorted(set(map(_function, failed))))
         check_kills += code != 0
         test_kills += bool(failed)
-        print(f"| {n} | {row[3]} | exit {code} | {len(failed)}; {len(functions)} | "
+        print(f"| {n} | {row[3]} | exit {code} | {len(failed)}; {len(killers[-1])} | "
               f"{', '.join(failed) or 'survives'} |", flush=True)
     print(f"\n`check` kills {check_kills} of {len(MUTANTS)}, tests/ kills {test_kills}.")
+    print("\nUnique killers, the one test function that fails on a mutant:\n")
+    for n, functions in enumerate(killers, 1):
+        print(f"- {n}: " + (functions[0] if len(functions) == 1
+                             else f"none ({len(functions)} functions fail)"))
+    killing = set().union(*killers)
+    idle = [name for name in _test_functions() if name not in killing]
+    print(f"\nTest functions that kill no mutant ({len(idle)}):\n")
+    for name in idle:
+        print(f"- {name}")
     return 0
 
 
