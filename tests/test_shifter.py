@@ -56,20 +56,13 @@ def test_target_transform_examples():
 
 
 def test_target_transform_defining_property():
-    # q p = e^(i phi) r, and the solved angles of a regular p, realized as an
-    # actual qwp/hwp/qwp train, send q there too
     rng = random.Random(71)
     for _ in range(300):
         q, r = _rand_unit(rng), _rand_unit(rng)
         phi = rng.uniform(-math.pi, math.pi)
         p = target_transform(q, r, phi)
-        want = apply_phase(r, phi)
         assert abs(p.norm() - 1.0) <= 1e-12
-        assert (q * p - want).norm() <= 1e-12
-        for angles in solve_angles(p).branches:
-            out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
-                        qwp(angles.psi_c))
-            assert (out - want).norm() <= 1e-9
+        assert (q * p - apply_phase(r, phi)).norm() <= 1e-12
 
 
 def test_target_transform_matches_the_product_form():
@@ -134,6 +127,20 @@ def test_forward_transform_matches_the_composed_stack():
         a, b, c = (-rng.uniform(-math.pi, math.pi) for _ in range(3))
         want = compose([qwp(a), hwp(b), qwp(c)]).q
         assert allclose(forward_transform(WaveplateAngles(a, b, c)), want, 1e-14)
+
+
+def test_end_to_end_through_physical_plates():
+    # the solved angles of a regular target, realized as an actual
+    # qwp/hwp/qwp train, must send q to e^(i phi) r
+    rng = random.Random(80)
+    for _ in range(300):
+        q, r = _rand_unit(rng), _rand_unit(rng)
+        phi = rng.uniform(-math.pi, math.pi)
+        want = apply_phase(r, phi)
+        for angles in solve_angles(target_transform(q, r, phi)).branches:
+            out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
+                        qwp(angles.psi_c))
+            assert (out - want).norm() <= 1e-9
 
 
 def test_solve_rejects_non_unit():
