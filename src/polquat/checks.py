@@ -86,7 +86,7 @@ def check_eq1_table(trials: int = QUICK_TRIALS) -> str:
             want = expected[na + nb]
             _require(got == want, "%s*%s = %s, expected %s", na, nb, got, want)
     rng = random.Random(10)
-    worst_assoc = worst_norm = 0.0
+    worst_assoc = worst_norm = worst_div = 0.0
     for _ in range(trials):
         p, q, r = (_rand_quat(rng) for _ in range(3))
         norm_pq = p.norm() * q.norm()
@@ -96,8 +96,10 @@ def check_eq1_table(trials: int = QUICK_TRIALS) -> str:
         pq = p * q
         worst_assoc = max(worst_assoc, (pq * r - p * (q * r)).norm() / scale)
         worst_norm = max(worst_norm, abs(pq.norm() - norm_pq) / norm_pq)
+        worst_div = max(worst_div, (pq / q - p).norm() / p.norm())
     return ", ".join([_within("assoc", worst_assoc, 1e-12),
-                      _within("norm-mult", worst_norm, 1e-12)])
+                      _within("norm-mult", worst_norm, 1e-12),
+                      _within("quotient", worst_div, 1e-12)])
 
 
 def check_table1_golden() -> str:
@@ -108,6 +110,8 @@ def check_table1_golden() -> str:
     twice = compose([qwp(0.0), qwp(0.0)])
     _require(allclose(twice.q, I, 1e-15), "two quarter plates must make a half plate")
     _require(allclose(hwp(0.0).q, I, 1e-15), "the horizontal half plate is not i")
+    _require(compose([hwp(0.0), hwp(0.0)]).q.log() == Quaternion(0.0, math.pi, 0.0, 0.0),
+             "two half plates must make the full-wave plate -1 = e^(i pi)")
     return ""
 
 

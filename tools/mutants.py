@@ -12,9 +12,7 @@ runs the unmutated copy the same way and stops unless both pass.  It prints
 the kill table: per mutant the exit code of `check`, the number of failing
 test cases and test functions, and the failing test ids.  After the table it
 prints each mutant's unique killer (the one test function that fails on it,
-if only one does) and the test functions that fail on no mutant.  The
-hypothesis tests draw fixed examples (tests/conftest.py), so a rerun prints
-the same table.
+if only one does) and the test functions that fail on no mutant.
 
 Standard library only, and not part of the test suite (a mutant costs one
 full run of tests/); tests/test_mutants.py checks that every row still
@@ -108,7 +106,7 @@ MUTANTS = [
      "the oracle's M(q) takes +q2 in its top-right entry"),
 ]
 
-_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 _PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py",
            "tests"]

@@ -31,8 +31,6 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   over the family `parameters`, +-0.0, +-pi/2 and FAMILY_XS random values:
   the solve targets reach only about 140 families.  A family holds the one
   half angle its kind uses (a_half for SINGULAR_A, b_half for SINGULAR_B);
-  a tree whose `SingularFamily` still has the fields (kind, a_half, b_half)
-  gets both, so the two trees' members compare;
 * the `repr` of `partial_conjugate` and `double_conjugate` about every axis
   and of `normalized()`, for each solve target's q and r, and of `qwp(psi)`
   and `hwp(psi)` on a grid of `PLATE_ANGLES` orientations over [-pi, pi];
@@ -208,9 +206,7 @@ def _child() -> None:
     artifacts["solve_angles records"] = [digest_repr((sol, sol.family_samples))
                                          for sol in solutions]
     xs = [*shifter.SingularFamily.parameters, *spec["family_xs"]]
-    two_halves = shifter.SingularFamily._fields == ("kind", "a_half", "b_half")
-    families = [shifter.SingularFamily(kind, a_half, b_half) if two_halves
-                else shifter.SingularFamily(kind, half)
+    families = [shifter.SingularFamily(kind, half)
                 for a_half, b_half in spec["family_halves"]
                 for kind, half in ((Classification.SINGULAR_A, a_half),
                                    (Classification.SINGULAR_B, b_half))]
