@@ -39,11 +39,21 @@ def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _opt(argv, name):
+    """The value of option `name` in `argv`, spelled `name=value` or `name value`."""
+    for i, arg in enumerate(argv):
+        if arg == name:
+            return argv[i + 1]
+        if arg.startswith(name + "="):
+            return arg[len(name) + 1:]
+    raise KeyError(name)
+
+
 def _check(argv, codes, want=None):
     """Run `argv` and assert the CLI contract: an exit code in `codes`, no
     traceback on stderr, and on stdout strict JSON, or nothing after a
-    failure.  A ramp that succeeds prints nothing and writes its `--out=` CSV:
-    the header and one row per `--samples=` sample.  `want` is a phrase of
+    failure.  A ramp that succeeds prints nothing and writes its `--out` CSV:
+    the header and one row per `--samples` sample.  `want` is a phrase of
     stderr, a test of the JSON that stdout holds, or that JSON itself, which
     stdout must print exactly, keys in order."""
     code, out, err = run(*argv)
@@ -53,9 +63,8 @@ def _check(argv, codes, want=None):
     if code != 0 or argv[0] == "ramp":
         assert out == "", (argv, out)
     if code == 0 and argv[0] == "ramp":
-        opts = dict(arg.split("=", 1) for arg in argv if arg.startswith("--") and "=" in arg)
-        lines = Path(opts["--out"]).read_text().splitlines()
-        assert lines[0] == CSV_HEADER and len(lines) == int(opts["--samples"]) + 1, argv
+        lines = Path(_opt(argv, "--out")).read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == int(_opt(argv, "--samples")) + 1, argv
     elif code == 0:
         got = json.loads(out, parse_constant=_no_constant)
         if callable(want):
@@ -339,7 +348,10 @@ def test_negative_values_follow_an_option_in_any_float_spelling(argv, want):
 
 
 def _any_float(rng):
-    """A float of 64 random bits: every sign and exponent, NaN and +-inf too."""
+    """NaN, +-inf or +-0.0 one draw in four, else a float of 64 random bits:
+    every sign and exponent."""
+    if rng.random() < 0.25:
+        return rng.choice([math.nan, math.inf, -math.inf, 0.0, -0.0])
     return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
 
 
@@ -411,18 +423,20 @@ def _any_quat(rng):
         _near_unit,
         lambda rng: _quat_text(rng, [1 + 3e-9, 0.5, 1e300, 1e-300]),
         lambda rng: ",".join(rng.choice([repr(_any_float(rng)), rng.choice(
-            ["5e-324", "-1e-310", "1e300", "1e999", "0"])]) for _ in range(4)),
+            ["nan", "inf", "-inf", "5e-324", "-1e-310", "1e300", "1e999", "0"])])
+                             for _ in range(4)),
         lambda rng: rng.choice(["", "1,0,0", "1,0,0,0,0", "a,b,c,d", "1,,0,0", "1;0;0;0"]),
     ])(rng)
 
 
-# the Fig. 7 crossing, a huge phase and the edges of [-10, 10]
-_PHI_SPECIAL = [float(_FIG7_CROSSING), 1e300, -10.0, 10.0, 0.0, -0.0, 5e-324, -5e-324]
+# the Fig. 7 crossing, a huge phase, the edges of [-10, 10] and the non-finite
+_PHI_SPECIAL = [float(_FIG7_CROSSING), 1e300, -10.0, 10.0, 0.0, -0.0, 5e-324, -5e-324,
+                math.nan, math.inf, -math.inf]
 
 
 def test_solve_and_ramp_keep_the_exit_code_contract(tmp_path):
     rng = random.Random(100)
-    for _ in range(300):
+    for i in range(300):
         command = rng.choice(["solve", "ramp"])
         # half the draws are an accepted (q, r) pair, so the success path is exercised
         pick = _near_unit if rng.random() < 0.5 else _any_quat
@@ -431,7 +445,7 @@ def test_solve_and_ramp_keep_the_exit_code_contract(tmp_path):
         samples = rng.randint(-2, 8)
         argv = [command, "--q=" + q, "--r=" + r]
         argv += ([f"--phi={phi!r}"] if command == "solve"
-                 else [f"--samples={samples}", f"--out={tmp_path / 'ramp.csv'}"])
+                 else [f"--samples={samples}", f"--out={tmp_path / f'ramp{i}.csv'}"])
         _check(argv, (0, 2, 3, 4))
 
 
