@@ -26,6 +26,7 @@ from .components import (
 )
 from .quaternion import I, J, K, ONE, Quaternion, allclose
 from .signal import (
+    _HALF_PI,
     apply_phase,
     classical_from_jones,
     from_ellipse,
@@ -41,7 +42,6 @@ FIG5_R = Quaternion(2 / 7, -3 / 7, 0.0, -6 / 7)
 FIG7_Q = Quaternion(-5 / 6, 1 / 6, 1 / 2, 1 / 6)
 FIG7_R = Quaternion(1 / 3, -2 / 3, 0.0, -2 / 3)
 
-_HALF_PI = math.pi / 2
 # random trials per group for `polquat check`; the acceptance suite uses more
 QUICK_TRIALS = 200
 # samples of the closed 2*pi ramps of Fig. 5 and Fig. 7
@@ -244,7 +244,7 @@ def check_fig5_ramp() -> str:
 
 def check_fig7_singular() -> str:
     """Equal-ellipticity pair: constant output SOP across exactly two flagged
-    crossings, each a ~pi/2 jump labelled singular."""
+    crossings, each a ~pi/2 jump."""
     eq, er = to_ellipse(FIG7_Q), to_ellipse(FIG7_R)
     _require(abs(eq.epsilon + 0.23) <= 0.01, "input ellipticity %r", eq.epsilon)
     eps = _within("equal-ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
@@ -253,8 +253,6 @@ def check_fig7_singular() -> str:
     residual = _within("residual", max(pt.residual for pt in points), 1e-9)
     flagged = [i for i, pt in enumerate(points) if pt.flagged]
     _require(len(flagged) == 2, "expected 2 singular crossings, saw %d", len(flagged))
-    _require(all(points[i].branch_label == "singular" for i in flagged),
-             "a flagged crossing is not labelled singular")
     steps = [shifter.triple_distance(points[i].angles, points[i - 1].angles) for i in flagged]
     return ", ".join([eps, residual, _constant_sop(rows),
                       _within("step-pi/2", max(abs(s - _HALF_PI) for s in steps), 0.1)])

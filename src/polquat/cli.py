@@ -208,10 +208,10 @@ def cmd_ramp(args) -> int:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for pt, (_, out_phase, out_epsilon, out_theta) in rows:
-                phi, (psi_a, psi_b, psi_c), _, residual, _ = pt
+                phi, (psi_a, psi_b, psi_c), branch, residual, flagged = pt
                 fh.write(_CSV_ROW % (phi + 0.0, psi_a + 0.0, psi_b + 0.0, psi_c + 0.0,
-                                     pt.branch_label, out_phase + 0.0, out_theta + 0.0,
-                                     out_epsilon + 0.0, residual + 0.0))
+                                     "singular" if flagged else branch, out_phase + 0.0,
+                                     out_theta + 0.0, out_epsilon + 0.0, residual + 0.0))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

@@ -303,9 +303,7 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
     if abs(v.q0) > UNIT_TOL or not v.is_unit():
         raise ValueError("axis must be a unit vector quaternion")
     _require_finite(theta, "precession angle")
-    # a finite sum has finite terms, so a finite q costs one sum
-    if not math.isfinite(sum(q)):
-        _require_finite_components(q, "quaternion")
+    _require_finite_components(q, "quaternion")
     c = math.cos(theta)
     s = math.sin(theta)
     e_pos = (c, v.q1 * s, v.q2 * s, v.q3 * s)
@@ -335,6 +333,8 @@ def _require_finite(value: float, what: str) -> None:
 def _require_finite_components(q, what: str) -> None:
     """ValueError `<what> component must be a finite number, got <value>`
     for the first non-finite component of the sequence q."""
+    if math.isfinite(sum(q)):   # a finite sum has finite terms: one sum passes q
+        return
     for x in q:
         if not math.isfinite(x):   # the message is formatted only for a failing one
             _require_finite(x, f"{what} component")

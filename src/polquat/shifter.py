@@ -33,7 +33,7 @@ from enum import Enum
 
 from .quaternion import (UNIT_TOL, Quaternion, _new, _product, _record, _require_finite,
                          _require_unit)
-from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts, to_ellipse
+from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts, reduce_angle, to_ellipse
 
 # |c1| or |c2| at or below this is treated as exactly singular.  A family
 # member realizes the nearest target with c = 0, so its residual is about c:
@@ -53,14 +53,6 @@ class Classification(Enum):
     REGULAR = "regular"
     SINGULAR_A = "singular_a"   # p0 = p2 = 0
     SINGULAR_B = "singular_b"   # p1 = p3 = 0
-
-
-def reduce_angle(psi: float) -> float:
-    """Reduce modulo pi into (-pi/2, pi/2]."""
-    r = math.remainder(psi, _PI)
-    if r <= -_HALF_PI:
-        r += _PI
-    return r
 
 
 class WaveplateAngles(_record("WaveplateAngles", "psi_a psi_b psi_c")):
@@ -148,10 +140,6 @@ class RampPoint(_record("RampPoint", "phi angles branch residual flagged")):
     """
 
     __slots__ = ()
-
-    @property
-    def branch_label(self) -> str:
-        return "singular" if self.flagged else str(self.branch)
 
 
 def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:

@@ -24,12 +24,21 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .quaternion import (J, Quaternion, _new, _product, _record, _require_finite,
-                         _require_finite_components)
+from .quaternion import (J, Quaternion, _new, _prescaled, _product, _record,
+                         _require_finite, _require_finite_components)
 
 _PI = math.pi
 _QUARTER_PI = _PI / 4
 _HALF_PI = _PI / 2
+
+
+def reduce_angle(psi: float) -> float:
+    """Reduce modulo pi into (-pi/2, pi/2]: the range of an ellipse
+    orientation and of a plate angle."""
+    r = math.remainder(psi, _PI)
+    if r <= -_HALF_PI:
+        r += _PI
+    return r
 
 
 class JonesVector(_record("JonesVector", "ex ey")):
@@ -166,11 +175,7 @@ def apply_phase(q: Quaternion, phi: float) -> Quaternion:
     """Left multiplication by e^(i phi): shifts the optical phase by phi.
     Raises ValueError unless phi and the components of q are finite."""
     _require_finite(phi, "phase")
-    q0, q1, q2, q3 = q
-    # a finite sum has finite terms: a finite signal, as in every solve, costs
-    # one sum, and only a non-finite sum looks for the component to name
-    if not math.isfinite(q0 + q1 + q2 + q3):
-        _require_finite_components(q, "signal")
+    _require_finite_components(q, "signal")
     return _new(Quaternion, _product((math.cos(phi), math.sin(phi), 0.0, 0.0), q))
 
 
@@ -248,27 +253,22 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     q * e^(-j theta) * e^(-k epsilon) / R, which must be a pure phase factor.
     For circular states theta is undefined and reported as 0.
 
-    The angles come from u = q / 2^e, with 2^e just above the largest
-    component: the power-of-two scale is exact, so unit-scale signals give
-    the same angles as q itself, while huge and denormal ones neither
-    overflow nor underflow when squared.  Raises ValueError for the zero
-    signal, for a signal with a non-finite component and for a signal whose
-    norm R overflows a float.  q may also be the plain 4-tuple of the
-    components (the ramp rows pass the one `_product` returns).
+    The angles come from u = q / 2^e of `quaternion._prescaled`: the
+    power-of-two scale is exact, so unit-scale signals give the same angles
+    as q itself, while huge and denormal ones neither overflow nor underflow
+    when squared.  Raises ValueError for the zero signal, for a signal with a
+    non-finite component and for a signal whose norm R overflows a float.  q
+    may also be the plain 4-tuple of the components (the ramp rows pass the
+    one `_product` returns).
     """
-    u0, u1, u2, u3 = q
-    r = math.hypot(u0, u1, u2, u3)
+    (u0, u1, u2, u3), e, n = _prescaled(q)
+    # unscaled (e = 0), u is q and n is its norm
+    r = math.hypot(*q) if e else n
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
     if not r < math.inf:   # hypot is inf for an inf component, nan for a nan one
         _require_finite_components(q, "signal")
         raise ValueError("the signal's norm overflows a float")
-    # the prescale of `quaternion._prescaled`, written out: this runs once per
-    # ramp row, and a shared helper would add a call there to save four lines
-    _, e = math.frexp(max(abs(u0), abs(u1), abs(u2), abs(u3)))
-    if e:
-        u0, u1, u2, u3 = (math.ldexp(u0, -e), math.ldexp(u1, -e),
-                          math.ldexp(u2, -e), math.ldexp(u3, -e))
     s1, s2, s3 = _stokes_parts(u0, u1, u2, u3)
     # two-argument form of sin(2 eps) = -s2 / |s|: the in-plane magnitude
     # hypot(s1, s3) equals |s| cos(2 eps) >= 0, and atan2 stays accurate
@@ -278,16 +278,13 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     if in_plane <= _CIRCULAR_TOL * math.hypot(s1, s2, s3):
         theta = 0.0
     else:
-        theta = 0.5 * math.atan2(s3, s1)
-        if theta <= -_HALF_PI:
-            theta += _PI
+        theta = reduce_angle(0.5 * math.atan2(s3, s1))
     # res = u * e^(-j theta) * e^(-k epsilon) / |u|, expanded
     ct, st = math.cos(theta), math.sin(theta)
     ce, se = math.cos(epsilon), math.sin(epsilon)
     a0, a1 = u0 * ct + u2 * st, u1 * ct + u3 * st
     a2, a3 = u2 * ct - u0 * st, u3 * ct - u1 * st
-    # unscaled, u is q and its norm is r
-    inv = 1.0 / math.hypot(u0, u1, u2, u3) if e else 1.0 / r
+    inv = 1.0 / n
     res0, res1 = (a0 * ce + a3 * se) * inv, (a1 * ce - a2 * se) * inv
     res2, res3 = (a2 * ce + a1 * se) * inv, (a3 * ce - a0 * se) * inv
     if max(abs(res2), abs(res3)) > _PHASE_RESIDUAL_TOL:

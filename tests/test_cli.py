@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from polquat import Quaternion, shifter, to_ellipse
+from polquat import Quaternion, checks, shifter, to_ellipse
 from polquat.checks import _rand_unit, check_fig5_ramp, check_fig7_singular
 from polquat.cli import CSV_HEADER, main
 
-FIG5_Q = "-0.8888888888888888,0.2222222222222222,0.3333333333333333,0.2222222222222222"
-FIG5_R = "0.2857142857142857,-0.42857142857142855,0,-0.8571428571428571"
-FIG7_Q = "-0.8333333333333334,0.16666666666666666,0.5,0.16666666666666666"
-FIG7_R = "0.3333333333333333,-0.6666666666666666,0,-0.6666666666666666"
+FIG5_Q = ",".join(map(repr, checks.FIG5_Q))
+FIG5_R = ",".join(map(repr, checks.FIG5_R))
+FIG7_Q = ",".join(map(repr, checks.FIG7_Q))
+FIG7_R = ",".join(map(repr, checks.FIG7_R))
 
 
 def run(*argv):

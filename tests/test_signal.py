@@ -269,6 +269,9 @@ _NON_FINITE_INPUTS = {
     "waveplate_from_axis": (lambda x: waveplate_from_axis(_with(x), 0.3),
                             "slow axis signal component"),
     "stokes": (lambda x: stokes(_with(x)), "signal component"),
+    "stokes_q0": (lambda x: stokes(Quaternion(x, 0.0, 0.0, 0.8)), "signal component"),
+    "stokes_q1": (lambda x: stokes(Quaternion(0.6, x, 0.0, 0.8)), "signal component"),
+    "stokes_q3": (lambda x: stokes(Quaternion(0.6, 0.0, 0.0, x)), "signal component"),
     "to_jones": (lambda x: to_jones(_with(x)), "signal component"),
     "apply_phase_q": (lambda x: apply_phase(_with(x), 0.3), "signal component"),
     "orthogonal_sop": (lambda x: orthogonal_sop(_with(x)), "signal component"),

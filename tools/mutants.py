@@ -52,7 +52,8 @@ MUTANTS = [
      "the row after a family keeps branch 1 instead of the nearer branch"),
     (SHIFTER, "(-cg * math.cos(diff),", "(-cg * math.cos(diff) + 1e-11,",
      "forward_transform adds 1e-11 to q0"),
-    (SIGNAL, "theta += _PI", "theta += 0.0",
+    (SIGNAL, "theta = reduce_angle(0.5 * math.atan2(s3, s1))",
+     "theta = 0.5 * math.atan2(s3, s1)",
      "to_ellipse drops its theta wrap into (-pi/2, pi/2]"),
     (SHIFTER, "NEAR_SINGULAR_TOL = 1e-4", "NEAR_SINGULAR_TOL = 1e-6",
      "fewer near-singular ramp rows are flagged"),
@@ -64,7 +65,7 @@ MUTANTS = [
     (SHIFTER, "return family.at(0.5 * (zeros[k] + zeros[k + 1]) + _HALF_PI)",
      "return family.at(0.5 * (zeros[k] + zeros[k + 1]))",
      "_best_family_point drops its + pi/2"),
-    (SHIFTER, "if r <= -_HALF_PI:", "if r < -_HALF_PI:",
+    (SIGNAL, "if r <= -_HALF_PI:", "if r < -_HALF_PI:",
      "reduce_angle takes < for <=: -pi/2 is no longer mapped to pi/2"),
     (SHIFTER, "(_QUARTER_PI, -t_half)", "(_QUARTER_PI, t_half)",
      "branch 1 takes +t_half"),
@@ -104,6 +105,10 @@ MUTANTS = [
      "an unrecoverable conversion exits 2, not 3"),
     (JONES, "complex(-q.q2, q.q3)", "complex(q.q2, q.q3)",
      "the oracle's M(q) takes +q2 in its top-right entry"),
+    (QUATERNION, "math.ldexp(u2, -e)", "math.ldexp(u2, e)",
+     "_prescaled scales q2 by 2^e instead of 2^-e"),
+    (QUATERNION, "if math.isfinite(sum(q)):", "if math.isfinite(sum(q[1:])):",
+     "the finite fast path sums q1..q3 only, so a non-finite q0 passes"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")

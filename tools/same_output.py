@@ -24,7 +24,7 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   target_transform(q, r, phi))` and its `family_samples` for each of the
   solve targets above, and of q - r, q + r, -q, q.conjugate() and
   apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
-  ramp signals scaled to huge and denormal size;
+  ramp signals and of ELLIPSE_EDGES scaled to huge and denormal size;
 * the `repr` of a `SingularFamily`'s `at(x)` and of the `family_samples`
   of its `ShifterSolution`, for both singular kinds and FAMILY_HALVES
   `random.Random(2024)` (a_half, b_half) pairs, which include +-0.0, at x
@@ -80,6 +80,9 @@ RAMP_SAMPLES = (2, 256, 4096)
 RECORD_RAMP_SAMPLES = 256
 # huge, unit, tiny and denormal: the scales of the `to_ellipse` record artifact
 ELLIPSE_SCALES = (2.0 ** 1000, 1e300, 1.0, 2.0 ** -1000, 1e-310)
+# a signal whose orientation 0.5 * atan2(s3, s1) is exactly -pi/2 before its
+# wrap to pi/2, and the left circular state, whose orientation is set to 0
+ELLIPSE_EDGES = ([-0.0, 0.0, 1.0, -0.0], [1.0, 0.0, 0.0, 1.0])
 SOLVE_RUNS = 2000
 PLATE_ANGLES = 4001
 FAMILY_HALVES = 200
@@ -249,7 +252,8 @@ def _record_spec() -> dict:
                              ("identity", one, one)],
             "record_solves": [(case.q, case.r, case.phi) for case in _solve_cases()],
             "ellipse_signals": [[float(x) for x in text.split(",")]
-                                for _, q, r in _ramp_pairs() for text in (q, r)]}
+                                for _, q, r in _ramp_pairs() for text in (q, r)]
+            + list(ELLIPSE_EDGES)}
 
 
 def _run_tree(src: Path, spec: dict) -> dict:
