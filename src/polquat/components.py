@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .quaternion import (J, Quaternion, _new, _record, _require_finite,
+from .quaternion import (I, J, Quaternion, _new, _record, _renormalized, _require_finite,
                          _require_finite_components, _require_unit, precess)
 from .signal import stokes
 
@@ -54,11 +54,13 @@ def apply(signal: Quaternion, plate: Waveplate) -> Quaternion:
 
 
 def compose(plates) -> Waveplate:
-    """Combine plates in propagation order (first plate leftmost)."""
+    """Combine plates in propagation order (first plate leftmost).  Each
+    plate is unit within UNIT_TOL, and their product, up to a multiple of
+    that off unit, is divided by its norm where it is further off."""
     plates = list(plates)
     if not plates:
         raise ValueError("cannot compose an empty plate sequence")
-    return Waveplate(reduce(lambda a, b: a * b, (p.q for p in plates)))
+    return Waveplate(_renormalized(reduce(lambda a, b: a * b, (p.q for p in plates))))
 
 
 def waveplate_from_axis(slow: Quaternion, eta: float) -> Waveplate:
@@ -67,12 +69,13 @@ def waveplate_from_axis(slow: Quaternion, eta: float) -> Waveplate:
     p = conj(slow) * e^(i eta) * slow, which equals exp(s * eta) for s the
     Stokes unit vector quaternion of the slow axis.  Slow-axis inputs gain
     phase eta; the orthogonal (fast) axis loses phase eta.  Raises ValueError
-    unless slow is unit and eta is finite.
+    unless slow is unit and eta is finite.  A slow axis within UNIT_TOL of
+    unit gives a product up to twice that off, which is divided by its norm.
     """
     _require_unit(slow, "slow axis signal")
     _require_finite(eta, "eta")
     phase = Quaternion(math.cos(eta), math.sin(eta), 0.0, 0.0)
-    return Waveplate(slow.conjugate() * phase * slow)
+    return Waveplate(_renormalized(slow.conjugate() * phase * slow))
 
 
 def rotate_element(plate: Waveplate, psi: float) -> Waveplate:
@@ -108,6 +111,6 @@ def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
     """
     _require_finite_components(q, "signal")
     s = stokes(pol.pass_axis).as_quaternion()
-    i_q_s = Quaternion(0.0, 1.0, 0.0, 0.0) * q * s
+    i_q_s = I * q * s
     return (q * (1.0 + pol.mu) - i_q_s * (1.0 - pol.mu)) * 0.5
 

@@ -325,6 +325,21 @@ def _require_unit(q: Quaternion, what: str) -> None:
         raise ValueError(f"{what} must be a unit quaternion, |q| = {q.norm()!r}")
 
 
+def _renormalized(q):
+    """q, or q divided by its norm where that is more than UNIT_TOL off 1.
+
+    A product of n factors each within UNIT_TOL of unit can be about n times
+    that off; divided, it is the product of the unit states they
+    approximate.  A product within UNIT_TOL comes back as it is, so its
+    floats are unchanged.  q is a Quaternion or a tuple of floats; the
+    result has its type.
+    """
+    norm = math.hypot(*q)
+    if abs(norm - 1.0) > UNIT_TOL:
+        return _new(type(q), (x / norm for x in q))
+    return q
+
+
 def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")

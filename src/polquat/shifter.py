@@ -31,7 +31,7 @@ import math
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .quaternion import (UNIT_TOL, Quaternion, _new, _product, _record, _require_finite,
+from .quaternion import (Quaternion, _new, _product, _record, _renormalized, _require_finite,
                          _require_unit)
 from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts, reduce_angle, to_ellipse
 
@@ -157,19 +157,17 @@ def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
     included, and the products are `Quaternion`'s, so the floats are theirs.
 
     Two signals each within UNIT_TOL of unit can have |P0| = |q| |r| up to
-    twice that off unit; P0 is then divided by its norm, so the line is that
-    of the unit states the signals approximate.  s P0 is orthogonal to P0
-    and as long, so every target cos(phi) P0 + sin(phi) s P0 is unit.
+    twice that off unit; `_renormalized` then divides P0 by its norm, so the
+    line is that of the unit states the signals approximate.  s P0 is
+    orthogonal to P0 and as long, so every target cos(phi) P0 + sin(phi) s P0
+    is unit.
     """
     _require_unit(q_in, "input signal")
     _require_unit(r_out, "output signal")
     q0, q1, q2, q3 = q_in
     s1, s2, s3 = _stokes_parts(q0, q1, q2, q3)
     inv = 1.0 / math.hypot(0.0, s1, s2, s3)
-    base = _product((q0, -q1, -q2, -q3), r_out)
-    norm = math.hypot(*base)
-    if abs(norm - 1.0) > UNIT_TOL:
-        base = tuple(x / norm for x in base)
+    base = _renormalized(_product((q0, -q1, -q2, -q3), r_out))
     return base, _product((0.0 * inv, s1 * inv, s2 * inv, s3 * inv), base)
 
 

@@ -453,21 +453,6 @@ def test_unknown_subcommand_exits_2():
     _check(("frobnicate",), (2,))
 
 
-_IMPORT_PROBE = """
-import sys
-import polquat
-from polquat import cli
-
-codes = [cli.main(["convert", "--from", "quat", "--to", "ellipse", "--input", "[1,0,0,0]"]),
-         cli.main(["solve", "--q=" + sys.argv[1], "--r=" + sys.argv[2], "--phi", "0.3"]),
-         cli.main(["ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "9",
-                   "--out", sys.argv[3]])]
-loaded = [m for m in ("numpy", "polquat.jones", "polquat.checks", "polquat.components")
-          if m in sys.modules]
-print("probe", codes, loaded)
-"""
-
-
 def _run_probe(*argv):
     """`python *argv` with the source tree first on the import path."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -475,24 +460,6 @@ def _run_probe(*argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
-
-
-def test_commands_never_import_the_oracle_or_numpy(tmp_path):
-    # numpy stays out of every command, and the Jones oracle out of every
-    # command but `check` (which needs no numpy either, see below); the lazy
-    # package keeps `polquat.components`, which only `check` and the demos
-    # use, out of these three
-    proc = _run_probe("-c", _IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "probe [0, 0, 0] []"
-
-
-def test_cold_import_loads_no_dataclasses_inspect_or_typing():
-    # -S skips `site`, so no .pth file of the installed Python imports them
-    proc = _run_probe("-S", "-c", "import sys, polquat.cli; print(sorted("
-                      "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
 
 
 # the public names of `import polquat`: its 40 functions, types and constants
@@ -509,22 +476,6 @@ _PUBLIC = sorted("""
 """.split())
 
 
-def test_import_polquat_loads_no_submodule():
-    proc = _run_probe("-c", "import sys, polquat; "
-                      "print(sorted(m for m in sys.modules if m.startswith('polquat')))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['polquat']\n"
-
-
-_SURFACE_PROBE = """
-import polquat
-print(sorted(n for n in dir(polquat) if not n.startswith("_")))
-names = {}
-exec("from polquat import *", names)
-print(sorted(n for n in names if n != "__builtins__"))
-"""
-
-
 def test_each_public_name_is_the_attribute_of_its_submodule():
     import importlib
 
@@ -538,28 +489,51 @@ def test_each_public_name_is_the_attribute_of_its_submodule():
         polquat.nope
     with pytest.raises(ImportError):
         from polquat import nope  # noqa: F401
-    # in a fresh interpreter: `dir` before any submodule is loaded, then the
-    # names a star import binds
-    proc = _run_probe("-c", _SURFACE_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [repr(_PUBLIC)] * 2
 
 
-_NO_NUMPY_CHECK = """
-import sys
-sys.modules["numpy"] = None   # any `import numpy` now raises ImportError
+# one fresh interpreter, under -S so that no .pth file of the installed
+# Python imports anything: it prints one fact a line, then runs `check`
+_IMPORT_PROBE = """
+import io, sys
+import polquat
+print(sorted(m for m in sys.modules if m.startswith("polquat")))
+print(sorted(n for n in dir(polquat) if not n.startswith("_")))
 from polquat import cli
+print(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+sys.path += sys.argv[4:]   # the test's path, on which numpy can be imported
+stdout, sys.stdout = sys.stdout, io.StringIO()
+codes = [cli.main(["convert", "--from", "quat", "--to", "ellipse", "--input", "[1,0,0,0]"]),
+         cli.main(["solve", "--q=" + sys.argv[1], "--r=" + sys.argv[2], "--phi", "0.3"]),
+         cli.main(["ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "9",
+                   "--out", sys.argv[3]])]
+sys.stdout = stdout
+print(codes, [m for m in ("numpy", "polquat.jones", "polquat.checks", "polquat.components")
+              if m in sys.modules])
+names = {}
+exec("from polquat import *", names)
+print(sorted(n for n in names if n != "__builtins__"))
+sys.modules["numpy"] = None   # any `import numpy` now raises ImportError
 sys.exit(cli.main(["check"]))
 """
 
 
-def test_check_runs_without_numpy():
-    from polquat.checks import CHECK_GROUPS
-
-    proc = _run_probe("-c", _NO_NUMPY_CHECK)
+def test_the_import_contract_holds_in_a_fresh_interpreter(tmp_path):
+    proc = _run_probe("-S", "-c", _IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"),
+                      *sys.path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "".join(f"PASS {name}\n" for name, _ in CHECK_GROUPS) \
-        + "all checks passed\n"
+    assert proc.stdout == "".join(f"{line}\n" for line in [
+        # `import polquat` loads no submodule, and `dir` lists every public name
+        "['polquat']", repr(_PUBLIC),
+        # `import polquat.cli` loads none of these slow stdlib modules
+        "[]",
+        # numpy stays out of every command, and the Jones oracle out of every
+        # command but `check`; `polquat.components`, which only `check` and
+        # the demos use, stays out of these three
+        "[0, 0, 0] []",
+        # a star import binds every public name
+        repr(_PUBLIC),
+        # `check` runs without numpy
+        *(f"PASS {name}" for name, _ in checks.CHECK_GROUPS), "all checks passed"])
 
 
 _BROKEN_CHECK = """
@@ -584,12 +558,10 @@ def test_check_fails_a_broken_bound_under_python_O():
 
 
 def test_check_reports_a_group_that_raises_and_runs_the_rest():
-    from polquat.checks import CHECK_GROUPS
-
     proc = _run_probe("-c", _BROKEN_CHECK, "non-unit-quarter-plate")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ""
     error = "ValueError: waveplate transform must be a unit quaternion, |q| = 2.0"
     assert proc.stdout == "".join(
         f"FAIL {name}: {error}\n" if name in ("table1-golden", "shifter-inversion")
-        else f"PASS {name}\n" for name, _ in CHECK_GROUPS) + "2 group(s) failed\n"
+        else f"PASS {name}\n" for name, _ in checks.CHECK_GROUPS) + "2 group(s) failed\n"

@@ -3,6 +3,7 @@ tuples that never equal a record of another type or a plain tuple, and the
 validated ones are validated on every construction path."""
 
 import math
+import re
 
 import pytest
 
@@ -95,21 +96,19 @@ def test_records_keep_length_indexing_and_unpacking():
     assert _Q + ONE == Quaternion(2.0, 2.0, 3.0, 4.0)
 
 
-@pytest.mark.parametrize("record, field, bad", [
-    (EllipseParams(1.0, 0.0, 0.0, 0.0), "phi", 9.0),
-    (Waveplate(ONE), "q", Quaternion(2.0, 0.0, 0.0, 0.0)),
-    (PartialPolarizer(ONE, 0.5), "mu", 1.5),
-    (EllipseParams(1.0, 0.0, 0.0, 0.0), "epsilon", 1.0),
-    (EllipseParams(1.0, 0.0, 0.0, 0.0), "theta", -2.0),
+@pytest.mark.parametrize("record, field, bad, message", [
+    (EllipseParams(1.0, 0.0, 0.0, 0.0), "phi", 9.0, "phase 9.0 outside (-pi, pi]"),
+    (Waveplate(ONE), "q", ONE * 2.0, "waveplate transform must be a unit quaternion, |q| = 2.0"),
+    (PartialPolarizer(ONE, 0.5), "mu", 1.5, "field extinction mu = 1.5 outside [0, 1]"),
+    (EllipseParams(1.0, 0.0, 0.0, 0.0), "epsilon", 1.0, "ellipticity 1.0 outside [-pi/4, pi/4]"),
+    (EllipseParams(1.0, 0.0, 0.0, 0.0), "theta", -2.0, "orientation -2.0 outside (-pi/2, pi/2]"),
 ], ids=["ellipse", "waveplate", "polarizer", "ellipse-epsilon", "ellipse-theta"])
-def test_every_construction_path_validates(record, field, bad):
+def test_every_construction_path_validates(record, field, bad, message):
     values = dict(record._asdict(), **{field: bad})
-    with pytest.raises(ValueError):
-        type(record)(**values)
-    with pytest.raises(ValueError):
-        record._replace(**{field: bad})
-    with pytest.raises(ValueError):
-        type(record)._make(values.values())
+    for build in (lambda: type(record)(**values), lambda: record._replace(**{field: bad}),
+                  lambda: type(record)._make(values.values())):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build()
 
 
 def _assert_constructor_twin(record, cls):

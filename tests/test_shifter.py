@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 import random
 
@@ -92,13 +91,6 @@ def test_target_line_has_the_floats_of_the_record_algebra():
             [x.hex() for part in want for x in part], (q, r)
 
 
-def test_target_transform_rejects_non_unit():
-    with pytest.raises(ValueError):
-        target_transform(ONE + I, ONE, 0.0)
-    with pytest.raises(ValueError):
-        target_transform(ONE, ONE * 2.0, 0.0)
-
-
 def test_forward_transform_all_zero():
     # qwp(0) hwp(0) qwp(0): the quarter plates bracket the half plate and the
     # product collapses to -1
@@ -141,11 +133,6 @@ def test_end_to_end_through_physical_plates():
             out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
                         qwp(angles.psi_c))
             assert (out - want).norm() <= 1e-9
-
-
-def test_solve_rejects_non_unit():
-    with pytest.raises(ValueError, match="target transform must be a unit quaternion"):
-        solve_angles(Quaternion(1.1, 0.0, 0.0, 0.0))
 
 
 def test_sign_pairing_is_the_verified_one():
@@ -333,17 +320,6 @@ def test_ramp_starting_on_a_singularity():
     assert all(pt.residual <= 1e-9 for pt in points)
 
 
-def test_ramp_rejects_non_unit():
-    with pytest.raises(ValueError):
-        ramp_trajectory(ONE * 2.0, ONE, [0.0])
-
-
-def test_ramp_checks_the_signals_at_the_call():
-    # the phases are drawn only as rows are read, so an endless ramp is fine
-    with pytest.raises(ValueError):
-        ramp_trajectory(ONE * 2.0, ONE, itertools.count())
-
-
 def test_ramp_of_signals_within_the_unit_tolerance_yields_every_row():
     # each signal passes the call's check, while the product of the two
     # norms, the norm of every row's target, is 1.8e-9 off unit
@@ -383,8 +359,6 @@ def test_the_row_after_a_mid_ramp_family_row_takes_the_nearer_branch(phis, kept)
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_phase_is_rejected(bad):
-    with pytest.raises(ValueError, match="phase must be a finite number"):
-        target_transform(FIG5_Q, FIG5_R, bad)
     # the ramp streams: the row before the bad phase comes out, then it raises
     points = ramp_trajectory(FIG5_Q, FIG5_R, [0.0, bad, 1.0])
     assert next(points).branch == 1

@@ -60,8 +60,8 @@ MUTANTS = [
     (SIGNAL, "phi = _PI", "phi = -_PI", "to_ellipse keeps phi = -pi"),
     (SHIFTER, "JUMP_FLAG_STEP = math.pi / 4", "JUMP_FLAG_STEP = math.pi / 3",
      "fewer ramp steps are flagged as jumps"),
-    (SHIFTER, "base = tuple(x / norm for x in base)", "base = tuple(base)",
-     "_target_line skips renormalizing P0"),
+    (QUATERNION, "return _new(type(q), (x / norm for x in q))", "return _new(type(q), q)",
+     "_renormalized skips its division: P0 and near-unit plate products stay off unit"),
     (SHIFTER, "return family.at(0.5 * (zeros[k] + zeros[k + 1]) + _HALF_PI)",
      "return family.at(0.5 * (zeros[k] + zeros[k + 1]))",
      "_best_family_point drops its + pi/2"),
@@ -109,6 +109,12 @@ MUTANTS = [
      "_prescaled scales q2 by 2^e instead of 2^-e"),
     (QUATERNION, "if math.isfinite(sum(q)):", "if math.isfinite(sum(q[1:])):",
      "the finite fast path sums q1..q3 only, so a non-finite q0 passes"),
+    (QUATERNION, "if abs(v.q0) > UNIT_TOL or not v.is_unit():", "if not v.is_unit():",
+     "precess accepts a unit axis with a scalar part"),
+    (QUATERNION, 'raise ValueError("division by zero quaternion")', "pass",
+     "division by zero falls through to normalized()'s ValueError"),
+    (SIGNAL, 'raise ValueError("cannot classify the zero signal")', "pass",
+     "classify_orthogonality of a zero signal falls through to normalized()'s ValueError"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
