@@ -476,21 +476,6 @@ _PUBLIC = sorted("""
 """.split())
 
 
-def test_each_public_name_is_the_attribute_of_its_submodule():
-    import importlib
-
-    import polquat
-
-    assert sorted(polquat._SUBMODULE) == _PUBLIC
-    for name, module in polquat._SUBMODULE.items():
-        sub = importlib.import_module("polquat." + module)
-        assert getattr(polquat, name) is (sub if name == module else getattr(sub, name))
-    with pytest.raises(AttributeError, match="^module 'polquat' has no attribute 'nope'$"):
-        polquat.nope
-    with pytest.raises(ImportError):
-        from polquat import nope  # noqa: F401
-
-
 # one fresh interpreter, under -S so that no .pth file of the installed
 # Python imports anything: it prints one fact a line, then runs `check`
 _IMPORT_PROBE = """
@@ -517,23 +502,50 @@ sys.exit(cli.main(["check"]))
 """
 
 
-def test_the_import_contract_holds_in_a_fresh_interpreter(tmp_path):
-    proc = _run_probe("-S", "-c", _IMPORT_PROBE, FIG5_Q, FIG5_R, str(tmp_path / "ramp.csv"),
-                      *sys.path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "".join(f"{line}\n" for line in [
-        # `import polquat` loads no submodule, and `dir` lists every public name
-        "['polquat']", repr(_PUBLIC),
-        # `import polquat.cli` loads none of these slow stdlib modules
-        "[]",
-        # numpy stays out of every command, and the Jones oracle out of every
-        # command but `check`; `polquat.components`, which only `check` and
-        # the demos use, stays out of these three
-        "[0, 0, 0] []",
-        # a star import binds every public name
-        repr(_PUBLIC),
-        # `check` runs without numpy
-        *(f"PASS {name}" for name, _ in checks.CHECK_GROUPS), "all checks passed"])
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """The import probe's finished process; the tests below each read their lines."""
+    out = tmp_path_factory.mktemp("probe") / "ramp.csv"
+    return _run_probe("-S", "-c", _IMPORT_PROBE, FIG5_Q, FIG5_R, str(out), *sys.path)
+
+
+def test_import_polquat_loads_no_submodule(import_probe):
+    assert import_probe.stdout.splitlines()[:1] == ["['polquat']"], import_probe.stderr
+
+
+def test_each_public_name_is_the_attribute_of_its_submodule(import_probe):
+    import importlib
+
+    import polquat
+
+    assert sorted(polquat._SUBMODULE) == _PUBLIC
+    for name, module in polquat._SUBMODULE.items():
+        sub = importlib.import_module("polquat." + module)
+        assert getattr(polquat, name) is (sub if name == module else getattr(sub, name))
+    with pytest.raises(AttributeError, match="^module 'polquat' has no attribute 'nope'$"):
+        polquat.nope
+    with pytest.raises(ImportError):
+        from polquat import nope  # noqa: F401
+    # in the fresh interpreter: `dir` before any submodule is loaded, then the
+    # names a star import binds
+    assert import_probe.stdout.splitlines()[1:5:3] == [repr(_PUBLIC)] * 2, import_probe.stderr
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing(import_probe):
+    assert import_probe.stdout.splitlines()[2:3] == ["[]"], import_probe.stderr
+
+
+def test_commands_never_import_the_oracle_or_numpy(import_probe):
+    # numpy stays out of every command, and the Jones oracle out of every
+    # command but `check`; `polquat.components`, which only `check` and the
+    # demos use, stays out of these three
+    assert import_probe.stdout.splitlines()[3:4] == ["[0, 0, 0] []"], import_probe.stderr
+
+
+def test_check_runs_without_numpy(import_probe):
+    assert import_probe.returncode == 0, import_probe.stderr
+    assert import_probe.stdout.splitlines()[5:] == [
+        *(f"PASS {name}" for name, _ in checks.CHECK_GROUPS), "all checks passed"]
 
 
 _BROKEN_CHECK = """
