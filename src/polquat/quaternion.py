@@ -135,11 +135,6 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
                                      self.q2 * other, self.q3 * other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
     def __truediv__(self, other):
         """Right division p / q = p * conj(q / |q|) / |q|.
 

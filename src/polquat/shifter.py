@@ -136,7 +136,8 @@ class RampPoint(_record("RampPoint", "phi angles branch residual flagged")):
 
     branch is 1 or 2 for a regular solve and 0 for a singular-family point;
     flagged marks singular or near-singular samples and the pi/2-scale jump
-    a crossing forces.  residual = |q * forward(angles) - e^(i phi) r|.
+    a crossing forces.  residual = |q * forward(angles) - e^(i phi) r|, for
+    the signals q and r as given (see `ramp_trajectory`).
     """
 
     __slots__ = ()
@@ -302,6 +303,13 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     returned iterator then draws, solves and yields one `RampPoint` per phase,
     and raises ValueError at the first phase that is not finite.
     A row's target is unit by construction, so no row checks it again.
+
+    Each row solves for the unit states the signals approximate, and its
+    residual is measured against the signals as given.  For unit signals it
+    meets the 1e-9 bound by about six orders; for signals within 1e-9 of
+    unit it can exceed that rounding (about 1e-15) by up to
+    |1 - |q|| + |1 - |r||, so up to 2e-9.  `polquat ramp` passes the
+    normalized signals, so its CSV meets 1e-9.
 
     Both the target p and the wanted output e^(i phi) r are linear in
     (cos phi, sin phi), so each sample costs two trig calls for them; a

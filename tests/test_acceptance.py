@@ -13,7 +13,9 @@ per criterion with the worst errors it measured.
 
 import math
 import random
+import re
 from functools import partial
+from pathlib import Path
 
 from polquat import (
     Axis,
@@ -208,3 +210,16 @@ def _criterion_test(name: str, run):
 
 for _name, _run in CRITERIA.items():
     globals()["test_" + _name] = _criterion_test(_name, _run)
+
+
+def test_the_claim_table_names_real_groups_and_criteria():
+    # README maps each sentence of the abstract to the groups and criteria
+    # that verify it; every check group verifies some sentence
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### The abstract's claims and what verifies them")[1]
+    rows = [line.split("|") for line in section.split("\n## ")[0].splitlines()
+            if re.match(r"\| \d+ \|", line)]
+    groups = {name for row in rows for name in re.findall(r"`([^`]+)`", row[3])}
+    criteria = {name for row in rows for name in re.findall(r"`([^`]+)`", row[4])}
+    assert groups == {name for name, _ in checks.CHECK_GROUPS}
+    assert criteria <= set(CRITERIA), criteria - set(CRITERIA)

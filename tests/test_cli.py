@@ -262,7 +262,7 @@ def test_fig7_group_checks_the_output_sop(monkeypatch):
 
 # Each row of an argv table names itself, so a row inserted anywhere renames no
 # other test; a new row takes the next free argv number.
-@pytest.mark.parametrize("argv, want", [
+_BAD_VALUES = [
     pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "nan"), 2, id="argv0-2"),
     pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "inf"), 2, id="argv1-2"),
     pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
@@ -327,12 +327,15 @@ def test_fig7_group_checks_the_output_sop(monkeypatch):
                   "[1,2]"), 2, id="argv29-2"),
     pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
                   '{"r":-1,"phi":0,"epsilon":0,"theta":0}'), 2, id="argv30-2"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, want", _BAD_VALUES)
 def test_bad_values_keep_the_exit_code_contract(argv, want):
     _check(argv, (want,), "singular" if argv[0] == "solve" and "--branch" in argv else None)
 
 
-@pytest.mark.parametrize("argv, want", [
+_NEGATIVE_VALUES = [
     pytest.param(("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0, id="argv0-0"),
     pytest.param(("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0",
                   "--phi", "0.3"), 0, id="argv1-0"),
@@ -342,7 +345,10 @@ def test_bad_values_keep_the_exit_code_contract(argv, want):
     # a negative value is read after its option; an unknown option is still one
     pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2,
                  id="argv4-2"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, want", _NEGATIVE_VALUES)
 def test_negative_values_follow_an_option_in_any_float_spelling(argv, want):
     _check(argv, (want,), lambda got: got["solutions"])
 

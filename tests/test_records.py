@@ -68,7 +68,13 @@ def test_quaternion_arithmetic_is_not_tuple_arithmetic():
     q = Quaternion(1.0, 2.0, 3.0, 4.0)
     with pytest.raises(TypeError):
         q + (1, 0, 0, 0)
-    assert 2 * q == q * 2.0 == Quaternion(2.0, 4.0, 6.0, 8.0)
+    # a scalar multiplies from the right; from the left it is tuple repetition,
+    # which the record contract refuses
+    assert q * 2.0 == Quaternion(2.0, 4.0, 6.0, 8.0)
+    for scalar in (2, 2.0):
+        with pytest.raises(TypeError, match="^Quaternion has no ordering, concatenation or "
+                                            "repetition$"):
+            scalar * q
 
 
 _Q = Quaternion(1.0, 2.0, 3.0, 4.0)

@@ -330,6 +330,19 @@ def test_ramp_of_signals_within_the_unit_tolerance_yields_every_row():
     assert max(pt.residual for pt in points) <= 1e-9
 
 
+def test_a_ramp_residual_is_measured_against_the_signals_as_given():
+    # the rows solve for the unit states; measured against signals within
+    # 1e-9 of unit, a residual exceeds its rounding by at most the signals'
+    # own norm errors, here 1.8e-9 together
+    q, r = FIG5_Q * (1 + 0.9e-9), FIG5_R * (1 - 0.9e-9)
+    phis = [2.0 * math.pi * k / 255 for k in range(256)]
+    excess = abs(1.0 - q.norm()) + abs(1.0 - r.norm())
+    worst = max(pt.residual for pt in ramp_trajectory(q, r, phis))
+    assert 1e-9 < worst <= excess + 2e-15
+    assert max(pt.residual for pt in ramp_trajectory(q.normalized(), r.normalized(),
+                                                     phis)) <= 2e-15
+
+
 @pytest.mark.parametrize("scale", [1.0 + 0.9e-9, 1.0 - 0.9e-9], ids=["long", "short"])
 def test_solve_of_signals_within_the_unit_tolerance_meets_the_bound(scale):
     # each signal passes the unit check, while their product is 1.8e-9 off
