@@ -6,9 +6,12 @@ the four pinned 256-sample ramps (the identity and (1, i) rows reach the
 singular-family code), then `check`, the demos and the README quick start,
 and prints what no call reached.  A new function with no caller and no
 reason fails here, and so does a reason whose function is now called or
-gone.
+gone.  The run is also the one that runs the demos and the quick start, each
+with numpy unimportable and a temporary working directory: one that exits
+nonzero, raises or prints a traceback fails here.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -48,3 +51,12 @@ def test_every_function_has_an_entry_point_or_a_reason(tmp_path):
     assert printed == sorted(_UNREACHED), (
         f"no caller and no reason: {sorted(set(printed) - set(_UNREACHED))}, "
         f"a reason but a caller or no definition: {sorted(set(_UNREACHED) - set(printed))}")
+
+
+def test_the_run_holds_the_demos_and_one_quick_start():
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    names = [name for name, _ in reach._scripts()]
+    assert len([name for name in names if not name.startswith("quick_start_")]) >= 4
+    assert [name for name in names if name.startswith("quick_start_")] == ["quick_start_0.py"]

@@ -41,15 +41,9 @@ from polquat import (
 )
 from polquat.checks import _rand_quat
 
+from test_quaternion import _float
+
 SQ2 = math.sqrt(2.0)
-
-
-def _float(rng: random.Random, lo: float, hi: float) -> float:
-    """Uniform on [lo, hi], but one draw in four is an edge value in that
-    range: lo, hi, +-0.0 or the smallest denormal +-5e-324."""
-    if rng.random() < 0.25:
-        return rng.choice([x for x in (lo, hi, 0.0, -0.0, 5e-324, -5e-324) if lo <= x <= hi])
-    return rng.uniform(lo, hi)
 
 
 # Table II: quaternion <-> optical signal

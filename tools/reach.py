@@ -8,10 +8,11 @@ the tree's `src` first on the import path, makes numpy unimportable and
 installs one `sys.setprofile` hook before `import polquat`.  Then it runs
 `polquat.cli.main` on each command line, then `check`, then each demo and
 each python block of README.md as `__main__`, every script copied into a
-temporary directory first, as tests/test_demos.py runs them, so that the
-files a demo writes next to itself land there.  It prints, sorted and one
-a line, the dotted name of every function and method defined in
-src/polquat that no call reached.
+temporary directory first, which is also its working directory, so that the
+files a demo writes land there.  A script that exits nonzero, raises or
+prints a traceback to stderr stops the run.  It prints, sorted and one a
+line, the dotted name of every function and method defined in src/polquat
+that no call reached.
 
 The definitions come from an `ast` walk of the source files.  A profiled
 code object matches a definition by file, first line (a decorated one's is
@@ -27,6 +28,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import re
 import runpy
 import sys
@@ -58,26 +60,35 @@ def _definitions() -> dict:
     return found
 
 
-def _scripts() -> list:
-    """(file name, text) of each demo and each python block of README.md."""
-    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+def _scripts(root: Path = ROOT) -> list:
+    """(file name, text) of each demo and each python block of README.md of
+    the tree at `root`."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(),
                         re.MULTILINE | re.DOTALL)
-    return ([(path.name, path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    return ([(path.name, path.read_text()) for path in sorted((root / "demos").glob("*.py"))]
             + [(f"quick_start_{k}.py", block) for k, block in enumerate(blocks)])
 
 
 def _run_script(name: str, text: str) -> None:
     """Run the script `text` as `__main__`, saved as `name` in a temporary
-    directory, where a demo writes its files; a nonzero exit stops the
-    trace, and a zero one ends only the script."""
+    directory that is also the working directory, where a demo writes its
+    files.  A nonzero exit or a traceback on stderr stops the trace, and a
+    zero exit ends only the script."""
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         script = Path(tmp) / name
         script.write_text(text)
+        os.chdir(tmp)
         try:
-            runpy.run_path(str(script), run_name="__main__")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                runpy.run_path(str(script), run_name="__main__")
         except SystemExit as exc:
             if exc.code:
                 raise SystemExit(f"{name} exited with {exc.code}") from exc
+        finally:
+            os.chdir(cwd)
+    if "Traceback" in err.getvalue():
+        raise SystemExit(f"{name} printed a traceback:\n{err.getvalue()}")
 
 
 def main() -> int:

@@ -40,10 +40,10 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   `import polquat`, the name, the type name of its value and the value's
   `__module__` (a submodule's own name), so a package that drops or
   misroutes a name differs;
-* each demo script and the README quick start of the tree (`src/..`), run
-  the way tests/test_demos.py runs them: copied into a temporary directory,
-  which is also the working directory, with numpy unimportable.  The
-  directory's path reads the same in both trees' output.
+* each demo script and the README quick start of the tree (`src/..`), as
+  `tools/reach.py` lists them, each run in its own interpreter: copied into
+  a temporary directory, which is also the working directory, with numpy
+  unimportable.  The directory's path reads the same in both trees' output.
 
 A run's output is its exit code, stdout and stderr.  One line per artifact,
 `identical` or `different`; an artifact of several runs adds how many differ
@@ -75,6 +75,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 import inputs  # noqa: E402  (stdlib only)
+import reach  # noqa: E402  (stdlib only)
 
 RAMP_SAMPLES = (2, 256, 4096)
 RECORD_RAMP_SAMPLES = 256
@@ -126,7 +127,7 @@ def _convert_argvs() -> list:
             for src in FORMS for dst in FORMS for degrees in (0, 1)]
 
 
-# how tests/test_demos.py runs a script: numpy unimportable
+# a script runs with numpy unimportable, as tools/reach.py runs it
 _WITHOUT_NUMPY = """
 import runpy
 import sys
@@ -135,24 +136,13 @@ runpy.run_path(sys.argv[1], run_name="__main__")
 """
 
 
-def _scripts(src: Path) -> list:
-    """(artifact name, file name, text) of each demo and README quick start
-    of the tree whose `src` directory is `src`."""
-    root = src.parent
-    scripts = [(f"demo {path.name}", path.name, path.read_text())
-               for path in sorted((root / "demos").glob("*.py"))]
-    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(),
-                        re.MULTILINE | re.DOTALL)
-    return scripts + [(f"README quick start {k}", f"quick_start_{k}.py", block)
-                      for k, block in enumerate(blocks)]
-
-
 def _run_scripts(src: Path) -> dict:
-    """{artifact name: [digest]} of each script of `_scripts`, each run in a
-    fresh temporary directory with `src` first on the import path."""
+    """{artifact name: [digest]} of each demo and README quick start of the
+    tree whose `src` directory is `src`, each run in a fresh temporary
+    directory with `src` first on the import path."""
     env = dict(os.environ, PYTHONPATH=str(src))
     digests = {}
-    for name, file_name, text in _scripts(src):
+    for file_name, text in reach._scripts(src.parent):
         with tempfile.TemporaryDirectory() as tmp:
             script = Path(tmp) / file_name
             script.write_text(text)
@@ -160,6 +150,8 @@ def _run_scripts(src: Path) -> dict:
                                   cwd=tmp, env=env, capture_output=True, text=True,
                                   check=False)
         out = f"{proc.returncode}\n{proc.stdout}\n{proc.stderr}\n".replace(tmp, "<tmp>")
+        block = re.fullmatch(r"quick_start_(\d+)\.py", file_name)
+        name = f"README quick start {block[1]}" if block else f"demo {file_name}"
         digests[name] = [hashlib.sha256(out.encode()).hexdigest()]
     return digests
 
