@@ -27,6 +27,7 @@ from .components import (
 from .quaternion import I, J, K, ONE, Quaternion, allclose
 from .signal import (
     _HALF_PI,
+    EllipseParams,
     apply_phase,
     classical_from_jones,
     from_ellipse,
@@ -116,8 +117,13 @@ def check_table1_golden() -> str:
 
 
 def check_table2_golden() -> str:
-    for q in (ONE, I, J, K, ONE + J, ONE + K, ONE - K):
+    states = (ONE, I, J, K, ONE + J, ONE + K, ONE - K)
+    for q in states:
         _require(from_jones(to_jones(q)) == q, "jones round trip %s", q)
+    # and three edge states of to_ellipse: atan2 gives -pi and theta must
+    # wrap; atan2 gives -pi and phi must wrap; 4e-10 from circular
+    for q in states + (Quaternion(-0.0, 0.0, 1.0, -0.0), Quaternion(-1.0, -0.0, 0.0, -0.0),
+                       from_ellipse(EllipseParams(1.0, 0.3, math.pi / 4 - 4e-10, 0.7))):
         _require(allclose(from_ellipse(to_ellipse(q)), q, 1e-12), "ellipse round trip %s", q)
     return ""
 
@@ -209,8 +215,8 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
             for angles in samples:
                 _assert_reduced(angles)
                 worst_family = max(worst_family, (_composed(angles) - p).norm())
-    return ", ".join([_within("branches", worst, 1e-9),
-                      _within("families", worst_family, 1e-9)])
+    return ", ".join([_within("branches", worst, 1e-13),
+                      _within("families", worst_family, shifter.SINGULAR_TOL + 1e-13)])
 
 
 def _constant_sop(rows) -> str:
@@ -227,7 +233,7 @@ def check_fig5_ramp() -> str:
     output phase that runs along a straight line through exactly 2*pi.  Both
     ramp groups check the rows `polquat ramp` writes (`shifter.ramp_rows`)."""
     rows = list(shifter.ramp_rows(FIG5_Q, FIG5_R, RAMP_SAMPLES))
-    residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-9)
+    residual = _within("residual", max(pt.residual for pt, _ in rows), 1e-13)
     phases = []
     for pt, ell in rows:
         _require(not pt.flagged, "no singular crossing expected, flagged at phi=%r", pt.phi)
@@ -239,7 +245,7 @@ def check_fig5_ramp() -> str:
     line = max(abs(phase - (phases[0] + pt.phi)) for phase, (pt, _) in zip(phases, rows))
     return ", ".join([residual, _constant_sop(rows),
                       _within("span-2pi", abs(span - 2.0 * math.pi), 1e-8),
-                      _within("line", line, 1e-8)])
+                      _within("line", line, 1e-13)])
 
 
 def check_fig7_singular() -> str:
@@ -250,7 +256,7 @@ def check_fig7_singular() -> str:
     eps = _within("equal-ellipticity", abs(eq.epsilon - er.epsilon), 1e-12)
     rows = list(shifter.ramp_rows(FIG7_Q, FIG7_R, RAMP_SAMPLES))
     points = [pt for pt, _ in rows]
-    residual = _within("residual", max(pt.residual for pt in points), 1e-9)
+    residual = _within("residual", max(pt.residual for pt in points), 1e-13)
     flagged = [i for i, pt in enumerate(points) if pt.flagged]
     _require(len(flagged) == 2, "expected 2 singular crossings, saw %d", len(flagged))
     steps = [shifter.triple_distance(points[i].angles, points[i - 1].angles) for i in flagged]

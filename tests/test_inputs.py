@@ -1,9 +1,13 @@
 """The library's rejections, one row each: a call outside an operation's
-domain, the exception type it raises and its exact message."""
+domain, the exception type it raises and its exact message.  The table holds
+the rejections whose message polquat writes, the record contract's included;
+the non-finite inputs are a table of their own in tests/test_signal.py, and
+messages that CPython writes stay in the tests of their contract."""
 
 import itertools
 import math
 import re
+from functools import partial
 
 import pytest
 
@@ -12,8 +16,11 @@ from polquat import (EllipseParams, I, ONE, PartialPolarizer, Quaternion, Wavepl
                      target_transform, to_ellipse, waveplate_from_axis)
 from polquat.signal import _check_ellipse
 
+from test_records import _ANGLES, _Q
+
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 _ROOT_2 = "1.4142135623730951"   # |1 + i|
+_ELLIPSE = EllipseParams(1.0, 0.0, 0.0, 0.0)
 
 _REJECTIONS = {
     # quaternion: a quotient component and e^(q0) past the largest float
@@ -76,6 +83,38 @@ _REJECTIONS = {
            (lambda: solve_angles(Quaternion(1.1, 0.0, 0.0, 0.0)), "target transform", "1.1")]},
     "ramp signal not unit": (lambda: ramp_trajectory(ONE * 2.0, ONE, itertools.count()),
                              ValueError, "input signal must be a unit quaternion, |q| = 2.0"),
+    # records: a validated record is validated on every construction path
+    **{f"{case}-{path}": (call, ValueError, message)
+       for case, record, field, bad, message in [
+           ("ellipse", _ELLIPSE, "phi", 9.0, "phase 9.0 outside (-pi, pi]"),
+           ("waveplate", Waveplate(ONE), "q", ONE * 2.0,
+            "waveplate transform must be a unit quaternion, |q| = 2.0"),
+           ("polarizer", PartialPolarizer(ONE, 0.5), "mu", 1.5,
+            "field extinction mu = 1.5 outside [0, 1]"),
+           ("ellipse-epsilon", _ELLIPSE, "epsilon", 1.0, "ellipticity 1.0 outside [-pi/4, pi/4]"),
+           ("ellipse-theta", _ELLIPSE, "theta", -2.0, "orientation -2.0 outside (-pi/2, pi/2]")]
+       for path, call in [
+           ("constructor", partial(type(record), **{**record._asdict(), field: bad})),
+           ("_replace", partial(record._replace, **{field: bad})),
+           ("_make", partial(type(record)._make, {**record._asdict(), field: bad}.values()))]},
+    # no record has tuple ordering, concatenation or repetition
+    **{name: (call, TypeError, f"{record} has no ordering, concatenation or repetition")
+       for name, call, record in [
+           ("q-lt", lambda: _Q < ONE, "Quaternion"),
+           ("q-le", lambda: _Q <= ONE, "Quaternion"),
+           ("q-gt", lambda: _Q > ONE, "Quaternion"),
+           ("q-ge", lambda: _Q >= ONE, "Quaternion"),
+           ("tuple-plus-q", lambda: (1, 0, 0, 0) + _Q, "Quaternion"),
+           # a scalar multiplies a quaternion from the right only
+           ("2-times-q", lambda: 2 * _Q, "Quaternion"),
+           ("2.0-times-q", lambda: 2.0 * _Q, "Quaternion"),
+           ("angles-lt-tuple", lambda: _ANGLES < (0.2, 0.0, 0.0), "WaveplateAngles"),
+           ("tuple-ge-angles", lambda: (0.2, 0.0, 0.0) >= _ANGLES, "WaveplateAngles"),
+           ("sorted", lambda: sorted([_ANGLES, _ANGLES]), "WaveplateAngles"),
+           ("angles-plus-tuple", lambda: _ANGLES + (1,), "WaveplateAngles"),
+           ("tuple-plus-angles", lambda: (1,) + _ANGLES, "WaveplateAngles"),
+           ("angles-times-2", lambda: _ANGLES * 2, "WaveplateAngles"),
+           ("2-times-angles", lambda: 2 * _ANGLES, "WaveplateAngles")]},
 }
 
 
