@@ -224,8 +224,8 @@ def _constant_sop(rows) -> str:
     orientation and ellipticity over the rows of `shifter.ramp_rows`."""
     thetas = [ell.theta for _, ell in rows]
     epss = [ell.epsilon for _, ell in rows]
-    return ", ".join([_within("orientation", max(thetas) - min(thetas), 1e-8),
-                      _within("ellipticity", max(epss) - min(epss), 1e-8)])
+    return ", ".join([_within("orientation", max(thetas) - min(thetas), 1e-13),
+                      _within("ellipticity", max(epss) - min(epss), 1e-13)])
 
 
 def check_fig5_ramp() -> str:
@@ -244,7 +244,7 @@ def check_fig5_ramp() -> str:
     span = phases[-1] - phases[0]
     line = max(abs(phase - (phases[0] + pt.phi)) for phase, (pt, _) in zip(phases, rows))
     return ", ".join([residual, _constant_sop(rows),
-                      _within("span-2pi", abs(span - 2.0 * math.pi), 1e-8),
+                      _within("span-2pi", abs(span - 2.0 * math.pi), 1e-13),
                       _within("line", line, 1e-13)])
 
 

@@ -215,10 +215,13 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
     def exp(self) -> "Quaternion":
         """Quaternion exponential e^(q0) * (cos|v| + v_hat sin|v|) with v the
         vector part.  For a unit vector v, exp(v*t) = cos t + v sin t.
-        Raises ValueError naming a non-finite component, and OverflowError
-        where e^(q0) exceeds the largest float (q0 above about 709.78)."""
+        Raises ValueError naming a non-finite component or where the vector
+        part's norm overflows a float, and OverflowError where e^(q0) exceeds
+        the largest float (q0 above about 709.78)."""
         _require_finite_components(self, "quaternion")
         a = self.vector_norm()
+        if a == math.inf:
+            raise ValueError("the vector part's norm overflows a float")
         s = math.exp(self.q0)
         if a == 0.0:
             return Quaternion(s, 0.0, 0.0, 0.0)

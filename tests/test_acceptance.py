@@ -84,7 +84,7 @@ def _rodrigues(axis: tuple, angle: float, v: tuple) -> tuple:
 def _precession() -> str:
     """A plate of retardance 2 eta about the slow axis `slow` turns every
     Stokes vector by 2 eta about the Stokes vector of `slow`, and its log is
-    eta times that vector."""
+    eta times that vector: a vector part of norm eta whose exp is the plate."""
     rng = random.Random(106)
     worst = worst_log = 0.0
     for _ in range(1000):
@@ -93,7 +93,9 @@ def _precession() -> str:
         eta = rng.uniform(0.01, math.pi - 0.01)
         plate = waveplate_from_axis(slow, eta)
         s = stokes(slow)
-        worst_log = max(worst_log, (plate.q.log() - s.as_quaternion() * eta).norm())
+        log = plate.q.log()
+        worst_log = max(worst_log, (log - s.as_quaternion() * eta).norm(),
+                        abs(log.vector_norm() - eta), (log.exp() - plate.q).norm())
         s_out = to_classical(stokes(apply(q, plate)))
         want = _rodrigues(to_classical(s), 2.0 * eta, to_classical(stokes(q)))
         worst = max(worst, *(abs(g - w) for g, w in zip(s_out, want)))

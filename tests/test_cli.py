@@ -22,11 +22,11 @@ FIG7_Q = ",".join(map(repr, checks.FIG7_Q))
 FIG7_R = ",".join(map(repr, checks.FIG7_R))
 
 
-def run(*argv):
+def run(*argv, out=None):
     """`main(argv)` with its output captured: (exit code, stdout, stderr).  The
     SystemExit of an argparse rejection gives its code; any other exception
-    escapes and fails the test."""
-    out, err = io.StringIO(), io.StringIO()
+    escapes and fails the test.  `out` replaces the captured stdout."""
+    out, err = out or io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
@@ -201,6 +201,18 @@ def test_ramp_checks_its_inputs_before_it_opens_the_file(tmp_path, q, samples):
     assert not out_path.exists()
 
 
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_write_to_stdout_is_exit_4():
+    for argv in (_convert("quat", "quat", "[1,0,0,0]"),
+                 ("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0")):
+        assert run(*argv, out=_FullDisk()) == (
+            4, "", "error: [Errno 28] No space left on device\n"), argv
+
+
 # a ramp that built its rows first would run out of the 256 MiB address space
 _STREAM_PROBE = """
 import resource
@@ -328,30 +340,24 @@ _BAD_VALUES = [
     pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
                   '{"r":-1,"phi":0,"epsilon":0,"theta":0}'), 2, id="argv30-2"),
     pytest.param(("frobnicate",), 2, id="argv31-2"),
+    # a negative value follows its option in any float spelling
+    pytest.param(("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0, id="argv32-0"),
+    pytest.param(("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0",
+                  "--phi", "0.3"), 0, id="argv33-0"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0, id="argv34-0"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0,
+                 id="argv35-0"),
+    # a negative value is read after its option; an unknown option is still one
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2,
+                 id="argv36-2"),
 ]
 
 
 @pytest.mark.parametrize("argv, want", _BAD_VALUES)
 def test_bad_values_keep_the_exit_code_contract(argv, want):
-    _check(argv, (want,), "singular" if argv[0] == "solve" and "--branch" in argv else None)
-
-
-_NEGATIVE_VALUES = [
-    pytest.param(("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0, id="argv0-0"),
-    pytest.param(("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0",
-                  "--phi", "0.3"), 0, id="argv1-0"),
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0, id="argv2-0"),
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0,
-                 id="argv3-0"),
-    # a negative value is read after its option; an unknown option is still one
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2,
-                 id="argv4-2"),
-]
-
-
-@pytest.mark.parametrize("argv, want", _NEGATIVE_VALUES)
-def test_negative_values_follow_an_option_in_any_float_spelling(argv, want):
-    _check(argv, (want,), lambda got: got["solutions"])
+    # a solve that exits 0 prints solutions; a --branch it cannot take names the family
+    _check(argv, (want,), "singular" if "--branch" in argv
+           else lambda got: argv[0] != "solve" or got["solutions"])
 
 
 def _any_float(rng):

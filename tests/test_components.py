@@ -70,10 +70,15 @@ def test_waveplate_from_axis_two_construction_paths():
     for _ in range(100):
         slow = _rand_unit(rng)
         eta = rng.uniform(0.0, math.pi)
-        via_division = waveplate_from_axis(slow, eta).q
+        phi = rng.uniform(-math.pi, math.pi)
+        plate = waveplate_from_axis(slow, eta)
         s = stokes(slow).as_quaternion().normalized()
-        via_exp = (s * eta).exp()
-        assert allclose(via_division, via_exp, 1e-12)
+        assert allclose(plate.q, (s * eta).exp(), 1e-12)
+        # the slow-axis state gains eta, the fast-axis one loses it
+        slow_in = apply_phase(slow, phi)
+        assert allclose(apply(slow_in, plate), apply_phase(slow_in, eta), 1e-12)
+        fast_in = apply_phase(orthogonal_sop(slow), phi)
+        assert allclose(apply(fast_in, plate), apply_phase(fast_in, -eta), 1e-12)
 
 
 def test_axis_retardance():
@@ -83,17 +88,6 @@ def test_axis_retardance():
     # the +-1 plates have no axis; log gives 0 and pi * i by its convention
     assert allclose(Waveplate(ONE).q.log(), Quaternion(0, 0, 0, 0), 1e-15)
     assert allclose(Waveplate(-ONE).q.log(), I * math.pi, 1e-15)
-
-
-def test_axis_retardance_round_trip():
-    rng = random.Random(43)
-    for _ in range(100):
-        slow = _rand_unit(rng)
-        eta = rng.uniform(0.01, math.pi - 0.01)
-        plate = waveplate_from_axis(slow, eta)
-        log = plate.q.log()
-        assert abs(log.vector_norm() - eta) <= 1e-10
-        assert allclose(log.exp(), plate.q, 1e-10)
 
 
 def test_rotate_element():
@@ -113,19 +107,6 @@ def test_rotate_element():
 def test_standard_plates():
     assert allclose(qwp(0.0).q, QWP_H, 1e-15)
     assert allclose(hwp(math.pi / 4).q, K, 1e-15)
-
-
-def test_eigenstates_gain_and_lose_eta():
-    rng = random.Random(47)
-    for _ in range(100):
-        slow = _rand_unit(rng)
-        eta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(-math.pi, math.pi)
-        plate = waveplate_from_axis(slow, eta)
-        slow_in = apply_phase(slow, phi)
-        assert allclose(apply(slow_in, plate), apply_phase(slow_in, eta), 1e-12)
-        fast_in = apply_phase(orthogonal_sop(slow), phi)
-        assert allclose(apply(fast_in, plate), apply_phase(fast_in, -eta), 1e-12)
 
 
 def test_polarizer_examples():

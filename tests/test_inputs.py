@@ -28,6 +28,8 @@ _REJECTIONS = {
         lambda: Quaternion(1e300, 0.0, 0.0, 0.0) / Quaternion(1e-300, 0.0, 0.0, 0.0),
         OverflowError, "math range error"),
     "exp-overflow": (Quaternion(1000.0, 0.0, 0.0, 0.0).exp, OverflowError, "math range error"),
+    "exp-vector-overflow": (Quaternion(0.0, 1.5e308, 1.5e308, 1.5e308).exp, ValueError,
+                            "the vector part's norm overflows a float"),
     "divide-by-zero": (lambda: ONE / ZERO, ValueError, "division by zero quaternion"),
     "normalize-zero": (ZERO.normalized, ValueError, "cannot normalize the zero quaternion"),
     "log-zero": (ZERO.log, ValueError, "zero quaternion has no logarithm"),

@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import _BAD_VALUES, _EXAMPLES, _NEGATIVE_VALUES, _RAMP_SHA256
+from test_cli import _BAD_VALUES, _EXAMPLES, _RAMP_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,7 +41,7 @@ _UNREACHED = {
 
 def test_every_function_has_an_entry_point_or_a_reason(tmp_path):
     argvs = [argv for steps in _EXAMPLES.values() for argv, _, _ in steps]
-    argvs += [param.values[0] for param in _BAD_VALUES + _NEGATIVE_VALUES]
+    argvs += [param.values[0] for param in _BAD_VALUES]
     argvs += [("ramp", "--q", q, "--r", r, "--samples", "256", "--out", str(tmp_path / f"{k}.csv"))
               for k, (q, r) in enumerate(_RAMP_SHA256)]
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")],

@@ -54,16 +54,6 @@ def test_target_transform_examples():
     assert allclose(target_transform(ONE, ONE, HALF_PI), I, 1e-12)
 
 
-def test_target_transform_defining_property():
-    rng = random.Random(71)
-    for _ in range(300):
-        q, r = _rand_unit(rng), _rand_unit(rng)
-        phi = rng.uniform(-math.pi, math.pi)
-        p = target_transform(q, r, phi)
-        assert abs(p.norm() - 1.0) <= 1e-12
-        assert (q * p - apply_phase(r, phi)).norm() <= 1e-12
-
-
 def test_target_transform_matches_the_product_form():
     # the closed line cos(phi) P0 + sin(phi) s P0 against exp(s phi) conj(q) r
     rng = random.Random(73)
@@ -122,14 +112,18 @@ def test_forward_transform_matches_the_composed_stack():
 
 
 def test_end_to_end_through_physical_plates():
-    # the solved angles of a regular target, realized as an actual
-    # qwp/hwp/qwp train, must send q to e^(i phi) r
+    # the target p is the unit quaternion with q p = e^(i phi) r, and the
+    # solved angles of a regular p, realized as an actual qwp/hwp/qwp train,
+    # must send q to e^(i phi) r
     rng = random.Random(80)
     for _ in range(300):
         q, r = _rand_unit(rng), _rand_unit(rng)
         phi = rng.uniform(-math.pi, math.pi)
         want = apply_phase(r, phi)
-        for angles in solve_angles(target_transform(q, r, phi)).branches:
+        p = target_transform(q, r, phi)
+        assert abs(p.norm() - 1.0) <= 1e-12
+        assert (q * p - want).norm() <= 1e-12
+        for angles in solve_angles(p).branches:
             out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
                         qwp(angles.psi_c))
             assert (out - want).norm() <= 1e-9

@@ -78,20 +78,13 @@ def test_stokes_values():
     assert abs(s.s1) <= 1e-15 and abs(s.s2 + 2.0) <= 1e-15 and abs(s.s3) <= 1e-15
 
 
-def test_stokes_scalar_part_is_exactly_zero():
-    # the product's scalar part is exactly zero, so stokes stores none
-    rng = random.Random(21)
-    for _ in range(2000):
-        q = _rand_quat(rng) * 3.0
-        raw = I * q.partial_conjugate(Axis.I) * q
-        assert raw.q0 == 0.0
-
-
 def test_stokes_matches_the_product_form():
     rng = random.Random(26)
     for _ in range(2000):
         q = _rand_quat(rng) * 3.0
         raw = I * q.partial_conjugate(Axis.I) * q
+        # the product's scalar part is exactly zero, so stokes stores none
+        assert raw.q0 == 0.0
         s = stokes(q)
         worst = max(abs(s.s1 - raw.q1), abs(s.s2 - raw.q2), abs(s.s3 - raw.q3))
         assert worst <= 1e-14 * q.norm_sq()

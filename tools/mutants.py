@@ -8,9 +8,10 @@ the script copies the tree into a fresh temporary directory, applies the
 row there and runs `python -m polquat check` and `python -m pytest -q
 tests` (without tests/test_mutants.py, which fails on every mutant) with
 that copy's `src` on the import path and no bytecode written.  It first
-runs the unmutated copy the same way and stops unless both pass.  It prints
-the kill table: per mutant the exit code of `check`, the number of failing
-test cases and test functions, and the failing test ids.  After the table it
+runs the unmutated copy the same way and stops unless both pass.  Then the
+rows run side by side, one per CPU, and it prints the kill table in row
+order: per mutant the exit code of `check`, the number of failing test
+cases and test functions, and the failing test ids.  After the table it
 prints each mutant's unique killer (the one test function that fails on it,
 if only one does) and the test functions that fail on no mutant.
 
@@ -27,6 +28,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,6 +117,8 @@ MUTANTS = [
      "division by zero falls through to normalized()'s ValueError"),
     (SIGNAL, 'raise ValueError("cannot classify the zero signal")', "pass",
      "classify_orthogonality of a zero signal falls through to normalized()'s ValueError"),
+    (CLI, 'print(f"error: {exc}", file=sys.stderr)\n        return 4', "raise",
+     "main lets an OSError escape as a traceback instead of exit 4"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
@@ -175,13 +179,14 @@ def main() -> int:
     print("|---|---|---|---|---|")
     check_kills = test_kills = 0
     killers = []
-    for n, row in enumerate(MUTANTS, 1):
-        code, failed = _mutant_run(row)
-        killers.append(sorted(set(map(_function, failed))))
-        check_kills += code != 0
-        test_kills += bool(failed)
-        print(f"| {n} | {row[3]} | exit {code} | {len(failed)}; {len(killers[-1])} | "
-              f"{', '.join(failed) or 'survives'} |", flush=True)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        runs = zip(MUTANTS, pool.map(_mutant_run, MUTANTS))
+        for n, (row, (code, failed)) in enumerate(runs, 1):
+            killers.append(sorted(set(map(_function, failed))))
+            check_kills += code != 0
+            test_kills += bool(failed)
+            print(f"| {n} | {row[3]} | exit {code} | {len(failed)}; {len(killers[-1])} | "
+                  f"{', '.join(failed) or 'survives'} |", flush=True)
     print(f"\n`check` kills {check_kills} of {len(MUTANTS)}, tests/ kills {test_kills}.")
     print("\nUnique killers, the one test function that fails on a mutant:\n")
     for n, functions in enumerate(killers, 1):
