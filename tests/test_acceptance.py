@@ -1,21 +1,24 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
-`CRITERIA` is the one table of the fourteen criteria, and one test body runs
-each row.  The nine groups `polquat check` also verifies run from
-`polquat.checks` at the release trial count, so the shipped self-check and
-the release criteria share one implementation.  The other five (02, 06, 07,
-08, 12) are written here on the same engine: pure Python, draws from a
-seeded `random.Random` through `checks._rand_quat`/`_rand_unit`, failures
-through `checks._require`/`_within`.  Each row runs as the test
-`test_<row>`.  Run `pytest tests/test_acceptance.py -v -s` to see one line
-per criterion with the worst errors it measured.
+One test body, `test_release_criterion`, runs each criterion under its own
+name.  The nine check groups of `polquat.checks` are nine of them, each run
+at `RELEASE_TRIALS` where the group takes a trial count, so the shipped
+self-check and the release criteria share one implementation.  `TESTS_ONLY`
+holds the other five, written here on the same engine: pure Python, draws
+from a seeded `random.Random` through `checks._rand_quat`/`_rand_unit`,
+failures through `checks._require`/`_within`.  Run `pytest
+tests/test_acceptance.py -v -s` to see one line per criterion with the worst
+errors it measured.
 """
 
+import inspect
 import math
 import random
 import re
 from functools import partial
 from pathlib import Path
+
+import pytest
 
 from polquat import (
     Axis,
@@ -184,34 +187,25 @@ def _evans_property() -> str:
                       _within("phase", worst_phase, 1e-9)])
 
 
-CRITERIA = {
-    "criterion_01_base_algebra": partial(checks.check_eq1_table, RELEASE_TRIALS),
-    "criterion_02_oracle_anti_homomorphism": _oracle_anti_homomorphism,
-    "criterion_03_table1_golden": checks.check_table1_golden,
-    "criterion_04_table2_golden": checks.check_table2_golden,
-    "criterion_05_stokes_equivalence": partial(checks.check_stokes_equivalence,
-                                               RELEASE_TRIALS),
-    "criterion_06_precession": _precession,
-    "criterion_07_polarizer": _polarizer,
-    "criterion_08_conjugation_properties": _conjugation_properties,
-    "criterion_09_shifter_inversion": partial(checks.check_shifter_inversion, RELEASE_TRIALS),
-    "criterion_10_fig5_reproduction": checks.check_fig5_ramp,
-    "criterion_11_fig7_reproduction": checks.check_fig7_singular,
-    "criterion_12_evans_property": _evans_property,
-    "eq4_symmetry": partial(checks.check_eq4_symmetry, RELEASE_TRIALS),
-    "oracle_differential": partial(checks.check_oracle_differential, RELEASE_TRIALS),
+# the five criteria that only this suite verifies
+TESTS_ONLY = {
+    "oracle-anti-homomorphism": _oracle_anti_homomorphism,
+    "precession": _precession,
+    "polarizer": _polarizer,
+    "conjugation-properties": _conjugation_properties,
+    "evans-property": _evans_property,
 }
+# every release criterion: each check group under its own name, then those five
+_CRITERIA = {**dict(checks.CHECK_GROUPS), **TESTS_ONLY}
 
 
-def _criterion_test(name: str, run):
-    def test():
-        # `run` raises AssertionError naming the failed bound
-        print(f"{name}: {run()}")
-    return test
-
-
-for _name, _run in CRITERIA.items():
-    globals()["test_" + _name] = _criterion_test(_name, _run)
+@pytest.mark.parametrize("name", list(_CRITERIA))
+def test_release_criterion(name):
+    run = _CRITERIA[name]
+    if "trials" in inspect.signature(run).parameters:
+        run = partial(run, trials=RELEASE_TRIALS)
+    # `run` raises AssertionError naming the failed bound
+    print(f"{name}: {run()}")
 
 
 def test_the_claim_table_names_real_groups_and_criteria():
@@ -223,5 +217,5 @@ def test_the_claim_table_names_real_groups_and_criteria():
             if re.match(r"\| \d+ \|", line)]
     groups = {name for row in rows for name in re.findall(r"`([^`]+)`", row[3])}
     criteria = {name for row in rows for name in re.findall(r"`([^`]+)`", row[4])}
-    assert groups == {name for name, _ in checks.CHECK_GROUPS}
-    assert criteria <= set(CRITERIA), criteria - set(CRITERIA)
+    assert groups == set(dict(checks.CHECK_GROUPS))
+    assert criteria == set(TESTS_ONLY) and criteria.isdisjoint(groups), criteria

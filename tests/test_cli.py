@@ -52,10 +52,11 @@ def _opt(argv, name):
 def _check(argv, codes, want=None):
     """Run `argv` and assert the CLI contract: an exit code in `codes`, no
     traceback on stderr, and on stdout strict JSON, or nothing after a
-    failure.  A ramp that succeeds prints nothing and writes its `--out` CSV:
-    the header and one row per `--samples` sample.  `want` is a phrase of
-    stderr, a test of the JSON that stdout holds, or that JSON itself, which
-    stdout must print exactly, keys in order."""
+    failure.  A solve that succeeds prints at least one solution.  A ramp
+    that succeeds prints nothing and writes its `--out` CSV: the header and
+    one row per `--samples` sample, with no field `-0`.  `want` is a phrase
+    of stderr, a test of the JSON that stdout holds, or that JSON itself,
+    which stdout must print exactly, keys in order."""
     code, out, err = run(*argv)
     assert code in codes and "Traceback" not in err, (argv, code, err)
     if isinstance(want, str):
@@ -65,8 +66,11 @@ def _check(argv, codes, want=None):
     if code == 0 and argv[0] == "ramp":
         lines = Path(_opt(argv, "--out")).read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == int(_opt(argv, "--samples")) + 1, argv
+        # identical values print identically: a negative zero prints as 0
+        assert "-0" not in {field for line in lines for field in line.split(",")}, argv
     elif code == 0:
         got = json.loads(out, parse_constant=_no_constant)
+        assert argv[0] != "solve" or got["solutions"], (argv, out)
         if callable(want):
             assert want(got), (argv, out)
         elif isinstance(want, (list, dict)):
@@ -87,58 +91,6 @@ def _solved(classification, branches):
 
 _STOKES = '{"s1":1,"s2":0,"s3":0}'
 _FIG7_CROSSING = "1.2490457723982544"   # the Fig. 7 ramp crosses a singularity here
-
-# The command examples as one argv table.  Each row is a list of (argv, exit
-# code, want) steps for `_check` and runs as the test `test_<name>`.
-_EXAMPLES = {
-    "convert_jones_to_quat": [
-        (_convert("jones", "quat", '{"ex":[1,0],"ey":[0,0]}'), 0, [1.0, 0.0, 0.0, 0.0])],
-    "convert_ellipse_to_quat": [
-        (_convert("ellipse", "quat", '{"r":1.4142135,"phi":0,"epsilon":0.7853981,"theta":0}'),
-         0, lambda got: max(abs(a - b) for a, b in zip(got, [1.0, 0.0, 0.0, 1.0])) <= 1e-5)],
-    "convert_stokes_round_trip_and_rejection": [
-        (_convert("stokes", "stokes", _STOKES), 0, {"s1": 1.0, "s2": 0.0, "s3": 0.0}),
-        (_convert("stokes", "quat", _STOKES), 3, "phase")],
-    # each form's reader and writer agree; stokes keys print in their order
-    "json_forms_round_trip": [
-        (_convert("quat", "quat", "[0.1,-0.2,0.3,-0.4]"), 0, [0.1, -0.2, 0.3, -0.4]),
-        (_convert("jones", "jones", '{"ey":[0,2],"ex":[1.5,-0.5]}'), 0,
-         {"ex": [1.5, -0.5], "ey": [0.0, 2.0]}),
-        (_convert("stokes", "stokes", '{"s3":0.5,"s1":1,"s2":-2}'), 0,
-         {"s1": 1.0, "s2": -2.0, "s3": 0.5})],
-    "convert_malformed_json_is_exit_2": [(_convert("quat", "quat", "[1,2,"), 2, "JSON")],
-    "convert_degrees_display": [
-        (("--degrees", *_convert("quat", "ellipse", "[0,0,0,1]")), 0,
-         lambda got: max(abs(got["phi_deg"] - 90.0), abs(got["theta_deg"] - 90.0)) <= 1e-9)],
-    "solve_identity_is_singular_b": [
-        (("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0"), 0,
-         _solved("singular_b", ["singular"] * 16))],
-    "solve_fig5_regular": [
-        (("solve", "--q", FIG5_Q, "--r", FIG5_R, "--phi", "1.0"), 0, _solved("regular", [1, 2]))],
-    "solve_branch_filter": [
-        (("solve", "--q", FIG5_Q, "--r", FIG5_R, "--phi", "0.3", "--branch", "2"), 0,
-         _solved("regular", [2]))],
-    "solve_fig7_singular_phase": [
-        (("solve", "--q", FIG7_Q, "--r", FIG7_R, "--phi", _FIG7_CROSSING), 0,
-         _solved("singular_b", ["singular"] * 16))],
-    "solve_non_unit_is_exit_2": [
-        (("solve", "--q", "1,1,0,0", "--r", "1,0,0,0", "--phi", "0"), 2, "unit")],
-    "ramp_untouchable_path_is_exit_4": [
-        (("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "4",
-          "--out", "/no/such/dir/x.csv"), 4, "cannot write")],
-}
-
-
-def _example_test(steps):
-    def test():
-        for argv, code, want in steps:
-            _check(argv, (code,), want)
-    return test
-
-
-for _name, _steps in _EXAMPLES.items():
-    globals()["test_" + _name] = _example_test(_steps)
-
 
 def test_convert_quat_ellipse_round_trip():
     q = [0.48, 0.36, 0.64, -0.48]
@@ -272,92 +224,121 @@ def test_fig7_group_checks_the_output_sop(monkeypatch):
         check_fig7_singular()
 
 
-# Each row of an argv table names itself, so a row inserted anywhere renames no
-# other test; a new row takes the next free argv number.
-_BAD_VALUES = [
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "nan"), 2, id="argv0-2"),
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "inf"), 2, id="argv1-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  '{"1":0.5,"2":0.5,"3":0.5,"4":0.5}'), 2, id="argv2-2"),
-    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
-                  '{"ex":[1,0,7],"ey":[0,0]}'), 2, id="argv3-2"),
-    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
-                  '{"ex":[1,0],"ey":[0,0,7]}'), 2, id="argv4-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
-                  "[0,0,0,0]"), 3, id="argv5-3"),
-    pytest.param(("convert", "--from", "quat", "--to", "stokes", "--input",
-                  "[1e300,1e300,0,0]"), 3, id="argv6-3"),
-    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
-                  "[1e-320,0,0,0]"), 0, id="argv7-0"),
-    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
-                  "[1e170,0,1e170,0]"), 0, id="argv8-0"),
-    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
-                  "[1e-200,0,1e-200,0]"), 0, id="argv9-0"),
-    pytest.param(("convert", "--from", "quat", "--to", "ellipse", "--input",
-                  "[0,0,1e-310,0]"), 0, id="argv10-0"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  "[1e999,0,0,0]"), 2, id="argv11-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "jones", "--input",
-                  "[NaN,0,0,0]"), 2, id="argv12-2"),
-    pytest.param(("convert", "--from", "stokes", "--to", "stokes", "--input",
-                  '{"s1":1e999,"s2":0,"s3":0}'), 2, id="argv13-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  "[1" + "0" * 400 + ",0,0,0]"), 2, id="argv14-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  "[" * 100000), 2, id="argv15-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  '"1234"'), 2, id="argv16-2"),
-    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
-                  '{"ex":"12","ey":"34"}'), 2, id="argv17-2"),
-    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
-                  '{"r":"1","phi":0,"epsilon":0,"theta":0}'), 2, id="argv18-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  "[true,false,0,0]"), 2, id="argv19-2"),
+# The CLI contract as one argv table: each row is (argv, exit code, want) for
+# `_check`.  Each row names itself, so a row inserted anywhere renames no
+# other test; a new row takes the next free argv number.  A ramp's relative
+# --out path lands in the test's temporary directory.
+_ARGVS = [
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "nan"), 2, None,
+                 id="argv0-2"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "inf"), 2, None,
+                 id="argv1-2"),
+    pytest.param(_convert("quat", "quat", '{"1":0.5,"2":0.5,"3":0.5,"4":0.5}'), 2, None,
+                 id="argv2-2"),
+    pytest.param(_convert("jones", "quat", '{"ex":[1,0,7],"ey":[0,0]}'), 2, None, id="argv3-2"),
+    pytest.param(_convert("jones", "quat", '{"ex":[1,0],"ey":[0,0,7]}'), 2, None, id="argv4-2"),
+    pytest.param(_convert("quat", "ellipse", "[0,0,0,0]"), 3, None, id="argv5-3"),
+    pytest.param(_convert("quat", "stokes", "[1e300,1e300,0,0]"), 3, None, id="argv6-3"),
+    pytest.param(_convert("quat", "ellipse", "[1e-320,0,0,0]"), 0, None, id="argv7-0"),
+    pytest.param(_convert("quat", "ellipse", "[1e170,0,1e170,0]"), 0, None, id="argv8-0"),
+    pytest.param(_convert("quat", "ellipse", "[1e-200,0,1e-200,0]"), 0, None, id="argv9-0"),
+    pytest.param(_convert("quat", "ellipse", "[0,0,1e-310,0]"), 0, None, id="argv10-0"),
+    pytest.param(_convert("quat", "quat", "[1e999,0,0,0]"), 2, None, id="argv11-2"),
+    pytest.param(_convert("quat", "jones", "[NaN,0,0,0]"), 2, None, id="argv12-2"),
+    pytest.param(_convert("stokes", "stokes", '{"s1":1e999,"s2":0,"s3":0}'), 2, None,
+                 id="argv13-2"),
+    pytest.param(_convert("quat", "quat", "[1" + "0" * 400 + ",0,0,0]"), 2, None, id="argv14-2"),
+    pytest.param(_convert("quat", "quat", "[" * 100000), 2, None, id="argv15-2"),
+    pytest.param(_convert("quat", "quat", '"1234"'), 2, None, id="argv16-2"),
+    pytest.param(_convert("jones", "quat", '{"ex":"12","ey":"34"}'), 2, None, id="argv17-2"),
+    pytest.param(_convert("ellipse", "quat", '{"r":"1","phi":0,"epsilon":0,"theta":0}'), 2, None,
+                 id="argv18-2"),
+    pytest.param(_convert("quat", "quat", "[true,false,0,0]"), 2, None, id="argv19-2"),
     # objects have exactly their keys: unknown keys and missing ones are bad input
-    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
-                  '{"r":1,"phi":0,"epsilon":0,"theta":0,"junk":5}'), 2, id="argv20-2"),
-    pytest.param(("convert", "--from", "stokes", "--to", "stokes", "--input",
-                  '{"s1":1,"s2":0,"s3":0,"s4":9}'), 2, id="argv21-2"),
-    pytest.param(("convert", "--from", "jones", "--to", "quat", "--input",
-                  '{"ex":[1,0],"ey":[0,0],"ez":[1,1]}'), 2, id="argv22-2"),
-    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
-                  '{"r":1,"phi":0,"epsilon":0}'), 2, id="argv23-2"),
-    pytest.param(("convert", "--from", "jones", "--to", "ellipse", "--input",
-                  '{"ex":[1,0],"ey":[0,1],"phase":0}'), 2, id="argv24-2"),
+    pytest.param(_convert("ellipse", "quat", '{"r":1,"phi":0,"epsilon":0,"theta":0,"junk":5}'),
+                 2, None, id="argv20-2"),
+    pytest.param(_convert("stokes", "stokes", '{"s1":1,"s2":0,"s3":0,"s4":9}'), 2, None,
+                 id="argv21-2"),
+    pytest.param(_convert("jones", "quat", '{"ex":[1,0],"ey":[0,0],"ez":[1,1]}'), 2, None,
+                 id="argv22-2"),
+    pytest.param(_convert("ellipse", "quat", '{"r":1,"phi":0,"epsilon":0}'), 2, None,
+                 id="argv23-2"),
+    pytest.param(_convert("jones", "ellipse", '{"ex":[1,0],"ey":[0,1],"phase":0}'), 2, None,
+                 id="argv24-2"),
     # the stokes form is read before the conversion is refused
-    pytest.param(("convert", "--from", "stokes", "--to", "quat", "--input",
-                  '{"s1":"1","s2":0,"s3":0}'), 2, id="argv25-2"),
+    pytest.param(_convert("stokes", "quat", '{"s1":"1","s2":0,"s3":0}'), 2, None, id="argv25-2"),
     # a singular target has a family, not two branches to pick from
     pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0",
-                  "--branch", "2"), 2, id="argv26-2"),
+                  "--branch", "2"), 2, "singular", id="argv26-2"),
     pytest.param(("solve", "--q", "1,0,0,0", "--r", "0,1,0,0", "--phi", "0",
-                  "--branch", "1"), 2, id="argv27-2"),
+                  "--branch", "1"), 2, "singular", id="argv27-2"),
     # too few samples, and payloads of the wrong length or out of range
     pytest.param(("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "1",
-                  "--out", "/no/such/dir/unused.csv"), 2, id="argv28-2"),
-    pytest.param(("convert", "--from", "quat", "--to", "quat", "--input",
-                  "[1,2]"), 2, id="argv29-2"),
-    pytest.param(("convert", "--from", "ellipse", "--to", "quat", "--input",
-                  '{"r":-1,"phi":0,"epsilon":0,"theta":0}'), 2, id="argv30-2"),
-    pytest.param(("frobnicate",), 2, id="argv31-2"),
+                  "--out", "/no/such/dir/unused.csv"), 2, None, id="argv28-2"),
+    pytest.param(_convert("quat", "quat", "[1,2]"), 2, None, id="argv29-2"),
+    pytest.param(_convert("ellipse", "quat", '{"r":-1,"phi":0,"epsilon":0,"theta":0}'), 2, None,
+                 id="argv30-2"),
+    pytest.param(("frobnicate",), 2, None, id="argv31-2"),
     # a negative value follows its option in any float spelling
-    pytest.param(("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0, id="argv32-0"),
+    pytest.param(("solve", "--q", "-1,0,0,0", "--r", "1,0,0,0", "--phi", "0.3"), 0, None,
+                 id="argv32-0"),
     pytest.param(("solve", "--q", "-1e-1,0,0,0.99498743710662", "--r", "1,0,0,0",
-                  "--phi", "0.3"), 0, id="argv33-0"),
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0, id="argv34-0"),
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0,
+                  "--phi", "0.3"), 0, None, id="argv33-0"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "-1e-3"), 0, None,
+                 id="argv34-0"),
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "-.6,0,0,.8", "--phi", "-.5"), 0, None,
                  id="argv35-0"),
     # a negative value is read after its option; an unknown option is still one
-    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2,
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0", "--bogus"), 2, None,
                  id="argv36-2"),
+    # each form's reader and writer agree; stokes keys print in their order
+    pytest.param(_convert("jones", "quat", '{"ex":[1,0],"ey":[0,0]}'), 0, [1.0, 0.0, 0.0, 0.0],
+                 id="argv37-0"),
+    pytest.param(_convert("ellipse", "quat",
+                          '{"r":1.4142135,"phi":0,"epsilon":0.7853981,"theta":0}'), 0,
+                 lambda got: max(abs(a - b) for a, b in zip(got, [1.0, 0.0, 0.0, 1.0])) <= 1e-5,
+                 id="argv38-0"),
+    pytest.param(_convert("stokes", "stokes", _STOKES), 0, {"s1": 1.0, "s2": 0.0, "s3": 0.0},
+                 id="argv39-0"),
+    pytest.param(_convert("stokes", "quat", _STOKES), 3, "phase", id="argv40-3"),
+    pytest.param(_convert("quat", "quat", "[0.1,-0.2,0.3,-0.4]"), 0, [0.1, -0.2, 0.3, -0.4],
+                 id="argv41-0"),
+    pytest.param(_convert("jones", "jones", '{"ey":[0,2],"ex":[1.5,-0.5]}'), 0,
+                 {"ex": [1.5, -0.5], "ey": [0.0, 2.0]}, id="argv42-0"),
+    pytest.param(_convert("stokes", "stokes", '{"s3":0.5,"s1":1,"s2":-2}'), 0,
+                 {"s1": 1.0, "s2": -2.0, "s3": 0.5}, id="argv43-0"),
+    pytest.param(_convert("quat", "quat", "[1,2,"), 2, "JSON", id="argv44-2"),
+    pytest.param(("--degrees", *_convert("quat", "ellipse", "[0,0,0,1]")), 0,
+                 lambda got: max(abs(got["phi_deg"] - 90.0), abs(got["theta_deg"] - 90.0)) <= 1e-9,
+                 id="argv45-0"),
+    # a solve prints its class and the branch of each solution
+    pytest.param(("solve", "--q", "1,0,0,0", "--r", "1,0,0,0", "--phi", "0"), 0,
+                 _solved("singular_b", ["singular"] * 16), id="argv46-0"),
+    pytest.param(("solve", "--q", FIG5_Q, "--r", FIG5_R, "--phi", "1.0"), 0,
+                 _solved("regular", [1, 2]), id="argv47-0"),
+    pytest.param(("solve", "--q", FIG5_Q, "--r", FIG5_R, "--phi", "0.3", "--branch", "2"), 0,
+                 _solved("regular", [2]), id="argv48-0"),
+    pytest.param(("solve", "--q", FIG7_Q, "--r", FIG7_R, "--phi", _FIG7_CROSSING), 0,
+                 _solved("singular_b", ["singular"] * 16), id="argv49-0"),
+    pytest.param(("solve", "--q", "1,1,0,0", "--r", "1,0,0,0", "--phi", "0"), 2, "unit",
+                 id="argv50-2"),
+    pytest.param(("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0", "--samples", "4",
+                  "--out", "/no/such/dir/x.csv"), 4, "cannot write", id="argv51-4"),
+    # ramps that meet a negative zero in out_epsilon, out_theta, psi_b, psi_c
+    # and psi_a, which each print as 0
+    *(pytest.param(("ramp", "--q", q, "--r", r, "--samples", "256", "--out", "ramp.csv"), 0,
+                   None, id=f"argv{n}-0")
+      for n, q, r in [(52, "-1,0,0,0", "1,0,0,0"), (53, "0,1,0,0", "0,-1,0,0"),
+                      (54, "-1,0,0,0", "0,-1,0,0"),
+                      (55, "-1,0,0,0", "0.7071067811865475,0,0.7071067811865475,0"),
+                      (56, "-0.7071067811865475,0,-0.7071067811865475,0", "0,-1,0,0")]),
 ]
 
 
-@pytest.mark.parametrize("argv, want", _BAD_VALUES)
-def test_bad_values_keep_the_exit_code_contract(argv, want):
-    # a solve that exits 0 prints solutions; a --branch it cannot take names the family
-    _check(argv, (want,), "singular" if "--branch" in argv
-           else lambda got: argv[0] != "solve" or got["solutions"])
+@pytest.mark.parametrize("argv, code, want", _ARGVS)
+def test_bad_values_keep_the_exit_code_contract(argv, code, want, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _check(argv, (code,), want)
 
 
 def _any_float(rng):

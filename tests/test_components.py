@@ -36,7 +36,7 @@ def test_apply_examples():
 
 
 def test_compose():
-    # criterion 03 checks that two quarter plates compose to a half plate
+    # the table1-golden group checks that two quarter plates compose to a half plate
     w = Waveplate(_rand_unit(random.Random(40)))
     inv = Waveplate(w.q.conjugate())
     assert allclose(compose([w, inv]).q, ONE, 1e-12)

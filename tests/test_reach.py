@@ -1,7 +1,7 @@
 """Every function and method of src/polquat is called from an entry point, or
 is listed in `_UNREACHED` with the reason it stays.
 
-`tools/reach.py` traces the CLI on the argv tables of tests/test_cli.py and
+`tools/reach.py` traces the CLI on the argv table of tests/test_cli.py and
 the four pinned 256-sample ramps (the identity and (1, i) rows reach the
 singular-family code), then `check`, the demos and the README quick start,
 and prints what no call reached.  A new function with no caller and no
@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import _BAD_VALUES, _EXAMPLES, _RAMP_SHA256
+from test_cli import _ARGVS, _RAMP_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,11 +40,11 @@ _UNREACHED = {
 
 
 def test_every_function_has_an_entry_point_or_a_reason(tmp_path):
-    argvs = [argv for steps in _EXAMPLES.values() for argv, _, _ in steps]
-    argvs += [param.values[0] for param in _BAD_VALUES]
+    argvs = [param.values[0] for param in _ARGVS]
     argvs += [("ramp", "--q", q, "--r", r, "--samples", "256", "--out", str(tmp_path / f"{k}.csv"))
               for k, (q, r) in enumerate(_RAMP_SHA256)]
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")],
+    # in `tmp_path`, where the table's ramps write their relative --out paths
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")], cwd=tmp_path,
                           input=json.dumps(argvs), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     printed = proc.stdout.splitlines()

@@ -155,6 +155,8 @@ def test_classify_is_scale_invariant(p, q, want, scale):
 
 def test_from_ellipse_values():
     assert allclose(from_ellipse(EllipseParams(1, 0, 0, 0)), ONE, 1e-15)
+    # r = 0 is in range: the zero signal
+    assert from_ellipse(EllipseParams(0.0, 0.0, 0.0, 0.0)) == Quaternion(0.0, 0.0, 0.0, 0.0)
     left = from_ellipse(EllipseParams(SQ2, 0, math.pi / 4, 0))
     assert allclose(left, ONE + K, 1e-15)
     diag = from_ellipse(EllipseParams(1, 0, 0, math.pi / 4))

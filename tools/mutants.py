@@ -119,6 +119,12 @@ MUTANTS = [
      "classify_orthogonality of a zero signal falls through to normalized()'s ValueError"),
     (CLI, 'print(f"error: {exc}", file=sys.stderr)\n        return 4', "raise",
      "main lets an OSError escape as a traceback instead of exit 4"),
+    *((CLI, f"{column} + 0.0", f"{column} - 0.0",
+       f"the ramp CSV prints a negative zero in {column} as -0")
+      for column in ("psi_a", "psi_b", "psi_c", "out_epsilon", "out_theta")),
+    (SIGNAL, "-_PI < phi", "-_PI <= phi", "EllipseParams accepts phi = -pi"),
+    (SIGNAL, "0.0 <= r", "0.0 < r", "EllipseParams rejects r = 0"),
+    (SIGNAL, "-_HALF_PI < theta", "-_HALF_PI <= theta", "EllipseParams accepts theta = -pi/2"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")

@@ -19,7 +19,7 @@ code object matches a definition by file, first line (a decorated one's is
 its first decorator's) and name, so no `co_qualname` is needed.
 
 Standard library only; runs on Python 3.10 and later.  tests/test_reach.py
-passes it the argv tables of tests/test_cli.py and pins what it prints.
+passes it the argv table of tests/test_cli.py and pins what it prints.
 """
 
 from __future__ import annotations
