@@ -296,7 +296,7 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
     The scalar part and the vector-part magnitude are preserved; the vector
     part is rotated by angle 2*theta about axis v.  Raises ValueError unless
     v is a unit vector quaternion and theta and the components of q are
-    finite.
+    finite, and where a component of the result overflows a float.
     """
     if abs(v.q0) > UNIT_TOL or not v.is_unit():
         raise ValueError("axis must be a unit vector quaternion")
@@ -306,7 +306,8 @@ def precess(q: Quaternion, v: Quaternion, theta: float) -> Quaternion:
     s = math.sin(theta)
     e_pos = (c, v.q1 * s, v.q2 * s, v.q3 * s)
     e_neg = (c, -v.q1 * s, -v.q2 * s, -v.q3 * s)
-    return _new(Quaternion, _product(_product(e_neg, q), e_pos))
+    return _new(Quaternion, _require_finite_result(_product(_product(e_neg, q), e_pos),
+                                                   "the precessed quaternion"))
 
 
 def allclose(p: Quaternion, q: Quaternion, tol: float) -> bool:
@@ -341,6 +342,14 @@ def _renormalized(q):
 def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _require_finite_result(values: tuple, what: str) -> tuple:
+    """values, or ValueError `<what> overflows a float` where a component is
+    not finite: from finite inputs, only an overflow makes one."""
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} overflows a float")
+    return values
 
 
 def _require_finite_components(q, what: str) -> None:

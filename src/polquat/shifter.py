@@ -238,11 +238,15 @@ def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
 
 
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
-    """Regular branch 1 or 2 from the half angles of `_split`."""
+    """Regular branch 1 or 2 from the half angles of `_split`: each angle is
+    `reduce_angle` of its sum, written out."""
     quarter, t = (_QUARTER_PI, -t_half) if branch == 1 else (-_QUARTER_PI, t_half)
-    return _new(WaveplateAngles, (reduce_angle(a_half - b_half + quarter),
-                                  reduce_angle(a_half + t),
-                                  reduce_angle(a_half + b_half + quarter)))
+    a = math.remainder(a_half - b_half + quarter, _PI)
+    b = math.remainder(a_half + t, _PI)
+    c = math.remainder(a_half + b_half + quarter, _PI)
+    return _new(WaveplateAngles, (a + _PI if a <= -_HALF_PI else a,
+                                  b + _PI if b <= -_HALF_PI else b,
+                                  c + _PI if c <= -_HALF_PI else c))
 
 
 def solve_angles(p: Quaternion) -> ShifterSolution:
@@ -314,7 +318,9 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     Both the target p and the wanted output e^(i phi) r are linear in
     (cos phi, sin phi), so each sample costs two trig calls for them; a
     regular sample builds only the branch it keeps, and every record of a
-    row is built in one C call, not through its Python constructor.
+    row is built in one C call, not through its Python constructor.  A
+    regular row on its kept branch evaluates `_split` in the row loop itself,
+    and every row its step, float for float (see `_ramp_points`).
     """
     return _ramp_points(q_in, r_out, _target_line(q_in, r_out), phi_samples)
 
@@ -333,11 +339,20 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     `_new` call; its residual takes the product q * forward(angles) as
     floats.  A family row takes its `SingularFamily` from `_split` and also
     builds the members `_best_family_point` visits.
+
+    The fused row: while `branch` is nonzero and c_min is above
+    SINGULAR_TOL, the row computes c1, c2 and the three half angles of
+    `_split` in this frame and passes them to `_branch`; every row takes its
+    step as `triple_distance(choice, prev)` written out.  The operations and
+    their order are those of the functions, so the floats are theirs.  A
+    family row and the row after one call `_split`, `_branch` and
+    `triple_distance` as `solve_angles` does.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
     r0, r1, r2, r3 = r_out
     ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
+    hypot, atan2, remainder = math.hypot, math.atan2, math.remainder
     prev: WaveplateAngles | None = None
     branch = 1
     for phi in phi_samples:
@@ -345,18 +360,28 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
         c = math.cos(phi)
         n = math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3
-        family, c_min, a_half, b_half, t_half = _split(p0, p1, p2, p3)
-        if family is not None:
-            choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
-            branch = 0
-        elif branch:
-            choice = _branch(branch, a_half, b_half, t_half)
-        else:   # the row after a family row: prev is that family's point
-            first = _branch(1, a_half, b_half, t_half)
-            second = _branch(2, a_half, b_half, t_half)
-            branch = 1 if triple_distance(first, prev) <= triple_distance(second, prev) else 2
-            choice = first if branch == 1 else second
-        step = 0.0 if prev is None else triple_distance(choice, prev)
+        c1 = hypot(p0, p2)
+        c2 = hypot(p1, p3)
+        c_min = min(c1, c2)
+        if branch and c_min > SINGULAR_TOL:   # a regular row on its kept branch
+            choice = _branch(branch, 0.5 * atan2(p3, p1), 0.5 * atan2(p2, p0),
+                             0.5 * atan2(c1, c2))
+        else:
+            family, _, a_half, b_half, t_half = _split(p0, p1, p2, p3)
+            if family is not None:
+                choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
+                branch = 0
+            else:   # the row after a family row: prev is that family's point
+                first = _branch(1, a_half, b_half, t_half)
+                second = _branch(2, a_half, b_half, t_half)
+                branch = 1 if triple_distance(first, prev) <= triple_distance(second, prev) else 2
+                choice = first if branch == 1 else second
+        if prev is None:
+            step = 0.0
+        else:   # triple_distance(choice, prev)
+            (x0, x1, x2), (y0, y1, y2) = choice, prev
+            step = max(abs(remainder(x0 - y0, _PI)), abs(remainder(x1 - y1, _PI)),
+                       abs(remainder(x2 - y2, _PI)))
         # a family row has c_min <= SINGULAR_TOL < NEAR_SINGULAR_TOL
         flagged = c_min <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
         o0, o1, o2, o3 = _product(q_in, forward_transform(choice))

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 
 from .quaternion import (J, Quaternion, _new, _prescaled, _product, _record,
-                         _require_finite, _require_finite_components)
+                         _require_finite, _require_finite_components, _require_finite_result)
 
 _PI = math.pi
 _QUARTER_PI = _PI / 4
@@ -146,10 +146,11 @@ def stokes(q: Quaternion) -> StokesQuaternion:
         s3 = 2 (q0 q2 + q1 q3)
 
     Phase-blind: stokes(e^(i phi) * q) == stokes(q).  Raises ValueError
-    naming a non-finite component.
+    naming a non-finite component, and where a component of s overflows a
+    float.
     """
     _require_finite_components(q, "signal")
-    return StokesQuaternion(*_stokes_parts(*q))
+    return StokesQuaternion(*_require_finite_result(_stokes_parts(*q), "the Stokes vector"))
 
 
 def to_classical(s: StokesQuaternion) -> ClassicalStokes:
@@ -161,12 +162,14 @@ def to_classical(s: StokesQuaternion) -> ClassicalStokes:
 
 def classical_from_jones(v: JonesVector) -> ClassicalStokes:
     """Conventional Stokes components straight from the field components;
-    raises ValueError naming a non-finite part."""
+    raises ValueError naming a non-finite part, and where a component
+    overflows a float."""
     _require_finite_components((v.ex.real, v.ex.imag, v.ey.real, v.ey.imag), "Jones vector")
     ax2 = v.ex.real * v.ex.real + v.ex.imag * v.ex.imag
     ay2 = v.ey.real * v.ey.real + v.ey.imag * v.ey.imag
     c = v.ex * v.ey.conjugate()
-    return ClassicalStokes(ax2 - ay2, 2.0 * c.real, 2.0 * c.imag)
+    return ClassicalStokes(*_require_finite_result((ax2 - ay2, 2.0 * c.real, 2.0 * c.imag),
+                                                   "the Stokes vector"))
 
 
 # -- phase and SOP manipulation ----------------------------------------------
@@ -256,20 +259,30 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     The angles come from u = q / 2^e of `quaternion._prescaled`: the
     power-of-two scale is exact, so unit-scale signals give the same angles
     as q itself, while huge and denormal ones neither overflow nor underflow
-    when squared.  Raises ValueError for the zero signal, for a signal with a
+    when squared.  Where the largest |component| lies in [0.5, 1), as it
+    does for a unit signal with no component at +-1, e is 0: that unit-scale
+    path takes q itself as u without calling `_prescaled`, so its floats are
+    the same.  Raises ValueError for the zero signal, for a signal with a
     non-finite component and for a signal whose norm R overflows a float.  q
     may also be the plain 4-tuple of the components (the ramp rows pass the
     one `_product` returns).
     """
-    (u0, u1, u2, u3), e, n = _prescaled(q)
-    # unscaled (e = 0), u is q and n is its norm
-    r = math.hypot(*q) if e else n
+    u0, u1, u2, u3 = q
+    if 0.5 <= max(abs(u0), abs(u1), abs(u2), abs(u3)) < 1.0:
+        # where `_prescaled` takes e = 0: u is q, and its norm is R
+        r = n = math.hypot(u0, u1, u2, u3)
+    else:
+        (u0, u1, u2, u3), _, n = _prescaled(q)
+        r = math.hypot(*q)
     if r == 0.0:
         raise ValueError("zero signal has no ellipse parameters")
     if not r < math.inf:   # hypot is inf for an inf component, nan for a nan one
         _require_finite_components(q, "signal")
         raise ValueError("the signal's norm overflows a float")
-    s1, s2, s3 = _stokes_parts(u0, u1, u2, u3)
+    # `_stokes_parts` of u, written out
+    s1 = u0 * u0 + u1 * u1 - u2 * u2 - u3 * u3
+    s2 = 2.0 * (u1 * u2 - u0 * u3)
+    s3 = 2.0 * (u0 * u2 + u1 * u3)
     # two-argument form of sin(2 eps) = -s2 / |s|: the in-plane magnitude
     # hypot(s1, s3) equals |s| cos(2 eps) >= 0, and atan2 stays accurate
     # where asin would be ill-conditioned (the circular states)

@@ -13,9 +13,10 @@ from functools import partial
 
 import pytest
 
-from polquat import (EllipseParams, I, ONE, PartialPolarizer, Quaternion, Waveplate,
-                     classify_orthogonality, compose, precess, ramp_trajectory, solve_angles,
-                     target_transform, to_ellipse, waveplate_from_axis)
+from polquat import (EllipseParams, I, J, JonesVector, ONE, PartialPolarizer, Quaternion,
+                     Waveplate, classical_from_jones, classify_orthogonality, compose, precess,
+                     ramp_trajectory, solve_angles, stokes, target_transform, to_ellipse,
+                     waveplate_from_axis)
 from polquat.signal import _check_ellipse
 
 from test_records import _ANGLES, _Q
@@ -37,13 +38,16 @@ def _named(*rows) -> dict:
 
 
 _REJECTIONS = _named(
-    # quaternion: a quotient component and e^(q0) past the largest float
+    # quaternion: a quotient component, e^(q0) and a rotated vector past the
+    # largest float
     ("quotient-overflow",
      lambda: Quaternion(1e300, 0.0, 0.0, 0.0) / Quaternion(1e-300, 0.0, 0.0, 0.0),
      OverflowError, "math range error"),
     ("exp-overflow", Quaternion(1000.0, 0.0, 0.0, 0.0).exp, OverflowError, "math range error"),
     ("exp-vector-overflow", Quaternion(0.0, 1.5e308, 1.5e308, 1.5e308).exp, ValueError,
      "the vector part's norm overflows a float"),
+    ("precess-overflow", partial(precess, Quaternion(0.0, 1.5e308, 1.5e308, 1.5e308), J, 0.3),
+     ValueError, "the precessed quaternion overflows a float"),
     ("divide-by-zero", lambda: ONE / ZERO, ValueError, "division by zero quaternion"),
     ("normalize-zero", ZERO.normalized, ValueError, "cannot normalize the zero quaternion"),
     ("log-zero", ZERO.log, ValueError, "zero quaternion has no logarithm"),
@@ -82,6 +86,12 @@ _REJECTIONS = _named(
      "zero signal has no ellipse parameters"),
     ("ellipse-norm-overflow", lambda: to_ellipse(Quaternion(1e308, 1e308, 1e308, 1e308)),
      ValueError, "the signal's norm overflows a float"),
+    # a Stokes vector is quadratic in the field, so a field near 1e200 overflows it
+    ("stokes-overflow", partial(stokes, Quaternion(1e200, 1e200, 0.0, 0.0)), ValueError,
+     "the Stokes vector overflows a float"),
+    ("classical-stokes-overflow",
+     partial(classical_from_jones, JonesVector(1e200 + 0j, 1e200 + 0j)), ValueError,
+     "the Stokes vector overflows a float"),
     # components
     ("compose-nothing", lambda: compose([]), ValueError, "cannot compose an empty plate sequence"),
     ("polarizer-mu-above-1", lambda: PartialPolarizer(ONE, 1.5), ValueError,

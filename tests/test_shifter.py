@@ -388,19 +388,26 @@ def test_near_singular_rows_are_flagged_by_c_alone(d, flagged):
 
 _RAMP_PAIRS = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE)] + [
     (_rand_unit(random.Random(seed)), _rand_unit(random.Random(seed + 100)))
-    for seed in (81, 82, 83)]
+    for seed in (81, 82, 83)] + [
+    # the negative-zero ramps of tests/test_cli.py, as `polquat ramp` reads them
+    (Quaternion.from_text(q).normalized(), Quaternion.from_text(r).normalized())
+    for q, r in [("-1,0,0,0", "1,0,0,0"), ("0,1,0,0", "0,-1,0,0"), ("-1,0,0,0", "0,-1,0,0"),
+                 ("-1,0,0,0", "0.7071067811865475,0,0.7071067811865475,0"),
+                 ("-0.7071067811865475,0,-0.7071067811865475,0", "0,-1,0,0")]]
 
 
 @pytest.mark.parametrize("q, r", _RAMP_PAIRS)
 @pytest.mark.parametrize("samples", [9, 257])
 def test_ramp_matches_the_per_sample_path_exactly(q, r, samples):
-    # the fused row loop must give the public per-sample path's floats: the
-    # kept branch of solve_angles and the residual against apply_phase.  The
-    # 9-sample identity ramp alternates family rows with rows on branch 1 and 2
+    # the fused row loop must give the public per-sample path's floats, bit
+    # for bit (the reprs tell -0.0 from 0.0): the kept branch of solve_angles
+    # and the residual against apply_phase.  The 9-sample identity ramp
+    # alternates family rows with rows on branch 1 and 2
     phis = [2.0 * math.pi * k / (samples - 1) for k in range(samples)]
     for phi, pt in zip(phis, ramp_trajectory(q, r, phis)):
         assert pt.phi == phi
         if pt.branch:
             sol = solve_angles(target_transform(q, r, phi))
-            assert pt.angles == sol.branches[pt.branch - 1]
-        assert pt.residual == (q * forward_transform(pt.angles) - apply_phase(r, phi)).norm()
+            assert repr(pt.angles) == repr(sol.branches[pt.branch - 1])
+        residual = (q * forward_transform(pt.angles) - apply_phase(r, phi)).norm()
+        assert repr(pt.residual) == repr(residual)

@@ -185,6 +185,10 @@ def test_to_ellipse_values():
     (Quaternion(-0.0, 0.0, 1.0, -0.0), (1.0, 0.0, 0.0, math.pi / 2)),
     # a negative real with q1 = q3 = -0.0: atan2 gives -pi, and phi wraps to pi
     (Quaternion(-1.0, -0.0, 0.0, -0.0), (1.0, math.pi, 0.0, 0.0)),
+    # the two ends of the unit-scale path, which takes q itself as u
+    (Quaternion(0.5, 0, 0.5, 0), (SQ2 * 0.5, 0.0, 0.0, math.pi / 4)),
+    (Quaternion(0.9999999999999999, 0, 0, 0.9999999999999999),
+     (SQ2 * 0.9999999999999999, 0.0, math.pi / 4, 0.0)),
 ])
 def test_to_ellipse_is_scale_safe(q, want):
     e = to_ellipse(q)

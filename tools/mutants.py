@@ -125,6 +125,16 @@ MUTANTS = [
     (SIGNAL, "-_PI < phi", "-_PI <= phi", "EllipseParams accepts phi = -pi"),
     (SIGNAL, "0.0 <= r", "0.0 < r", "EllipseParams rejects r = 0"),
     (SIGNAL, "-_HALF_PI < theta", "-_HALF_PI <= theta", "EllipseParams accepts theta = -pi/2"),
+    (SHIFTER, "0.5 * atan2(p3, p1), 0.5 * atan2(p2, p0)",
+     "0.5 * atan2(p2, p0), 0.5 * atan2(p3, p1)", "the fused ramp row swaps a_half and b_half"),
+    (SHIFTER, "abs(remainder(x1 - y1, _PI))", "abs(x1 - y1)",
+     "the fused ramp step of psi_b drops its modulo-pi reduction"),
+    (SHIFTER, "b + _PI if b <= -_HALF_PI else b", "b + _PI if b < -_HALF_PI else b",
+     "_branch's psi_b takes < for <=: -pi/2 is no longer mapped to pi/2"),
+    (SIGNAL, "if 0.5 <= max(", "if 0.0 <= max(",
+     "to_ellipse's unit-scale path takes tiny signals too, whose squares underflow"),
+    (SIGNAL, "s2 = 2.0 * (u1 * u2 - u0 * u3)", "s2 = 2.0 * (u1 * u2 + u0 * u3)",
+     "to_ellipse's written-out s2 flips the sign of its u0 u3 term"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
