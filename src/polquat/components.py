@@ -14,7 +14,8 @@ import math
 from functools import reduce
 
 from .quaternion import (I, J, Quaternion, _new, _record, _renormalized, _require_finite,
-                         _require_finite_components, _require_unit, precess)
+                         _require_finite_components, _require_finite_result, _require_unit,
+                         precess)
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -48,9 +49,10 @@ class PartialPolarizer(_record("PartialPolarizer", "pass_axis mu")):
 
 def apply(signal: Quaternion, plate: Waveplate) -> Quaternion:
     """Transmit `signal` through `plate`: right multiplication signal * q.
-    Raises ValueError naming a non-finite component of `signal`."""
+    Raises ValueError naming a non-finite component of `signal`, and where a
+    component of the result overflows a float."""
     _require_finite_components(signal, "signal")
-    return signal * plate.q
+    return _require_finite_result(signal * plate.q, "the transmitted signal")
 
 
 def compose(plates) -> Waveplate:

@@ -129,7 +129,12 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return _new(Quaternion, _product(self, other))
+            # `_product` written out, every operation in its order: one frame
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = self, other
+            return _new(Quaternion, (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                                     a0 * b1 + b0 * a1 + (a2 * b3 - a3 * b2),
+                                     a0 * b2 + b0 * a2 + (a3 * b1 - a1 * b3),
+                                     a0 * b3 + b0 * a3 + (a1 * b2 - a2 * b1)))
         if isinstance(other, (int, float)):
             return _new(Quaternion, (self.q0 * other, self.q1 * other,
                                      self.q2 * other, self.q3 * other))
@@ -189,7 +194,8 @@ class Quaternion(_record("Quaternion", "q0 q1 q2 q3")):
                 + self.q2 * self.q2 + self.q3 * self.q3)
 
     def norm(self) -> float:
-        return math.hypot(*self)
+        q0, q1, q2, q3 = self   # unpacked: `*self` copies a tuple subclass first
+        return math.hypot(q0, q1, q2, q3)
 
     def normalized(self) -> "Quaternion":
         """The unit quaternion in the direction of self, at every scale.
@@ -275,7 +281,8 @@ def _prescaled(q) -> tuple:
 
 
 def _product(p, q) -> tuple:
-    """The Hamilton product p q of two 4-sequences of floats, as a tuple."""
+    """The Hamilton product p q of two 4-sequences of floats, as a tuple.
+    `Quaternion.__mul__` writes out the same operations in the same order."""
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
     return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
@@ -317,9 +324,10 @@ def allclose(p: Quaternion, q: Quaternion, tol: float) -> bool:
 
 
 def _require_unit(q: Quaternion, what: str) -> None:
-    # a non-finite q is never unit, so naming its component costs a passing
-    # check nothing
-    if not q.is_unit():
+    # `is_unit` written out, q unpacked as in `norm`; a non-finite q is
+    # never unit, so naming its component costs a passing check nothing
+    q0, q1, q2, q3 = q
+    if not abs(math.hypot(q0, q1, q2, q3) - 1.0) <= UNIT_TOL:
         _require_finite_components(q, what)
         raise ValueError(f"{what} must be a unit quaternion, |q| = {q.norm()!r}")
 

@@ -102,16 +102,23 @@ class SingularFamily(_record("SingularFamily", "kind half")):
 
     def _members(self, xs: tuple, b_columns: tuple) -> tuple:
         """The members at the free parameters `xs`; a B family reads their
-        `_b_column`s from `b_columns` instead."""
+        `_b_column`s from `b_columns` instead.  Each moving angle is
+        `reduce_angle` written out, as in `_branch`, so a member enters no
+        frame of its own."""
         kind, half = self
+        remainder = math.remainder
         if kind is Classification.SINGULAR_A:
             psi_b = reduce_angle(half)
-            return tuple([_new(WaveplateAngles, (reduce_angle(half + x + _QUARTER_PI), psi_b,
-                                                 reduce_angle(half - x + _QUARTER_PI)))
-                          for x in xs])
-        return tuple([_new(WaveplateAngles, (reduce_angle(s - half + _QUARTER_PI), psi_b,
-                                             reduce_angle(s + half + _QUARTER_PI)))
-                      for s, psi_b in b_columns])
+            return tuple([_new(WaveplateAngles, (
+                a + _PI if (a := remainder(half + x + _QUARTER_PI, _PI)) <= -_HALF_PI else a,
+                psi_b,
+                c + _PI if (c := remainder(half - x + _QUARTER_PI, _PI)) <= -_HALF_PI else c))
+                for x in xs])
+        return tuple([_new(WaveplateAngles, (
+            a + _PI if (a := remainder(s - half + _QUARTER_PI, _PI)) <= -_HALF_PI else a,
+            psi_b,
+            c + _PI if (c := remainder(s + half + _QUARTER_PI, _PI)) <= -_HALF_PI else c))
+            for s, psi_b in b_columns])
 
 
 class ShifterSolution(_record("ShifterSolution", "branches family")):
@@ -182,7 +189,8 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
     `_target_line`), so `solve_angles` accepts it.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
-    _require_finite(phi, "phase")
+    if not math.isfinite(phi):
+        _require_finite(phi, "phase")
     c = math.cos(phi)
     n = math.sin(phi)
     return _new(Quaternion, (c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2,
@@ -352,11 +360,12 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
     r0, r1, r2, r3 = r_out
     ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
-    hypot, atan2, remainder = math.hypot, math.atan2, math.remainder
+    hypot, atan2, remainder, isfinite = math.hypot, math.atan2, math.remainder, math.isfinite
     prev: WaveplateAngles | None = None
     branch = 1
     for phi in phi_samples:
-        _require_finite(phi, "phase")
+        if not isfinite(phi):
+            _require_finite(phi, "phase")
         c = math.cos(phi)
         n = math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3

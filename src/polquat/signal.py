@@ -176,10 +176,17 @@ def classical_from_jones(v: JonesVector) -> ClassicalStokes:
 
 def apply_phase(q: Quaternion, phi: float) -> Quaternion:
     """Left multiplication by e^(i phi): shifts the optical phase by phi.
-    Raises ValueError unless phi and the components of q are finite."""
-    _require_finite(phi, "phase")
-    _require_finite_components(q, "signal")
-    return _new(Quaternion, _product((math.cos(phi), math.sin(phi), 0.0, 0.0), q))
+    Raises ValueError unless phi and the components of q are finite, and
+    where a component of the result overflows a float.  Each check calls its
+    helper only where a fast `isfinite` test fails."""
+    if not math.isfinite(phi):
+        _require_finite(phi, "phase")
+    if not math.isfinite(sum(q)):
+        _require_finite_components(q, "signal")
+    out = _product((math.cos(phi), math.sin(phi), 0.0, 0.0), q)
+    if not math.isfinite(sum(out)):
+        _require_finite_result(out, "the phase-shifted signal")
+    return _new(Quaternion, out)
 
 
 def orthogonal_sop(q: Quaternion) -> Quaternion:

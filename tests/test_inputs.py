@@ -14,9 +14,9 @@ from functools import partial
 import pytest
 
 from polquat import (EllipseParams, I, J, JonesVector, ONE, PartialPolarizer, Quaternion,
-                     Waveplate, classical_from_jones, classify_orthogonality, compose, precess,
-                     ramp_trajectory, solve_angles, stokes, target_transform, to_ellipse,
-                     waveplate_from_axis)
+                     Waveplate, apply, apply_phase, classical_from_jones,
+                     classify_orthogonality, compose, precess, qwp, ramp_trajectory,
+                     solve_angles, stokes, target_transform, to_ellipse, waveplate_from_axis)
 from polquat.signal import _check_ellipse
 
 from test_records import _ANGLES, _Q
@@ -92,7 +92,12 @@ _REJECTIONS = _named(
     ("classical-stokes-overflow",
      partial(classical_from_jones, JonesVector(1e200 + 0j, 1e200 + 0j)), ValueError,
      "the Stokes vector overflows a float"),
+    # a rotated or multiplied component past the largest float
+    ("apply-phase-overflow", partial(apply_phase, Quaternion(1.5e308, 1.5e308, 0.0, 0.0), 0.7),
+     ValueError, "the phase-shifted signal overflows a float"),
     # components
+    ("apply-overflow", lambda: apply(Quaternion(1.5e308, 1.5e308, 0.0, 0.0), qwp(0.3)),
+     ValueError, "the transmitted signal overflows a float"),
     ("compose-nothing", lambda: compose([]), ValueError, "cannot compose an empty plate sequence"),
     ("polarizer-mu-above-1", lambda: PartialPolarizer(ONE, 1.5), ValueError,
      "field extinction mu = 1.5 outside [0, 1]"),
@@ -111,6 +116,9 @@ _REJECTIONS = _named(
           (lambda: solve_angles(Quaternion(1.1, 0.0, 0.0, 0.0)), "target transform", "1.1")]),
     ("ramp signal not unit", lambda: ramp_trajectory(ONE * 2.0, ONE, itertools.count()),
      ValueError, "input signal must be a unit quaternion, |q| = 2.0"),
+    # a short signal fails as a long one does
+    ("short signal not unit", lambda: target_transform(ONE * 0.5, ONE, 0.0), ValueError,
+     "input signal must be a unit quaternion, |q| = 0.5"),
     # records: a validated record is validated on every construction path
     *((f"{case}-{path}", call, ValueError, message)
       for case, record, field, bad, message in [

@@ -17,6 +17,7 @@ from polquat import (
     precess,
 )
 from polquat.checks import _rand_quat
+from polquat.quaternion import _new, _product
 
 
 def _float(rng: random.Random, lo: float, hi: float) -> float:
@@ -44,6 +45,13 @@ def _unit_vector(rng: random.Random) -> Quaternion:
 def test_hand_expanded_product():
     # (1+i)(1+j) = 1 + j + i + ij = 1 + i + j + k
     assert (ONE + I) * (ONE + J) == Quaternion(1, 1, 1, 1)
+    # the operator writes `_product` out: the same floats, signs of zero and
+    # the overflows and underflows of huge and denormal components included
+    rng = random.Random(33)
+    for _ in range(400):
+        p, q = (Quaternion(*(_float(rng, -10.0, 10.0) * rng.choice((1.0, 1e300, 1e-310))
+                             for _ in range(4))) for _ in range(2))
+        assert repr(p * q) == repr(_new(Quaternion, _product(p, q))), (p, q)
 
 
 def test_identity_and_scalar_multiplication():

@@ -135,6 +135,24 @@ MUTANTS = [
      "to_ellipse's unit-scale path takes tiny signals too, whose squares underflow"),
     (SIGNAL, "s2 = 2.0 * (u1 * u2 - u0 * u3)", "s2 = 2.0 * (u1 * u2 + u0 * u3)",
      "to_ellipse's written-out s2 flips the sign of its u0 u3 term"),
+    (QUATERNION, "a0 * b2 + b0 * a2 + (a3 * b1 - a1 * b3)",
+     "a0 * b2 + b0 * a2 + (a1 * b3 - a3 * b1)",
+     "the written-out quaternion product flips the sign of its j cross term"),
+    (QUATERNION, "not abs(math.hypot(q0, q1, q2, q3) - 1.0) <= UNIT_TOL",
+     "not math.hypot(q0, q1, q2, q3) - 1.0 <= UNIT_TOL",
+     "_require_unit's written-out test drops its abs: a short signal passes as unit"),
+    (SHIFTER, "(half + x + _QUARTER_PI, _PI)) <= -_HALF_PI",
+     "(half + x + _QUARTER_PI, _PI)) < -_HALF_PI",
+     "family A's written-out psi_a takes < for <=: -pi/2 is no longer mapped to pi/2"),
+    (SHIFTER, "(s + half + _QUARTER_PI, _PI)) <= -_HALF_PI",
+     "(s + half + _QUARTER_PI, _PI)) < -_HALF_PI",
+     "family B's written-out psi_c takes < for <=: -pi/2 is no longer mapped to pi/2"),
+    (SIGNAL, "if not math.isfinite(phi):", "if math.isnan(phi):",
+     "apply_phase's fast path lets an infinite phase through"),
+    (SIGNAL, "if not math.isfinite(sum(q)):", "if not math.isfinite(sum(q[:2])):",
+     "apply_phase's fast path sums q0 and q1 only, so a non-finite q2 passes"),
+    (SIGNAL, "if not math.isfinite(sum(out)):", "if math.isnan(sum(out)):",
+     "apply_phase's result check lets a component that overflows to inf through"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")

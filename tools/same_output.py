@@ -22,9 +22,10 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   samples (the phases `polquat ramp` uses) and of the `to_ellipse` of its
   output q * forward_transform(angles); of `solve_angles(
   target_transform(q, r, phi))` and its `family_samples` for each of the
-  solve targets above, and of q - r, q + r, -q, q.conjugate() and
-  apply_phase(r, phi) for the same (q, r, phi); and of `to_ellipse` of the
-  ramp signals and of ELLIPSE_EDGES scaled to huge and denormal size;
+  solve targets above, and of q - r, q + r, q * r, q * 2.0, -q,
+  q.conjugate() and apply_phase(r, phi) for the same (q, r, phi); and of
+  `to_ellipse` of the ramp signals and of ELLIPSE_EDGES scaled to huge and
+  denormal size;
 * the `repr` of a `SingularFamily`'s `at(x)` and of the `family_samples`
   of its `ShifterSolution`, for both singular kinds and FAMILY_HALVES
   `random.Random(2024)` (a_half, b_half) pairs, which include +-0.0, at x
@@ -209,7 +210,8 @@ def _child() -> None:
         digest_repr((*map(family.at, xs), shifter.ShifterSolution(None, family).family_samples))
         for family in families]
     artifacts["arithmetic records"] = [
-        digest_repr((q - r, q + r, -q, q.conjugate(), signal.apply_phase(r, phi)))
+        digest_repr((q - r, q + r, q * r, q * 2.0, -q, q.conjugate(),
+                     signal.apply_phase(r, phi)))
         for q, r, phi in solves]
     psis = [math.pi * (2.0 * k / (PLATE_ANGLES - 1) - 1.0) for k in range(PLATE_ANGLES)]
     artifacts["conjugation, normalized and plate records"] = [
