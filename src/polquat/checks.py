@@ -133,11 +133,11 @@ def check_stokes_equivalence(trials: int = QUICK_TRIALS) -> str:
     worst = worst_phase = 0.0
     for _ in range(trials):
         q = _rand_quat(rng)
-        s = to_classical(stokes(q))
+        base = stokes(q)
+        s = to_classical(base)
         c = classical_from_jones(to_jones(q))
         worst = max(worst, abs(s.S1 - c.S1), abs(s.S2 - c.S2), abs(s.S3 - c.S3))
         shifted = stokes(apply_phase(q, rng.uniform(-math.pi, math.pi)))
-        base = stokes(q)
         worst_phase = max(worst_phase, abs(shifted.s1 - base.s1),
                           abs(shifted.s2 - base.s2), abs(shifted.s3 - base.s3))
     return ", ".join([_within("paths", worst, 1e-12),
@@ -161,13 +161,14 @@ def check_oracle_differential(trials: int = QUICK_TRIALS) -> str:
     for _ in range(trials):
         q = _rand_quat(rng)
         plate = Waveplate(_rand_unit(rng))
+        q_jones = to_jones(q)
         via_quat = to_jones(q * plate.q)
-        via_mat = jones.oracle_apply(to_jones(q), plate)
+        via_mat = jones.oracle_apply(q_jones, plate)
         worst_plate = max(worst_plate, abs(via_quat.ex - via_mat.ex),
                           abs(via_quat.ey - via_mat.ey))
         pol = PartialPolarizer(_rand_unit(rng), rng.random())
         r_quat = to_jones(polarizer_apply(q, pol))
-        r_mat = jones.oracle_polarizer(to_jones(q), pol)
+        r_mat = jones.oracle_polarizer(q_jones, pol)
         worst_pol = max(worst_pol, abs(r_quat.ex - r_mat.ex), abs(r_quat.ey - r_mat.ey))
     return ", ".join([_within("plates", worst_plate, 1e-12),
                       _within("polarizers", worst_pol, 1e-12)])

@@ -224,11 +224,11 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
 def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
 
-    Returns (family, c_min, a_half, b_half, t_half) with c_min the smaller
-    of the moduli c1 = |p0 + p2 j| and c2 = |p1 + p3 j|, the half angles
+    Returns (family, a_half, b_half, t_half) with the half angles
     a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
-    t_half = arctan(c1 / c2) / 2.  family is the singular decision: None for
-    a regular target, else, where c_min is at most SINGULAR_TOL, the
+    t_half = arctan(c1 / c2) / 2 of the moduli c1 = |p0 + p2 j| and
+    c2 = |p1 + p3 j|.  family is the singular decision: None for a regular
+    target, else, where the smaller modulus is at most SINGULAR_TOL, the
     `SingularFamily` of the side it belongs to (since c1^2 + c2^2 = 1, at
     most one side is small), holding the one half angle its members use.
     The caller checks that p is unit: `solve_angles` checks p itself, and a
@@ -236,13 +236,12 @@ def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
     """
     c1 = math.hypot(p0, p2)
     c2 = math.hypot(p1, p3)
-    c_min = min(c1, c2)
     a_half = 0.5 * math.atan2(p3, p1)
     b_half = 0.5 * math.atan2(p2, p0)
-    family = (None if c_min > SINGULAR_TOL
+    family = (None if min(c1, c2) > SINGULAR_TOL
               else _new(SingularFamily, (Classification.SINGULAR_A, a_half)) if c1 <= c2
               else _new(SingularFamily, (Classification.SINGULAR_B, b_half)))
-    return family, c_min, a_half, b_half, 0.5 * math.atan2(c1, c2)
+    return family, a_half, b_half, 0.5 * math.atan2(c1, c2)
 
 
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
@@ -272,7 +271,7 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     Raises ValueError unless |p| = 1.
     """
     _require_unit(p, "target transform")
-    family, _, a_half, b_half, t_half = _split(*p)
+    family, a_half, b_half, t_half = _split(*p)
     if family is None:
         return _new(ShifterSolution, ((_branch(1, a_half, b_half, t_half),
                                        _branch(2, a_half, b_half, t_half)), None))
@@ -376,7 +375,7 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
             choice = _branch(branch, 0.5 * atan2(p3, p1), 0.5 * atan2(p2, p0),
                              0.5 * atan2(c1, c2))
         else:
-            family, _, a_half, b_half, t_half = _split(p0, p1, p2, p3)
+            family, a_half, b_half, t_half = _split(p0, p1, p2, p3)
             if family is not None:
                 choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
                 branch = 0

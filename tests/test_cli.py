@@ -118,19 +118,6 @@ def test_solve_prints_the_family_at_its_parameters():
             (angles.psi_a, angles.psi_b, angles.psi_c)
 
 
-def test_degrees_shows_the_family_parameter_in_degrees():
-    argv = ("solve", "--q=1,0,0,0", "--r=1,0,0,0", "--phi", "0")
-    radians = json.loads(run(*argv)[1])["solutions"]
-    code, out, _ = run("--degrees", *argv)
-    assert code == 0
-    shown = json.loads(out)["solutions"]
-    assert len(shown) == len(radians) == 16
-    for rad, deg in zip(radians, shown):
-        assert list(deg) == ["branch", "parameter_deg", "psi_a_deg", "psi_b_deg",
-                             "psi_c_deg", "residual"]
-        assert deg["parameter_deg"] == math.degrees(rad["parameter"])
-
-
 def test_ramp_two_identical_rows_for_identity_problem(tmp_path):
     out_path = tmp_path / "two.csv"
     code, _, _ = run("ramp", "--q", "1,0,0,0", "--r", "1,0,0,0",
@@ -332,6 +319,12 @@ _ARGVS = [
                       (54, "-1,0,0,0", "0,-1,0,0"),
                       (55, "-1,0,0,0", "0.7071067811865475,0,0.7071067811865475,0"),
                       (56, "-0.7071067811865475,0,-0.7071067811865475,0", "0,-1,0,0")]),
+    # --degrees shows each family member's parameter in degrees
+    pytest.param(("--degrees", "solve", "--q=1,0,0,0", "--r=1,0,0,0", "--phi", "0"), 0,
+                 lambda got: [(list(s), s["parameter_deg"]) for s in got["solutions"]] == [
+                     (["branch", "parameter_deg", "psi_a_deg", "psi_b_deg", "psi_c_deg",
+                       "residual"], math.degrees(x)) for x in shifter.SingularFamily.parameters],
+                 id="argv57-0"),
 ]
 
 

@@ -1,10 +1,9 @@
 """The library's rejections, one row each: a call outside an operation's
 domain, the exception type it raises and its exact message.  The table holds
-the rejections whose message polquat writes, the record contract's included;
-the non-finite inputs, whose messages one rule derives from the name of the
-argument, are a table of their own in tests/test_signal.py, and messages
-that CPython writes stay in the tests of their contract.  Each row is named,
-and a name given twice fails collection instead of replacing a row."""
+the rejections whose message polquat writes, the record contract's and the
+non-finite inputs' included; messages that CPython writes stay in the tests
+of their contract.  Each row is named by one shell word, and a name given
+twice or holding a space fails collection instead of replacing a row."""
 
 import itertools
 import math
@@ -14,9 +13,11 @@ from functools import partial
 import pytest
 
 from polquat import (EllipseParams, I, J, JonesVector, ONE, PartialPolarizer, Quaternion,
-                     Waveplate, apply, apply_phase, classical_from_jones,
-                     classify_orthogonality, compose, precess, qwp, ramp_trajectory,
-                     solve_angles, stokes, target_transform, to_ellipse, waveplate_from_axis)
+                     StokesQuaternion, Waveplate, apply, apply_phase, classical_from_jones,
+                     classify_orthogonality, compose, from_jones, hwp, orthogonal_sop,
+                     polarizer_apply, precess, qwp, ramp_trajectory, rotate_element,
+                     solve_angles, stokes, target_transform, to_classical, to_ellipse,
+                     to_jones, waveplate_from_axis)
 from polquat.signal import _check_ellipse
 
 from test_records import _ANGLES, _Q
@@ -26,14 +27,22 @@ _ROOT_2 = "1.4142135623730951"   # |1 + i|
 _ELLIPSE = EllipseParams(1.0, 0.0, 0.0, 0.0)
 
 
+def _with(x: float) -> Quaternion:
+    """A unit signal with its q2 component replaced by x."""
+    return Quaternion(0.6, 0.0, x, 0.8)
+
+
 def _named(*rows) -> dict:
     """{name: (call, exception, message)} of the rows (name, call, exception,
     message).  A repeated name raises: a dict merge would keep only its last
-    row."""
+    row.  So does a name with a space, which would split its test id."""
     names = [name for name, *_ in rows]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"rejection rows share a name: {repeated}")
+    spaced = [name for name in names if " " in name]
+    if spaced:
+        raise ValueError(f"rejection row names hold a space: {spaced}")
     return {name: tuple(row) for name, *row in rows}
 
 
@@ -106,7 +115,8 @@ _REJECTIONS = _named(
     # a plate, a polarizer or a target is a unit quaternion, and so is each
     # signal of a target or a ramp; a ramp checks its signals at the call,
     # before it reads a phase, so an endless phase sequence is fine
-    *((f"{what} not unit", call, ValueError, f"{what} must be a unit quaternion, |q| = {norm}")
+    *((f"{what.replace(' ', '-')}-not-unit", call, ValueError,
+       f"{what} must be a unit quaternion, |q| = {norm}")
       for call, what, norm in [
           (lambda: Waveplate(Quaternion(1, 1, 0, 0)), "waveplate transform", _ROOT_2),
           (lambda: waveplate_from_axis(ONE + I, 0.3), "slow axis signal", _ROOT_2),
@@ -114,10 +124,10 @@ _REJECTIONS = _named(
           (lambda: target_transform(ONE + I, ONE, 0.0), "input signal", _ROOT_2),
           (lambda: target_transform(ONE, ONE * 2.0, 0.0), "output signal", "2.0"),
           (lambda: solve_angles(Quaternion(1.1, 0.0, 0.0, 0.0)), "target transform", "1.1")]),
-    ("ramp signal not unit", lambda: ramp_trajectory(ONE * 2.0, ONE, itertools.count()),
+    ("ramp-signal-not-unit", lambda: ramp_trajectory(ONE * 2.0, ONE, itertools.count()),
      ValueError, "input signal must be a unit quaternion, |q| = 2.0"),
     # a short signal fails as a long one does
-    ("short signal not unit", lambda: target_transform(ONE * 0.5, ONE, 0.0), ValueError,
+    ("short-signal-not-unit", lambda: target_transform(ONE * 0.5, ONE, 0.0), ValueError,
      "input signal must be a unit quaternion, |q| = 0.5"),
     # records: a validated record is validated on every construction path
     *((f"{case}-{path}", call, ValueError, message)
@@ -151,6 +161,54 @@ _REJECTIONS = _named(
           ("tuple-plus-angles", lambda: (1,) + _ANGLES, "WaveplateAngles"),
           ("angles-times-2", lambda: _ANGLES * 2, "WaveplateAngles"),
           ("2-times-angles", lambda: 2 * _ANGLES, "WaveplateAngles")]),
+    # each public function that takes a real number or a signal rejects a
+    # non-finite one, naming it, where it would return NaN, fail in a math
+    # call or report only a non-unit norm
+    *((f"{name}-{value!r}", partial(call, value), ValueError,
+       f"{what} must be a finite number, got {value!r}")
+      for name, call, what in [
+          ("apply_phase", lambda x: apply_phase(ONE, x), "phase"),
+          ("precess", lambda x: precess(I, J, x), "precession angle"),
+          ("target_transform", lambda x: target_transform(ONE, J, x), "phase"),
+          ("to_ellipse", lambda x: to_ellipse(_with(x)), "signal component"),
+          ("target_transform_q", lambda x: target_transform(_with(x), J, 0.3),
+           "input signal component"),
+          ("target_transform_r", lambda x: target_transform(ONE, _with(x), 0.3),
+           "output signal component"),
+          ("solve_angles", lambda x: solve_angles(_with(x)), "target transform component"),
+          ("ramp_trajectory", lambda x: ramp_trajectory(_with(x), J, [0.0]),
+           "input signal component"),
+          ("Waveplate", lambda x: Waveplate(_with(x)), "waveplate transform component"),
+          ("PartialPolarizer", lambda x: PartialPolarizer(_with(x), 0.5),
+           "polarizer pass axis component"),
+          ("waveplate_from_axis", lambda x: waveplate_from_axis(_with(x), 0.3),
+           "slow axis signal component"),
+          ("stokes", lambda x: stokes(_with(x)), "signal component"),
+          ("stokes_q0", lambda x: stokes(Quaternion(x, 0.0, 0.0, 0.8)), "signal component"),
+          ("stokes_q1", lambda x: stokes(Quaternion(0.6, x, 0.0, 0.8)), "signal component"),
+          ("stokes_q3", lambda x: stokes(Quaternion(0.6, 0.0, 0.0, x)), "signal component"),
+          ("to_jones", lambda x: to_jones(_with(x)), "signal component"),
+          ("apply_phase_q", lambda x: apply_phase(_with(x), 0.3), "signal component"),
+          ("orthogonal_sop", lambda x: orthogonal_sop(_with(x)), "signal component"),
+          ("apply", lambda x: apply(_with(x), Waveplate(J)), "signal component"),
+          ("polarizer_apply", lambda x: polarizer_apply(_with(x), PartialPolarizer(ONE, 0.5)),
+           "signal component"),
+          ("from_jones", lambda x: from_jones(JonesVector(complex(0.6, x), 0.8 + 0j)),
+           "Jones vector component"),
+          ("EllipseParams", lambda x: EllipseParams(x, 0.3, 0.1, 0.2), "magnitude"),
+          ("qwp", qwp, "plate angle"),
+          ("hwp", hwp, "plate angle"),
+          ("rotate_element", lambda x: rotate_element(Waveplate(J), x), "plate angle"),
+          ("waveplate_from_axis_eta", lambda x: waveplate_from_axis(ONE, x), "eta"),
+          ("precess_q", lambda x: precess(_with(x), J, 0.3), "quaternion component"),
+          ("classical_from_jones",
+           lambda x: classical_from_jones(JonesVector(complex(0.6, x), 0.8 + 0j)),
+           "Jones vector component"),
+          ("to_classical", lambda x: to_classical(StokesQuaternion(0.6, x, 0.8)),
+           "Stokes component"),
+          ("exp", lambda x: _with(x).exp(), "quaternion component"),
+          ("log", lambda x: _with(x).log(), "quaternion component")]
+      for value in (math.nan, math.inf, -math.inf)),
 )
 
 

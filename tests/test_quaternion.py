@@ -75,12 +75,6 @@ def test_arithmetic_builds_quaternions_of_the_componentwise_floats():
             assert repr(got) == repr(Quaternion(*want)), (q, p, phi)
 
 
-def test_conjugate():
-    q = Quaternion(1, 1, 1, 1)
-    assert q.conjugate() == Quaternion(1, -1, -1, -1)
-    assert q.conjugate().conjugate() == q
-
-
 def test_conjugate_product_rule():
     for p, q, _, _ in _draws(92):
         assert allclose((p * q).conjugate(), q.conjugate() * p.conjugate(), 1e-10), (p, q)
@@ -123,19 +117,10 @@ def test_division_examples():
     assert allclose(q / q, ONE, 1e-12)
 
 
-def test_division_round_trips():
-    rng = random.Random(7)
-    for _ in range(100):
-        p, q = _rand_quat(rng), _rand_quat(rng)
-        if q.norm() < 1e-3:
-            continue
-        assert allclose((p / q) * q, p, 1e-10)
-
-
 @pytest.mark.parametrize("scale", (1e-300, 1e-170, 1.0, 1e160, 1e300, 1e308))
 def test_division_round_trips_at_every_divisor_scale(scale):
     rng = random.Random(10)
-    for _ in range(50):
+    for _ in range(100):
         p, q = _rand_quat(rng), _rand_quat(rng)
         divisor = q * scale
         if q.norm() < 1e-3 or not all(map(math.isfinite, divisor)):

@@ -48,18 +48,15 @@ def jc(x: float, y: float) -> complex:
     return complex(x, y)
 
 
-def test_target_transform_examples():
-    q = _rand_unit(random.Random(70))
-    assert allclose(target_transform(q, q, 0.0), ONE, 1e-12)
-    assert allclose(target_transform(ONE, ONE, HALF_PI), I, 1e-12)
-
-
 def test_target_transform_matches_the_product_form():
-    # the closed line cos(phi) P0 + sin(phi) s P0 against exp(s phi) conj(q) r
+    # the closed line cos(phi) P0 + sin(phi) s P0 against exp(s phi) conj(q) r,
+    # first at r = q with no phase (the identity) and at q = r = 1 with a
+    # quarter turn (i)
+    same = _rand_unit(random.Random(70))
     rng = random.Random(73)
-    for _ in range(2000):
-        q, r = _rand_unit(rng), _rand_unit(rng)
-        phi = rng.uniform(-math.pi, math.pi)
+    cases = [(same, same, 0.0), (ONE, ONE, HALF_PI)] + [
+        (_rand_unit(rng), _rand_unit(rng), rng.uniform(-math.pi, math.pi)) for _ in range(2000)]
+    for q, r, phi in cases:
         s = stokes(q).as_quaternion().normalized()
         want = (s * phi).exp() * q.conjugate() * r
         assert allclose(target_transform(q, r, phi), want, 1e-14)
@@ -150,14 +147,6 @@ def classify(p: Quaternion) -> Classification:
     return solve_angles(p).classification
 
 
-def test_is_singular_classification():
-    assert classify(ONE) is Classification.SINGULAR_B
-    assert classify(-ONE) is Classification.SINGULAR_B
-    assert classify(I) is Classification.SINGULAR_A
-    assert classify(Quaternion(math.sqrt(0.5), math.sqrt(0.5), 0, 0)) \
-        is Classification.REGULAR
-
-
 def _target_with_c(rng, c: float, small_first: bool) -> Quaternion:
     """Unit p whose c1 = |p0 + p2 j| (small_first) or c2 = |p1 + p3 j| is c."""
     a, b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
@@ -202,19 +191,6 @@ def test_singular_b_family_identity_case():
         assert (forward_transform(angles) - ONE).norm() <= 1e-9
 
 
-def test_family_callable_matches_samples():
-    sol = solve_angles(I)
-    base, moved = sol.family.at(0.0), sol.family.at(0.3)   # (+x, constant, -x)
-    assert abs(reduce_angle(moved.psi_a - base.psi_a - 0.3)) <= 1e-12
-    assert moved.psi_b == base.psi_b
-    assert abs(reduce_angle(moved.psi_c - base.psi_c + 0.3)) <= 1e-12
-    assert len(sol.family.parameters) == 16
-    assert len(sol.family_samples) == 16
-    for m, (x, angles) in enumerate(zip(sol.family.parameters, sol.family_samples)):
-        assert x == -HALF_PI + math.pi * m / 16
-        assert angles == sol.family.at(x)
-
-
 def _bits(angles) -> tuple:
     # repr tells -0.0 from 0.0, which == does not
     return tuple(map(repr, angles))
@@ -224,6 +200,7 @@ def _bits(angles) -> tuple:
 def test_family_members_are_branch_1_bit_for_bit(kind):
     # the affine form of a member keeps every float operation of branch 1 at
     # the half angles the family frees, signs of zero included
+    assert SingularFamily.parameters == tuple(-HALF_PI + math.pi * m / 16 for m in range(16))
     rng = random.Random(20)
     halves = [0.0, -0.0, QUARTER_PI, -HALF_PI] + [rng.uniform(-math.pi, math.pi)
                                                   for _ in range(20)]
@@ -246,13 +223,15 @@ def test_both_branches_lie_on_the_family():
     # a family is branch 1 with the half angle that c = 0 leaves undefined set
     # free, so the branch formulas at an exactly singular target are members
     assert SINGULAR_TOL < NEAR_SINGULAR_TOL   # every family ramp row is flagged
+    # first +-1 and +-i, then 500 draws
     rng = random.Random(85)
-    for _ in range(500):
-        x = rng.uniform(-math.pi, math.pi)
-        rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * rng.choice([1.0, -1.0])
+    draws = [(0.0, 1.0), (0.0, -1.0)] + [
+        (rng.uniform(-math.pi, math.pi), rng.choice([1.0, -1.0])) for _ in range(500)]
+    for x, sign in draws:
+        rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * sign
         for p, kind in ((I * rot, Classification.SINGULAR_A),
                         (rot, Classification.SINGULAR_B)):
-            family, _, *halves = _split(p.q0, p.q1, p.q2, p.q3)
+            family, *halves = _split(p.q0, p.q1, p.q2, p.q3)
             assert family.kind is kind
             assert solve_angles(p).family == family
             for branch in (1, 2):

@@ -156,7 +156,9 @@ MUTANTS = [
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
-_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+# a -rfE summary line: the test id, which may hold spaces, then " - " and
+# the reason, or the end of the line
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)
 _PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py",
            "tests"]
 
