@@ -27,6 +27,7 @@ from polquat import (
 )
 from polquat.checks import _rand_quat
 
+from test_inputs import _NON_FINITE_ROWS, _rejects
 from test_quaternion import _float
 
 SQ2 = math.sqrt(2.0)
@@ -196,6 +197,13 @@ def test_to_ellipse_of_the_plain_tuple_is_the_checked_record():
             q = Quaternion(*(x * scale for x in u))
         e = to_ellipse(q)
         assert repr(to_ellipse(tuple(q))) == repr(e) == repr(EllipseParams(*e)), q
+
+
+# the non-finite rows of the one rejection table, tests/test_inputs.py's
+# _REJECTIONS, each named by the function and the value it is given
+@pytest.mark.parametrize("name", [name for name, *_ in _NON_FINITE_ROWS])
+def test_a_non_finite_input_is_rejected_by_name(name):
+    _rejects(name)
 
 
 def test_ellipse_round_trip_params():
