@@ -186,14 +186,20 @@ def _composed(angles: shifter.WaveplateAngles) -> Quaternion:
 
 
 def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
-    """Both branches of random regular targets, then trials // 50 draws of
-    each singular family (p = +-i e^(j x) and p = +-e^(j x)), each triple
-    realized as a composed qwp-hwp-qwp stack."""
+    """The target p = `shifter.target_transform(q, r, phi)` of random
+    (q, r, phi) is unit and meets q p = e^(i phi) r; then both branches of
+    each regular p, and trials // 50 draws of each singular family
+    (p = +-i e^(j x) and p = +-e^(j x)), each triple realized as a composed
+    qwp-hwp-qwp stack."""
     rng = random.Random(14)
-    worst = 0.0
+    worst_unit = worst_defining = worst = 0.0
     regular = 0
     for _ in range(trials):
-        p = _rand_unit(rng)
+        q, r = _rand_unit(rng), _rand_unit(rng)
+        phi = rng.uniform(-math.pi, math.pi)
+        p = shifter.target_transform(q, r, phi)
+        worst_unit = max(worst_unit, abs(p.norm() - 1.0))
+        worst_defining = max(worst_defining, (q * p - apply_phase(r, phi)).norm())
         sol = shifter.solve_angles(p)
         if sol.classification is not shifter.Classification.REGULAR:
             continue
@@ -216,7 +222,9 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
             for angles in samples:
                 _assert_reduced(angles)
                 worst_family = max(worst_family, (_composed(angles) - p).norm())
-    return ", ".join([_within("branches", worst, 1e-13),
+    return ", ".join([_within("target-unit", worst_unit, 2e-15),
+                      _within("defining-property", worst_defining, 2e-15),
+                      _within("branches", worst, 1e-13),
                       _within("families", worst_family, shifter.SINGULAR_TOL + 1e-13)])
 
 

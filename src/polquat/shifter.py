@@ -3,10 +3,12 @@
 Given a unit input signal q, a unit output signal r and a desired phase shift
 phi, the plate stack must realize the unit transform
 
-    p = exp(s * phi) * conj(q) * r,    s = Stokes unit vector quaternion of q,
+    p = conj(q) * e^(i phi) * r,
 
-because q * p = e^(i phi) * r.  Writing the rotated stack as a product of
-exponentials, the four components of p split into two complex numbers in j,
+because q * p = e^(i phi) * r; the same p is exp(s phi) conj(q) r, with s
+the Stokes unit vector quaternion of q.  Writing the rotated stack as a
+product of exponentials, the four components of p split into two complex
+numbers in j,
 
     c1 = p0 + p2*j = -e^(j(psi_c - psi_a)) * cos(-psi_a + 2 psi_b - psi_c)
     c2 = p1 + p3*j =  j e^(j(psi_a + psi_c)) * sin(-psi_a + 2 psi_b - psi_c)
@@ -18,8 +20,8 @@ solves the problem instead.
 
 Read forwards, the same split is the six-trig closed form of the stack that
 `forward_transform` evaluates.  The target is linear in (cos phi, sin phi),
-p(phi) = cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, so a ramp computes
-P0 and s P0 once.
+p(phi) = cos(phi) P0 + sin(phi) P1 with P0 = conj(q) r and P1 = conj(q) i r,
+so a ramp computes P0 and P1 once.
 
 All plate angles are reduced modulo pi into (-pi/2, pi/2]; the physical
 plates are pi-periodic so the reduction never changes the transform.
@@ -31,9 +33,9 @@ import math
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .quaternion import (Quaternion, _new, _product, _record, _renormalized, _require_finite,
+from .quaternion import (UNIT_TOL, Quaternion, _new, _product, _record, _require_finite,
                          _require_unit)
-from .signal import _HALF_PI, _PI, _QUARTER_PI, _stokes_parts, reduce_angle, to_ellipse
+from .signal import _HALF_PI, _PI, _QUARTER_PI, reduce_angle, to_ellipse
 
 # |c1| or |c2| at or below this is treated as exactly singular.  A family
 # member realizes the nearest target with c = 0, so its residual is about c:
@@ -159,31 +161,32 @@ def triple_distance(a: WaveplateAngles, b: WaveplateAngles) -> float:
 
 
 def _target_line(q_in: Quaternion, r_out: Quaternion) -> tuple:
-    """(P0, s P0) as float 4-tuples, P0 = conj(q) r and s the unit Stokes
-    vector of q, after checking both signals are unit.  Every operation of
-    `stokes(q).as_quaternion().normalized()` is written out, zero terms
-    included, and the products are `Quaternion`'s, so the floats are theirs.
+    """(P0, P1) = (conj(q) r, conj(q) i r) as float 4-tuples, after checking
+    both signals are unit; i r = (-r1, r0, -r3, r2).  The products are
+    `Quaternion`'s, so the floats are theirs.
 
-    Two signals each within UNIT_TOL of unit can have |P0| = |q| |r| up to
-    twice that off unit; `_renormalized` then divides P0 by its norm, so the
-    line is that of the unit states the signals approximate.  s P0 is
-    orthogonal to P0 and as long, so every target cos(phi) P0 + sin(phi) s P0
-    is unit.
+    P1 is orthogonal to P0 and as long, so every target cos(phi) P0 +
+    sin(phi) P1 is as long as P0.  Two signals each within UNIT_TOL of unit
+    can have |P0| = |q| |r| up to twice that off unit; both vectors are then
+    divided by that one norm, so the line is that of the unit states the
+    signals approximate and every target is unit.
     """
     _require_unit(q_in, "input signal")
     _require_unit(r_out, "output signal")
-    q0, q1, q2, q3 = q_in
-    s1, s2, s3 = _stokes_parts(q0, q1, q2, q3)
-    inv = 1.0 / math.hypot(0.0, s1, s2, s3)
-    base = _renormalized(_product((q0, -q1, -q2, -q3), r_out))
-    return base, _product((0.0 * inv, s1 * inv, s2 * inv, s3 * inv), base)
+    (q0, q1, q2, q3), (r0, r1, r2, r3) = q_in, r_out
+    conj = (q0, -q1, -q2, -q3)
+    base, turned = _product(conj, r_out), _product(conj, (-r1, r0, -r3, r2))
+    norm = math.hypot(*base)
+    if abs(norm - 1.0) > UNIT_TOL:
+        return tuple([x / norm for x in base]), tuple([x / norm for x in turned])
+    return base, turned
 
 
 def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quaternion:
-    """The unit transform p = exp(s phi) conj(q) r with q p = e^(i phi) r.
+    """The unit transform p = conj(q) e^(i phi) r, so that q p = e^(i phi) r.
 
-    Evaluated as cos(phi) P0 + sin(phi) s P0 with P0 = conj(q) r, since s is
-    a unit vector quaternion and exp(s phi) = cos(phi) + s sin(phi).
+    Evaluated as cos(phi) P0 + sin(phi) P1 with P0 = conj(q) r and
+    P1 = conj(q) i r, since e^(i phi) = cos(phi) + i sin(phi).
     Raises ValueError unless both signals are unit and phi is finite.  p is
     unit even where the product of the two signals' norms is not (see
     `_target_line`), so `solve_angles` accepts it.
@@ -191,8 +194,7 @@ def target_transform(q_in: Quaternion, r_out: Quaternion, phi: float) -> Quatern
     (a0, a1, a2, a3), (b0, b1, b2, b3) = _target_line(q_in, r_out)
     if not math.isfinite(phi):
         _require_finite(phi, "phase")
-    c = math.cos(phi)
-    n = math.sin(phi)
+    c, n = math.cos(phi), math.sin(phi)
     return _new(Quaternion, (c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2,
                              c * a3 + n * b3))
 
@@ -334,7 +336,8 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
 
 def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
                  phi_samples: Iterable[float]) -> Iterator[RampPoint]:
-    """The rows of `ramp_trajectory` on the target line (P0, s P0).
+    """The rows of `ramp_trajectory` on the target line (P0, P1) of
+    `_target_line`.
 
     `branch` is the one branch state: 1 or 2 on a regular row, the branch it
     keeps, and 0 on a family row, after which the next regular row takes the
@@ -365,8 +368,7 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     for phi in phi_samples:
         if not isfinite(phi):
             _require_finite(phi, "phase")
-        c = math.cos(phi)
-        n = math.sin(phi)
+        c, n = math.cos(phi), math.sin(phi)
         p0, p1, p2, p3 = c * a0 + n * b0, c * a1 + n * b1, c * a2 + n * b2, c * a3 + n * b3
         c1 = hypot(p0, p2)
         c2 = hypot(p1, p3)

@@ -129,13 +129,6 @@ def to_jones(q: Quaternion) -> JonesVector:
 
 # -- Stokes ------------------------------------------------------------------
 
-def _stokes_parts(q0: float, q1: float, q2: float, q3: float) -> tuple:
-    """(s1, s2, s3) of the expanded product i * q^(dag i) * q."""
-    return (q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
-            2.0 * (q1 * q2 - q0 * q3),
-            2.0 * (q0 * q2 + q1 * q3))
-
-
 def stokes(q: Quaternion) -> StokesQuaternion:
     """Stokes vector quaternion s = i * q^(dag i) * q.
 
@@ -150,7 +143,10 @@ def stokes(q: Quaternion) -> StokesQuaternion:
     float.
     """
     _require_finite_components(q, "signal")
-    return StokesQuaternion(*_require_finite_result(_stokes_parts(*q), "the Stokes vector"))
+    q0, q1, q2, q3 = q
+    s = (q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2.0 * (q1 * q2 - q0 * q3),
+         2.0 * (q0 * q2 + q1 * q3))
+    return StokesQuaternion(*_require_finite_result(s, "the Stokes vector"))
 
 
 def to_classical(s: StokesQuaternion) -> ClassicalStokes:
@@ -286,7 +282,7 @@ def to_ellipse(q: Quaternion) -> EllipseParams:
     if not r < math.inf:   # hypot is inf for an inf component, nan for a nan one
         _require_finite_components(q, "signal")
         raise ValueError("the signal's norm overflows a float")
-    # `_stokes_parts` of u, written out
+    # the Stokes parts of u, as `stokes` expands them
     s1 = u0 * u0 + u1 * u1 - u2 * u2 - u3 * u3
     s2 = 2.0 * (u1 * u2 - u0 * u3)
     s3 = 2.0 * (u0 * u2 + u1 * u3)

@@ -54,23 +54,25 @@ def _check(argv, codes, want=None):
     traceback on stderr, and on stdout strict JSON, or nothing after a
     failure.  A solve that succeeds prints at least one solution.  A ramp
     that succeeds prints nothing and writes its `--out` CSV: the header and
-    one row per `--samples` sample, with no field `-0`.  `want` is a phrase
-    of stderr, a test of the JSON that stdout holds, or that JSON itself,
-    which stdout must print exactly, keys in order."""
+    one row per `--samples` sample, with no field `-0`.  The command is the
+    first entry of `argv` that is not the global `--degrees`.  `want` is a
+    phrase of stderr, a test of the JSON that stdout holds, or that JSON
+    itself, which stdout must print exactly, keys in order."""
     code, out, err = run(*argv)
     assert code in codes and "Traceback" not in err, (argv, code, err)
+    command = next(arg for arg in argv if arg != "--degrees")
     if isinstance(want, str):
         assert want in err, (argv, err)
-    if code != 0 or argv[0] == "ramp":
+    if code != 0 or command == "ramp":
         assert out == "", (argv, out)
-    if code == 0 and argv[0] == "ramp":
+    if code == 0 and command == "ramp":
         lines = Path(_opt(argv, "--out")).read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == int(_opt(argv, "--samples")) + 1, argv
         # identical values print identically: a negative zero prints as 0
         assert "-0" not in {field for line in lines for field in line.split(",")}, argv
     elif code == 0:
         got = json.loads(out, parse_constant=_no_constant)
-        assert argv[0] != "solve" or got["solutions"], (argv, out)
+        assert command != "solve" or got["solutions"], (argv, out)
         if callable(want):
             assert want(got), (argv, out)
         elif isinstance(want, (list, dict)):
@@ -172,17 +174,21 @@ def test_ramp_rows_streams_the_first_row_at_once():
 # sha256 of the 256-sample ramp CSVs: the byte contract of `ramp`.  The
 # identity and (1, i) ramps start and end on a singular-family row.
 _RAMP_SHA256 = {
-    (FIG5_Q, FIG5_R): "f9f12147800b81a7694b7a667c41f2d6c407334f87a666a160e69822f5cfcf63",
-    (FIG7_Q, FIG7_R): "00344cce0edc274694a732e4be9a8a30b885ad3636cda60d4b8cdff6c0019b13",
+    (FIG5_Q, FIG5_R): "3455a198b5c654aed8a8806118a7c0203f64cd7b73eba0a942777e1359aaad59",
+    (FIG7_Q, FIG7_R): "7e4ccc398f9929d214b507d79976c1c24e91deee0ffd227eae89efad52ef96d8",
     ("1,0,0,0", "1,0,0,0"): "0dcab1d92c2776bcd911837e3db793a2e74f1a5be3cd1d2fb2c6ddb28719d7d1",
     ("1,0,0,0", "0,1,0,0"): "c25d46b12b47aaa81d38046c901f5729bb7eacce35c8bce0269f40fc671a6a84",
 }
 
 
-@pytest.mark.parametrize("q, r", list(_RAMP_SHA256), ids=["fig5", "fig7", "identity", "one-i"])
-def test_ramp_csv_bytes_are_pinned(tmp_path, q, r):
+# ramp columns are radians whatever --degrees says, so FIG5 under it writes
+# the same bytes
+@pytest.mark.parametrize("q, r, degrees", [(*pair, False) for pair in _RAMP_SHA256]
+                         + [(FIG5_Q, FIG5_R, True)],
+                         ids=["fig5", "fig7", "identity", "one-i", "fig5-degrees"])
+def test_ramp_csv_bytes_are_pinned(tmp_path, q, r, degrees):
     out_path = tmp_path / "ramp.csv"
-    code, _, _ = run("ramp", "--q", q, "--r", r, "--samples", "256",
+    code, _, _ = run(*["--degrees"] * degrees, "ramp", "--q", q, "--r", r, "--samples", "256",
                      "--out", str(out_path))
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _RAMP_SHA256[q, r]

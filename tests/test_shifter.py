@@ -49,9 +49,10 @@ def jc(x: float, y: float) -> complex:
 
 
 def test_target_transform_matches_the_product_form():
-    # the closed line cos(phi) P0 + sin(phi) s P0 against exp(s phi) conj(q) r,
-    # first at r = q with no phase (the identity) and at q = r = 1 with a
-    # quarter turn (i)
+    # the closed line cos(phi) P0 + sin(phi) P1 against the paper's
+    # exp(s phi) conj(q) r, s the Stokes unit vector of q: an independent
+    # form of the same p, first at r = q with no phase (the identity) and at
+    # q = r = 1 with a quarter turn (i)
     same = _rand_unit(random.Random(70))
     rng = random.Random(73)
     cases = [(same, same, 0.0), (ONE, ONE, HALF_PI)] + [
@@ -63,15 +64,15 @@ def test_target_transform_matches_the_product_form():
 
 
 def test_target_line_has_the_floats_of_the_record_algebra():
-    # (P0, s P0) on floats is bit for bit the Quaternion algebra it replaces,
-    # signed zeros included
+    # (P0, P1) on floats is bit for bit the Quaternion algebra conj(q) r and
+    # conj(q) times i r = (-r1, r0, -r3, r2), signed zeros included
     rng = random.Random(74)
     circular = Quaternion(1.0, 0.0, 0.0, 1.0).normalized()
     pairs = [(FIG5_Q, FIG5_R), (FIG7_Q, FIG7_R), (ONE, ONE), (circular, FIG5_R)] + [
         (_rand_unit(rng), _rand_unit(rng)) for _ in range(200)]
     for q, r in pairs:
-        p0 = q.conjugate() * r
-        want = (tuple(p0), tuple(stokes(q).as_quaternion().normalized() * p0))
+        turned = Quaternion(-r.q1, r.q0, -r.q3, r.q2)
+        want = (tuple(q.conjugate() * r), tuple(q.conjugate() * turned))
         got = _target_line(q, r)
         assert got == want
         assert [x.hex() for part in got for x in part] == \
@@ -109,18 +110,15 @@ def test_forward_transform_matches_the_composed_stack():
 
 
 def test_end_to_end_through_physical_plates():
-    # the target p is the unit quaternion with q p = e^(i phi) r, and the
-    # solved angles of a regular p, realized as an actual qwp/hwp/qwp train,
-    # must send q to e^(i phi) r
+    # the solved angles of a regular target, realized as an actual
+    # qwp/hwp/qwp train, must send q to e^(i phi) r (the check group
+    # shifter-inversion asserts that p is unit and q p = e^(i phi) r)
     rng = random.Random(80)
     for _ in range(300):
         q, r = _rand_unit(rng), _rand_unit(rng)
         phi = rng.uniform(-math.pi, math.pi)
         want = apply_phase(r, phi)
-        p = target_transform(q, r, phi)
-        assert abs(p.norm() - 1.0) <= 1e-12
-        assert (q * p - want).norm() <= 1e-12
-        for angles in solve_angles(p).branches:
+        for angles in solve_angles(target_transform(q, r, phi)).branches:
             out = apply(apply(apply(q, qwp(angles.psi_a)), hwp(angles.psi_b)),
                         qwp(angles.psi_c))
             assert (out - want).norm() <= 1e-9

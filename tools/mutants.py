@@ -63,7 +63,7 @@ MUTANTS = [
     (SHIFTER, "JUMP_FLAG_STEP = math.pi / 4", "JUMP_FLAG_STEP = math.pi / 3",
      "fewer ramp steps are flagged as jumps"),
     (QUATERNION, "return _new(type(q), (x / norm for x in q))", "return _new(type(q), q)",
-     "_renormalized skips its division: P0 and near-unit plate products stay off unit"),
+     "_renormalized skips its division: near-unit plate products stay off unit"),
     (SHIFTER, "return family.at(0.5 * (zeros[k] + zeros[k + 1]) + _HALF_PI)",
      "return family.at(0.5 * (zeros[k] + zeros[k + 1]))",
      "_best_family_point drops its + pi/2"),
@@ -153,6 +153,14 @@ MUTANTS = [
      "apply_phase's fast path sums q0 and q1 only, so a non-finite q2 passes"),
     (SIGNAL, "if not math.isfinite(sum(out)):", "if math.isnan(sum(out)):",
      "apply_phase's result check lets a component that overflows to inf through"),
+    (SHIFTER, "_product(conj, (-r1, r0, -r3, r2))", "_product(conj, (r1, -r0, r3, -r2))",
+     "_target_line turns r the wrong way: -i r, not i r"),
+    (SHIFTER,
+     "return tuple([x / norm for x in base]), tuple([x / norm for x in turned])",
+     "return base, turned",
+     "_target_line skips the shared division: near-unit targets stay off unit"),
+    (SHIFTER, "(c * a0 + n * b0, c * a1 + n * b1,", "(c * a0 + n * b0, c * a1 - n * b1,",
+     "target_transform flips the sign of its sin(phi) term in p1"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
