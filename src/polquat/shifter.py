@@ -223,31 +223,8 @@ def forward_transform(angles: WaveplateAngles) -> Quaternion:
                              -cg * math.sin(diff), sg * math.cos(total)))
 
 
-def _split(p0: float, p1: float, p2: float, p3: float) -> tuple:
-    """The c1/c2 split of the unit target p = (p0, p1, p2, p3).
-
-    Returns (family, a_half, b_half, t_half) with the half angles
-    a_half = arg(p1 + p3 j) / 2 and b_half = arg(p0 + p2 j) / 2, and
-    t_half = arctan(c1 / c2) / 2 of the moduli c1 = |p0 + p2 j| and
-    c2 = |p1 + p3 j|.  family is the singular decision: None for a regular
-    target, else, where the smaller modulus is at most SINGULAR_TOL, the
-    `SingularFamily` of the side it belongs to (since c1^2 + c2^2 = 1, at
-    most one side is small), holding the one half angle its members use.
-    The caller checks that p is unit: `solve_angles` checks p itself, and a
-    ramp row's target lies on the unit line of `_target_line`.
-    """
-    c1 = math.hypot(p0, p2)
-    c2 = math.hypot(p1, p3)
-    a_half = 0.5 * math.atan2(p3, p1)
-    b_half = 0.5 * math.atan2(p2, p0)
-    family = (None if min(c1, c2) > SINGULAR_TOL
-              else _new(SingularFamily, (Classification.SINGULAR_A, a_half)) if c1 <= c2
-              else _new(SingularFamily, (Classification.SINGULAR_B, b_half)))
-    return family, a_half, b_half, 0.5 * math.atan2(c1, c2)
-
-
 def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> WaveplateAngles:
-    """Regular branch 1 or 2 from the half angles of `_split`: each angle is
+    """Regular branch 1 or 2 from the half angles of `_solve`: each angle is
     `reduce_angle` of its sum, written out."""
     quarter, t = (_QUARTER_PI, -t_half) if branch == 1 else (-_QUARTER_PI, t_half)
     a = math.remainder(a_half - b_half + quarter, _PI)
@@ -256,6 +233,32 @@ def _branch(branch: int, a_half: float, b_half: float, t_half: float) -> Wavepla
     return _new(WaveplateAngles, (a + _PI if a <= -_HALF_PI else a,
                                   b + _PI if b <= -_HALF_PI else b,
                                   c + _PI if c <= -_HALF_PI else c))
+
+
+def _solve(p0: float, p1: float, p2: float, p3: float) -> ShifterSolution:
+    """`solve_angles` of the unit target p = (p0, p1, p2, p3), which the
+    caller has checked: `solve_angles` checks p itself, and a ramp row's
+    target lies on the unit line of `_target_line`.
+
+    It splits p into the moduli c1 = |p0 + p2 j| and c2 = |p1 + p3 j| and
+    the half angles a_half = arg(p1 + p3 j) / 2 and b_half =
+    arg(p0 + p2 j) / 2.  Where the smaller modulus is at most SINGULAR_TOL
+    (since c1^2 + c2^2 = 1, at most one side is small), the solution is the
+    `SingularFamily` of that side, holding the one half angle its members
+    use; else it is the two branches at those half angles and
+    t_half = arctan(c1 / c2) / 2.
+    """
+    c1 = math.hypot(p0, p2)
+    c2 = math.hypot(p1, p3)
+    a_half = 0.5 * math.atan2(p3, p1)
+    b_half = 0.5 * math.atan2(p2, p0)
+    if min(c1, c2) > SINGULAR_TOL:
+        t_half = 0.5 * math.atan2(c1, c2)
+        return _new(ShifterSolution, ((_branch(1, a_half, b_half, t_half),
+                                       _branch(2, a_half, b_half, t_half)), None))
+    return _new(ShifterSolution, (None, _new(SingularFamily, (
+        (Classification.SINGULAR_A, a_half) if c1 <= c2
+        else (Classification.SINGULAR_B, b_half)))))
 
 
 def solve_angles(p: Quaternion) -> ShifterSolution:
@@ -273,11 +276,7 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     Raises ValueError unless |p| = 1.
     """
     _require_unit(p, "target transform")
-    family, a_half, b_half, t_half = _split(*p)
-    if family is None:
-        return _new(ShifterSolution, ((_branch(1, a_half, b_half, t_half),
-                                       _branch(2, a_half, b_half, t_half)), None))
-    return _new(ShifterSolution, (None, family))
+    return _solve(*p)
 
 
 def _best_family_point(family: SingularFamily,
@@ -328,8 +327,8 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     (cos phi, sin phi), so each sample costs two trig calls for them; a
     regular sample builds only the branch it keeps, and every record of a
     row is built in one C call, not through its Python constructor.  A
-    regular row on its kept branch evaluates `_split` in the row loop itself,
-    and every row its step, float for float (see `_ramp_points`).
+    regular row on its kept branch evaluates `_solve`'s split in the row loop
+    itself, and every row its step, float for float (see `_ramp_points`).
     """
     return _ramp_points(q_in, r_out, _target_line(q_in, r_out), phi_samples)
 
@@ -347,16 +346,17 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
     A regular row builds three records, its `WaveplateAngles`, the
     `Quaternion` of `forward_transform` and its `RampPoint`, each with one
     `_new` call; its residual takes the product q * forward(angles) as
-    floats.  A family row takes its `SingularFamily` from `_split` and also
+    floats.  A family row takes its `SingularFamily` from `_solve` and also
     builds the members `_best_family_point` visits.
 
     The fused row: while `branch` is nonzero and c_min is above
     SINGULAR_TOL, the row computes c1, c2 and the three half angles of
-    `_split` in this frame and passes them to `_branch`; every row takes its
+    `_solve` in this frame and passes them to `_branch`; every row takes its
     step as `triple_distance(choice, prev)` written out.  The operations and
     their order are those of the functions, so the floats are theirs.  A
-    family row and the row after one call `_split`, `_branch` and
-    `triple_distance` as `solve_angles` does.
+    family row and the row after one take their solution from `_solve`, as
+    `solve_angles` does, and the row after one keeps the branch nearer
+    `prev` by `triple_distance`.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
@@ -377,15 +377,14 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
             choice = _branch(branch, 0.5 * atan2(p3, p1), 0.5 * atan2(p2, p0),
                              0.5 * atan2(c1, c2))
         else:
-            family, a_half, b_half, t_half = _split(p0, p1, p2, p3)
+            branches, family = _solve(p0, p1, p2, p3)
             if family is not None:
                 choice = family.at(0.0) if prev is None else _best_family_point(family, prev)
                 branch = 0
             else:   # the row after a family row: prev is that family's point
-                first = _branch(1, a_half, b_half, t_half)
-                second = _branch(2, a_half, b_half, t_half)
+                first, second = branches
                 branch = 1 if triple_distance(first, prev) <= triple_distance(second, prev) else 2
-                choice = first if branch == 1 else second
+                choice = branches[branch - 1]
         if prev is None:
             step = 0.0
         else:   # triple_distance(choice, prev)

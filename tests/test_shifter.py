@@ -33,7 +33,6 @@ from polquat.shifter import (
     SingularFamily,
     _best_family_point,
     _branch,
-    _split,
     _target_line,
     reduce_angle,
     triple_distance,
@@ -229,9 +228,11 @@ def test_both_branches_lie_on_the_family():
         rot = Quaternion(math.cos(x), 0.0, math.sin(x), 0.0) * sign
         for p, kind in ((I * rot, Classification.SINGULAR_A),
                         (rot, Classification.SINGULAR_B)):
-            family, *halves = _split(p.q0, p.q1, p.q2, p.q3)
+            family = solve_angles(p).family
             assert family.kind is kind
-            assert solve_angles(p).family == family
+            # the half angles a_half, b_half and t_half of the branch formulas
+            halves = (0.5 * math.atan2(p.q3, p.q1), 0.5 * math.atan2(p.q2, p.q0),
+                      0.5 * math.atan2(math.hypot(p.q0, p.q2), math.hypot(p.q1, p.q3)))
             for branch in (1, 2):
                 br = _branch(branch, *halves)
                 assert triple_distance(_best_family_point(family, br), br) <= 1e-12

@@ -77,7 +77,7 @@ MUTANTS = [
     (SHIFTER,
      "a_half = 0.5 * math.atan2(p3, p1)\n    b_half = 0.5 * math.atan2(p2, p0)",
      "a_half = 0.5 * math.atan2(p2, p0)\n    b_half = 0.5 * math.atan2(p3, p1)",
-     "_split swaps a_half and b_half"),
+     "_solve swaps a_half and b_half"),
     (SHIFTER, "half - x + _QUARTER_PI", "half - x - _QUARTER_PI",
      "family A's psi_c takes - pi/4"),
     (QUATERNION, "p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)",
