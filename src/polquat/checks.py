@@ -225,7 +225,7 @@ def check_shifter_inversion(trials: int = QUICK_TRIALS) -> str:
     return ", ".join([_within("target-unit", worst_unit, 2e-15),
                       _within("defining-property", worst_defining, 2e-15),
                       _within("branches", worst, 1e-13),
-                      _within("families", worst_family, shifter.SINGULAR_TOL + 1e-13)])
+                      _within("families", worst_family, 1e-13)])
 
 
 def _constant_sop(rows) -> str:

@@ -37,10 +37,10 @@ from .quaternion import (UNIT_TOL, Quaternion, _new, _product, _record, _require
                          _require_unit)
 from .signal import _HALF_PI, _PI, _QUARTER_PI, reduce_angle, to_ellipse
 
-# |c1| or |c2| at or below this is treated as exactly singular.  A family
-# member realizes the nearest target with c = 0, so its residual is about c:
-# the threshold sits below the 1e-9 residual bound the checks apply.
-SINGULAR_TOL = 1e-10
+# |c1| or |c2| at or below this is treated as exactly singular: 8 eps, with
+# eps = 2^-52.  A family member realizes the nearest target with c = 0, so
+# its residual is about c, at rounding level as a branch's is.
+SINGULAR_TOL = 8 * 2.0 ** -52
 # Below this the regular solve is still returned but the sample is flagged:
 # the angle sensitivity diverges as the singularity is approached.
 NEAR_SINGULAR_TOL = 1e-4
@@ -262,7 +262,7 @@ def _solve(p0: float, p1: float, p2: float, p3: float) -> ShifterSolution:
 
 
 def solve_angles(p: Quaternion) -> ShifterSolution:
-    """All plate angle solutions realizing the unit transform p exactly.
+    """All plate angle solutions realizing the unit transform p.
 
     Regular case: the two branches
 
@@ -271,7 +271,12 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
                   psi_c = A/2 + B/2 + pi/4             psi_c = A/2 + B/2 - pi/4
 
     with A = arg(p1 + p3 j), B = arg(p0 + p2 j) and t = arctan(|c1| / |c2|)
-    taken in [0, pi/2].  Singular cases return the one-parameter family.
+    taken in [0, pi/2].  Singular cases, min(|c1|, |c2|) at or below
+    SINGULAR_TOL = 8 eps (eps = 2^-52), return the one-parameter family,
+    whose members realize the nearest target with c = 0.  Every returned
+    triple a meets |forward_transform(a) - p| <= 16 eps, about 3.6e-15: a
+    branch to rounding (at most 6.3 eps measured), a member to rounding plus
+    c (at most 12.8 eps measured).
     The solver targets the signed p: p and -p differ by a global pi phase.
     Raises ValueError unless |p| = 1.
     """

@@ -40,6 +40,7 @@ from polquat.shifter import (
 
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
+EPS = 2.0 ** -52
 
 
 def jc(x: float, y: float) -> complex:
@@ -159,17 +160,21 @@ def _target_with_c(rng, c: float, small_first: bool) -> Quaternion:
 def test_every_target_is_solved_within_the_bound(small_first):
     # exact answers at every distance c from the singular set: a family
     # member realizes the nearest c = 0 target, so its residual is about c,
-    # which the singular threshold keeps below the 1e-9 bound of the checks
+    # which the singular threshold of 8 eps keeps at rounding level; 16 eps
+    # is twice the worst these draws measured (6.3 eps)
     rng = random.Random(84)
-    worst = {}
+    worst, regular = {}, {}
     for c in [0.0] + [10.0 ** -e for e in range(300, 0, -1)]:
         for _ in range(20):
             p = _target_with_c(rng, c, small_first)
             sol = solve_angles(p)
             triples = sol.branches or sol.family_samples
+            regular[c] = regular.get(c, True) and sol.family is None
             worst[c] = max([worst.get(c, 0.0)]
                            + [(forward_transform(a) - p).norm() for a in triples])
-    assert max(worst.values()) <= 1e-9, {c: w for c, w in worst.items() if w > 1e-9}
+    bound = 16 * EPS
+    assert max(worst.values()) <= bound, {c: w for c, w in worst.items() if w > bound}
+    assert regular[1e-11] and regular[1e-13]
 
 
 def test_singular_b_family_identity_case():

@@ -40,8 +40,8 @@ CLI = "src/polquat/cli.py"
 JONES = "src/polquat/jones.py"
 
 MUTANTS = [
-    (SHIFTER, "SINGULAR_TOL = 1e-10", "SINGULAR_TOL = 1e-7",
-     "a looser singular threshold: the PR 6 defect"),
+    (SHIFTER, "SINGULAR_TOL = 8 * 2.0 ** -52", "SINGULAR_TOL = 1e-7",
+     "a looser singular threshold: targets up to 1e-7 from the singular set get families"),
     (SIGNAL, "_CIRCULAR_TOL = 1e-12", "_CIRCULAR_TOL = 1e-9",
      "a looser circular-state threshold: the PR 8 defect"),
     (SHIFTER,
