@@ -109,10 +109,13 @@ def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
     quaternion of the pass axis.  Pass-axis inputs e^(i phi) p come through
     unchanged; the blocked axis e^(i phi) j p is scaled by mu.  Linear in q
     over real coefficients.  Raises ValueError naming a non-finite component
-    of q.
+    of q, and where a component of the result overflows a float.
     """
     _require_finite_components(q, "signal")
     s = stokes(pol.pass_axis).as_quaternion()
     i_q_s = I * q * s
-    return (q * (1.0 + pol.mu) - i_q_s * (1.0 - pol.mu)) * 0.5
+    # halving the coefficients, not the sum, is exact and keeps q * (1 + mu)
+    # from overflowing
+    return _require_finite_result(q * ((1.0 + pol.mu) * 0.5) - i_q_s * ((1.0 - pol.mu) * 0.5),
+                                  "the polarized signal")
 

@@ -112,6 +112,9 @@ def test_standard_plates():
 def test_polarizer_examples():
     pol = PartialPolarizer(ONE, 0.0)
     assert allclose(polarizer_apply(ONE + J, pol), ONE, 1e-15)
+    # a pass-axis input near the largest float comes through unchanged
+    huge = Quaternion(1.5e308, 1.5e308, 0.0, 0.0)
+    assert polarizer_apply(huge, PartialPolarizer(ONE, 0.5)) == huge
 
 
 def test_polarizer_linearity():

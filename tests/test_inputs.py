@@ -14,10 +14,10 @@ import pytest
 
 from polquat import (EllipseParams, I, J, JonesVector, ONE, PartialPolarizer, Quaternion,
                      StokesQuaternion, Waveplate, apply, apply_phase, classical_from_jones,
-                     classify_orthogonality, compose, from_jones, hwp, orthogonal_sop,
-                     polarizer_apply, precess, qwp, ramp_trajectory, rotate_element,
-                     solve_angles, stokes, target_transform, to_classical, to_ellipse,
-                     to_jones, waveplate_from_axis)
+                     classify_orthogonality, compose, from_ellipse, from_jones, hwp,
+                     orthogonal_sop, polarizer_apply, precess, qwp, ramp_trajectory,
+                     rotate_element, solve_angles, stokes, target_transform, to_classical,
+                     to_ellipse, to_jones, waveplate_from_axis)
 from polquat.signal import _check_ellipse
 
 from test_records import _ANGLES, _Q
@@ -158,6 +158,12 @@ _REJECTIONS = _named(
     # components
     ("apply-overflow", lambda: apply(Quaternion(1.5e308, 1.5e308, 0.0, 0.0), qwp(0.3)),
      ValueError, "the transmitted signal overflows a float"),
+    # the pass axis's Stokes vector is (0, -1, 1) / sqrt(2), so an input of
+    # four equal components leaves with q0 = q3 about 1.207 times theirs
+    ("polarizer-overflow",
+     lambda: polarizer_apply(Quaternion(1.5e308, 1.5e308, 1.5e308, 1.5e308), PartialPolarizer(
+         from_ellipse(EllipseParams(1.0, 0.0, math.pi / 8, math.pi / 4)), 0.0)),
+     ValueError, "the polarized signal overflows a float"),
     ("compose-nothing", lambda: compose([]), ValueError, "cannot compose an empty plate sequence"),
     ("polarizer-mu-above-1", lambda: PartialPolarizer(ONE, 1.5), ValueError,
      "field extinction mu = 1.5 outside [0, 1]"),
