@@ -19,7 +19,7 @@ production code paths never import it.
 from __future__ import annotations
 
 from .components import PartialPolarizer, Waveplate
-from .quaternion import J, Quaternion
+from .quaternion import Quaternion
 from .signal import JonesVector
 
 # the images of 1, i, j and k, as listed above
@@ -69,7 +69,7 @@ def oracle_apply(v: JonesVector, plate: Waveplate) -> JonesVector:
 def oracle_polarizer(v: JonesVector, pol: PartialPolarizer) -> JonesVector:
     """Partial polarizer by explicit projection onto pass and block axes."""
     pv = jones_column(pol.pass_axis)
-    bv = jones_column(J * pol.pass_axis)
+    bv = JonesVector(-pv.ey.conjugate(), pv.ex.conjugate())   # orthogonal to pv
     along = pv.ex.conjugate() * v.ex + pv.ey.conjugate() * v.ey
     across = pol.mu * (bv.ex.conjugate() * v.ex + bv.ey.conjugate() * v.ey)
     return JonesVector(pv.ex * along + bv.ex * across,
