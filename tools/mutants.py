@@ -3,12 +3,14 @@
     python3 tools/mutants.py
 
 Each row of MUTANTS is (file, old, new, why): a fault made by replacing the
-text `old`, which occurs exactly once in `file`, with `new`.  For each row
-the script copies the tree into a fresh temporary directory, applies the
-row there and runs `python -m polquat check` and `python -m pytest -q
-tests` (without tests/test_mutants.py, which fails on every mutant) with
-that copy's `src` on the import path and no bytecode written.  It first
-runs the unmutated copy the same way and stops unless both pass.  Then the
+text `old`, which occurs exactly once in `file`, with `new`.  The script
+copies the tree once, before the table, so an edit made while it runs
+reaches no row.  For each row it copies that snapshot into a fresh
+temporary directory, applies the row there and runs `python -m polquat
+check` and `python -m pytest -q tests` (without tests/test_mutants.py,
+which fails on every mutant) with that copy's `src` on the import path and
+no bytecode written.  It first
+runs an unmutated copy the same way and stops unless both pass.  Then the
 rows run side by side, one per CPU, and it prints the kill table in row
 order: per mutant the exit code of `check`, the number of failing test
 cases and test functions, and the failing test ids.  After the table it
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +65,7 @@ MUTANTS = [
     (SIGNAL, "phi = _PI", "phi = -_PI", "to_ellipse keeps phi = -pi"),
     (SHIFTER, "JUMP_FLAG_STEP = math.pi / 4", "JUMP_FLAG_STEP = math.pi / 3",
      "fewer ramp steps are flagged as jumps"),
-    (QUATERNION, "return _new(type(q), (x / norm for x in q))", "return _new(type(q), q)",
+    (QUATERNION, "return _new(Quaternion, (x / norm for x in q))", "return _new(Quaternion, q)",
      "_renormalized skips its division: near-unit plate products stay off unit"),
     (SHIFTER, "return family.at(0.5 * (zeros[k] + zeros[k + 1]) + _HALF_PI)",
      "return family.at(0.5 * (zeros[k] + zeros[k + 1]))",
@@ -193,11 +196,12 @@ def _run(tree: Path) -> tuple:
     return check.returncode, failed
 
 
-def _mutant_run(row) -> tuple:
-    """`_run` of a fresh copy of the tree with `row` applied (None: unmutated)."""
+def _mutant_run(snapshot: Path, row) -> tuple:
+    """`_run` of a fresh copy of the tree snapshot with `row` applied (None:
+    unmutated)."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=_IGNORE)
+        shutil.copytree(snapshot, tree)
         if row is not None:
             path, old, new, _ = row
             text = (tree / path).read_text()
@@ -207,15 +211,24 @@ def _mutant_run(row) -> tuple:
         return _run(tree)
 
 
-def _test_functions() -> list:
+def _test_functions(snapshot: Path) -> list:
     """The test functions the kill table's pytest run collects, in file order."""
-    out = subprocess.run([sys.executable, *_PYTEST, "--collect-only"], cwd=ROOT,
-                         env=_env(ROOT), capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, *_PYTEST, "--collect-only"], cwd=snapshot,
+                         env=_env(snapshot), capture_output=True, text=True,
+                         check=True).stdout
     return list(dict.fromkeys(_function(line) for line in out.splitlines() if "::" in line))
 
 
 def main() -> int:
-    code, failed = _mutant_run(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = Path(tmp) / "tree"
+        shutil.copytree(ROOT, snapshot, ignore=_IGNORE)
+        return _table(snapshot)
+
+
+def _table(snapshot: Path) -> int:
+    """Run and print the kill table for the tree snapshot at `snapshot`."""
+    code, failed = _mutant_run(snapshot, None)
     if code != 0 or failed:
         print(f"the unmutated tree fails: check exit {code}, failing tests {failed}")
         return 1
@@ -224,7 +237,7 @@ def main() -> int:
     check_kills = test_kills = 0
     killers = []
     with ThreadPoolExecutor(os.cpu_count()) as pool:
-        runs = zip(MUTANTS, pool.map(_mutant_run, MUTANTS))
+        runs = zip(MUTANTS, pool.map(partial(_mutant_run, snapshot), MUTANTS))
         for n, (row, (code, failed)) in enumerate(runs, 1):
             killers.append(sorted(set(map(_function, failed))))
             check_kills += code != 0
@@ -237,7 +250,7 @@ def main() -> int:
         print(f"- {n}: " + (functions[0] if len(functions) == 1
                              else f"none ({len(functions)} functions fail)"))
     killing = set().union(*killers)
-    idle = [name for name in _test_functions() if name not in killing]
+    idle = [name for name in _test_functions(snapshot) if name not in killing]
     print(f"\nTest functions that kill no mutant ({len(idle)}):\n")
     for name in idle:
         print(f"- {name}")
