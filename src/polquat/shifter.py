@@ -275,8 +275,7 @@ def solve_angles(p: Quaternion) -> ShifterSolution:
     SINGULAR_TOL = 8 eps (eps = 2^-52), return the one-parameter family,
     whose members realize the nearest target with c = 0.  Every returned
     triple a meets |forward_transform(a) - p| <= 16 eps, about 3.6e-15: a
-    branch to rounding (at most 6.3 eps measured), a member to rounding plus
-    c (at most 12.8 eps measured).
+    branch to rounding, a member to rounding plus c.
     The solver targets the signed p: p and -p differ by a global pi phase.
     Raises ValueError unless |p| = 1.
     """

@@ -160,8 +160,8 @@ def _target_with_c(rng, c: float, small_first: bool) -> Quaternion:
 def test_every_target_is_solved_within_the_bound(small_first):
     # exact answers at every distance c from the singular set: a family
     # member realizes the nearest c = 0 target, so its residual is about c,
-    # which the singular threshold of 8 eps keeps at rounding level; 16 eps
-    # is twice the worst these draws measured (6.3 eps)
+    # which the singular threshold of 8 eps keeps at rounding level: 16 eps
+    # holds that c and a branch's rounding (these draws read at most 6.3 eps)
     rng = random.Random(84)
     worst, regular = {}, {}
     for c in [0.0] + [10.0 ** -e for e in range(300, 0, -1)]:
