@@ -332,7 +332,7 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
     regular sample builds only the branch it keeps, and every record of a
     row is built in one C call, not through its Python constructor.  A
     regular row on its kept branch evaluates `_solve`'s split in the row loop
-    itself, and every row its step, float for float (see `_ramp_points`).
+    itself, float for float (see `_ramp_points`).
     """
     return _ramp_points(q_in, r_out, _target_line(q_in, r_out), phi_samples)
 
@@ -355,18 +355,17 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
 
     The fused row: while `branch` is nonzero and c_min is above
     SINGULAR_TOL, the row computes c1, c2 and the three half angles of
-    `_solve` in this frame and passes them to `_branch`; every row takes its
-    step as `triple_distance(choice, prev)` written out.  The operations and
-    their order are those of the functions, so the floats are theirs.  A
-    family row and the row after one take their solution from `_solve`, as
+    `_solve` in this frame and passes them to `_branch`.  The operations and
+    their order are those of `_solve`, so the floats are its.  A family row
+    and the row after one take their solution from `_solve`, as
     `solve_angles` does, and the row after one keeps the branch nearer
-    `prev` by `triple_distance`.
+    `prev` by `triple_distance`, which also gives every row its step.
     """
     (a0, a1, a2, a3), (b0, b1, b2, b3) = line
     # e^(i phi) r = cos(phi) r + sin(phi) i r, with i r = (-r1, r0, -r3, r2)
     r0, r1, r2, r3 = r_out
     ir0, ir1, ir2, ir3 = -r1, r0, -r3, r2
-    hypot, atan2, remainder, isfinite = math.hypot, math.atan2, math.remainder, math.isfinite
+    hypot, atan2, isfinite = math.hypot, math.atan2, math.isfinite
     prev: WaveplateAngles | None = None
     branch = 1
     for phi in phi_samples:
@@ -389,12 +388,7 @@ def _ramp_points(q_in: Quaternion, r_out: Quaternion, line: tuple,
                 first, second = branches
                 branch = 1 if triple_distance(first, prev) <= triple_distance(second, prev) else 2
                 choice = branches[branch - 1]
-        if prev is None:
-            step = 0.0
-        else:   # triple_distance(choice, prev)
-            (x0, x1, x2), (y0, y1, y2) = choice, prev
-            step = max(abs(remainder(x0 - y0, _PI)), abs(remainder(x1 - y1, _PI)),
-                       abs(remainder(x2 - y2, _PI)))
+        step = 0.0 if prev is None else triple_distance(choice, prev)
         # a family row has c_min <= SINGULAR_TOL < NEAR_SINGULAR_TOL
         flagged = c_min <= NEAR_SINGULAR_TOL or step >= JUMP_FLAG_STEP
         o0, o1, o2, o3 = _product(q_in, forward_transform(choice))

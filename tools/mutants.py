@@ -130,8 +130,8 @@ MUTANTS = [
     (SIGNAL, "-_HALF_PI < theta", "-_HALF_PI <= theta", "EllipseParams accepts theta = -pi/2"),
     (SHIFTER, "0.5 * atan2(p3, p1), 0.5 * atan2(p2, p0)",
      "0.5 * atan2(p2, p0), 0.5 * atan2(p3, p1)", "the fused ramp row swaps a_half and b_half"),
-    (SHIFTER, "abs(remainder(x1 - y1, _PI))", "abs(x1 - y1)",
-     "the fused ramp step of psi_b drops its modulo-pi reduction"),
+    (SHIFTER, "abs(math.remainder(a1 - b1, _PI))", "abs(a1 - b1)",
+     "a step of psi_b drops its modulo-pi reduction"),
     (SHIFTER, "b + _PI if b <= -_HALF_PI else b", "b + _PI if b < -_HALF_PI else b",
      "_branch's psi_b takes < for <=: -pi/2 is no longer mapped to pi/2"),
     (SIGNAL, "if 0.5 <= max(", "if 0.0 <= max(",
