@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .quaternion import (I, J, Quaternion, _new, _record, _renormalized, _require_finite,
-                         _require_finite_components, _require_finite_result, _require_unit,
-                         precess)
+from .quaternion import (I, J, Quaternion, _new, _prescaled, _record, _renormalized,
+                         _require_finite, _require_finite_components, _require_finite_result,
+                         _require_unit, precess)
 from .signal import stokes
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -108,14 +108,22 @@ def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
     r = ((1 + mu) q - (1 - mu) i q s) / 2 with s the Stokes unit vector
     quaternion of the pass axis.  Pass-axis inputs e^(i phi) p come through
     unchanged; the blocked axis e^(i phi) j p is scaled by mu.  Linear in q
-    over real coefficients.  Raises ValueError naming a non-finite component
-    of q, and where a component of the result overflows a float.
+    over real coefficients.
+
+    The expression is evaluated on u = q / 2^e (see `_prescaled`) and its
+    result scaled back by the exact 2^e, so no intermediate overflows: a
+    unit-scale q gives the floats of the expression on q itself.  Raises
+    ValueError naming a non-finite component of q, and where a component of
+    the result overflows a float.
     """
     _require_finite_components(q, "signal")
+    u, e, _ = _prescaled(q)
+    u = _new(Quaternion, u)
     s = stokes(pol.pass_axis).as_quaternion()
-    i_q_s = I * q * s
-    # halving the coefficients, not the sum, is exact and keeps q * (1 + mu)
-    # from overflowing
-    return _require_finite_result(q * ((1.0 + pol.mu) * 0.5) - i_q_s * ((1.0 - pol.mu) * 0.5),
-                                  "the polarized signal")
+    r0, r1, r2, r3 = u * ((1.0 + pol.mu) * 0.5) - I * u * s * ((1.0 - pol.mu) * 0.5)
+    try:
+        return _new(Quaternion, (math.ldexp(r0, e), math.ldexp(r1, e), math.ldexp(r2, e),
+                                 math.ldexp(r3, e)))
+    except OverflowError:
+        raise ValueError("the polarized signal overflows a float") from None
 

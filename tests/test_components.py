@@ -2,6 +2,7 @@ import math
 import random
 
 from polquat import (
+    EllipseParams,
     I,
     J,
     K,
@@ -13,6 +14,7 @@ from polquat import (
     apply,
     apply_phase,
     compose,
+    from_ellipse,
     hwp,
     orthogonal_sop,
     polarizer_apply,
@@ -115,6 +117,11 @@ def test_polarizer_examples():
     # a pass-axis input near the largest float comes through unchanged
     huge = Quaternion(1.5e308, 1.5e308, 0.0, 0.0)
     assert polarizer_apply(huge, PartialPolarizer(ONE, 0.5)) == huge
+    # so does any input of a lossless polarizer, though I * q * s overflows
+    # on the way for this one
+    four = Quaternion(1.5e308, 1.5e308, 1.5e308, 1.5e308)
+    axis = from_ellipse(EllipseParams(1.0, 0.0, math.pi / 8, math.pi / 4))
+    assert polarizer_apply(four, PartialPolarizer(axis, 1.0)) == four
 
 
 def test_polarizer_linearity():

@@ -74,8 +74,8 @@ MUTANTS = [
      "reduce_angle takes < for <=: -pi/2 is no longer mapped to pi/2"),
     (SHIFTER, "(_QUARTER_PI, -t_half)", "(_QUARTER_PI, t_half)",
      "branch 1 takes +t_half"),
-    (COMPONENTS, "q * ((1.0 + pol.mu) * 0.5) - i_q_s * ((1.0 - pol.mu) * 0.5)",
-     "q * ((1.0 + pol.mu) * 0.5) + i_q_s * ((1.0 - pol.mu) * 0.5)",
+    (COMPONENTS, "u * ((1.0 + pol.mu) * 0.5) - I * u * s * ((1.0 - pol.mu) * 0.5)",
+     "u * ((1.0 + pol.mu) * 0.5) + I * u * s * ((1.0 - pol.mu) * 0.5)",
      "polarizer_apply flips the sign of its (1 - mu) term"),
     (SHIFTER,
      "a_half = 0.5 * math.atan2(p3, p1)\n    b_half = 0.5 * math.atan2(p2, p0)",

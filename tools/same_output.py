@@ -26,6 +26,9 @@ PARENT_SRC and CHANGE_SRC are the `src` directories (the ones holding
   q.conjugate() and apply_phase(r, phi) for the same (q, r, phi); and of
   `to_ellipse` of the ramp signals and of ELLIPSE_EDGES scaled to huge and
   denormal size;
+* the `repr` of `polarizer_apply(q * scale, PartialPolarizer(r, mu))` for
+  each solve target's (q, r), each mu of POLARIZER_MUS and each scale of
+  POLARIZER_SCALES, at which no intermediate underflows or overflows;
 * the `repr` of a `SingularFamily`'s `at(x)` and of the `family_samples`
   of its `ShifterSolution`, for both singular kinds and FAMILY_HALVES
   `random.Random(2024)` (a_half, b_half) pairs, which include +-0.0, at x
@@ -85,6 +88,8 @@ ELLIPSE_SCALES = (2.0 ** 1000, 1e300, 1.0, 2.0 ** -1000, 1e-310)
 # a signal whose orientation 0.5 * atan2(s3, s1) is exactly -pi/2 before its
 # wrap to pi/2, and the left circular state, whose orientation is set to 0
 ELLIPSE_EDGES = ([-0.0, 0.0, 1.0, -0.0], [1.0, 0.0, 0.0, 1.0])
+POLARIZER_MUS = (0.0, 0.5, 1.0)
+POLARIZER_SCALES = (1e-300, 1.0, 1e300)
 SOLVE_RUNS = 2000
 PLATE_ANGLES = 4001
 FAMILY_HALVES = 200
@@ -170,7 +175,8 @@ def _child() -> None:
             value = getattr(polquat, name)
             module = value.__name__ if isinstance(value, types.ModuleType) else value.__module__
             surface.append((name, type(value).__name__, module))
-    from polquat import Axis, Classification, I, Quaternion, cli, hwp, qwp, shifter, signal
+    from polquat import (Axis, Classification, I, PartialPolarizer, Quaternion, cli, hwp,
+                         polarizer_apply, qwp, shifter, signal)
 
     def digest(argv, path=None) -> str:
         out, err = io.StringIO(), io.StringIO()
@@ -226,6 +232,9 @@ def _child() -> None:
     artifacts["to_ellipse records scaled"] = [
         digest_repr(signal.to_ellipse(Quaternion(*q) * scale))
         for q in spec["ellipse_signals"] for scale in ELLIPSE_SCALES]
+    artifacts["polarizer records"] = [
+        digest_repr(polarizer_apply(q * scale, PartialPolarizer(r, mu)))
+        for q, r, _ in solves for mu in POLARIZER_MUS for scale in POLARIZER_SCALES]
     artifacts["check stdout"] = [digest(["check"])]
     artifacts["solve output"] = [digest(argv) for argv in spec["solves"]]
     artifacts["convert output"] = [digest(argv) for argv in spec["converts"]]
