@@ -201,9 +201,10 @@ _CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
 def cmd_ramp(args) -> int:
     q = _parse_quat_arg(args.q, "--q")
     r = _parse_quat_arg(args.r, "--r")
-    if args.samples < 2:
-        raise BadInput("--samples must be at least 2")
-    rows = shifter.ramp_rows(q, r, args.samples)
+    try:
+        rows = shifter.ramp_rows(q, r, args.samples)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from exc
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")

@@ -402,9 +402,12 @@ def ramp_rows(q: Quaternion, r: Quaternion, samples: int) -> Iterator[tuple]:
     """The rows of the closed 0..2*pi ramp of `samples` phases: each solved
     `RampPoint` with the ellipse of its output q * forward(angles).
 
-    The signals are checked before this returns (ValueError unless unit);
-    then each phase is drawn, solved and given its ellipse as its row is
-    read, so no row is kept.
+    The ramp's first and last phases are 0 and 2*pi, so it needs at least 2
+    samples.  The sample count and the signals are checked before this
+    returns (ValueError unless at least 2 and unit); then each phase is
+    drawn, solved and given its ellipse as its row is read, so no row is kept.
     """
+    if samples < 2:
+        raise ValueError(f"a ramp needs at least 2 samples, got {samples}")
     points = ramp_trajectory(q, r, (2.0 * math.pi * k / (samples - 1) for k in range(samples)))
     return ((pt, to_ellipse(_product(q, forward_transform(pt.angles)))) for pt in points)

@@ -18,6 +18,7 @@ from polquat import (EllipseParams, I, J, JonesVector, ONE, PartialPolarizer, Qu
                      orthogonal_sop, polarizer_apply, precess, qwp, ramp_trajectory,
                      rotate_element, solve_angles, stokes, target_transform, to_classical,
                      to_ellipse, to_jones, waveplate_from_axis)
+from polquat.shifter import ramp_rows
 from polquat.signal import _check_ellipse
 
 from test_records import _ANGLES, _Q
@@ -183,6 +184,9 @@ _REJECTIONS = _named(
           (lambda: solve_angles(Quaternion(1.1, 0.0, 0.0, 0.0)), "target transform", "1.1")]),
     ("ramp-signal-not-unit", lambda: ramp_trajectory(ONE * 2.0, ONE, itertools.count()),
      ValueError, "input signal must be a unit quaternion, |q| = 2.0"),
+    # a closed ramp runs from 0 to 2*pi, so it has at least 2 samples
+    *((f"ramp-rows-{samples}-samples", partial(ramp_rows, ONE, ONE, samples), ValueError,
+       f"a ramp needs at least 2 samples, got {samples}") for samples in (1, 0)),
     # a short signal fails as a long one does
     ("short-signal-not-unit", lambda: target_transform(ONE * 0.5, ONE, 0.0), ValueError,
      "input signal must be a unit quaternion, |q| = 0.5"),
