@@ -3,8 +3,9 @@
 
 Given input SOP, output SOP and a phase target, the closed form returns the
 three plate orientations directly.  Sweeping the phase through 2*pi produces
-the actuator trajectories; a pair of states with equal ellipticity forces the
-trajectory through two singular configurations, visible as pi/2 jumps.
+the actuator trajectories; a pair of states with equal ellipticity takes the
+trajectory through two singular configurations.  The ramp keeps its branch, so
+each crossing shows as a pi/2 jump on that branch.
 
 Writes ramp_typical.csv and ramp_singular.csv (the CSV of `polquat ramp`) next
 to this script and, when matplotlib is importable, a PNG of the trajectories.

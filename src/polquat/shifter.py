@@ -145,8 +145,8 @@ class RampPoint(_record("RampPoint", "phi angles branch residual flagged")):
 
     branch is 1 or 2 for a regular solve and 0 for a singular-family point;
     flagged marks singular or near-singular samples and the pi/2-scale jump
-    a crossing forces.  residual = |q * forward(angles) - e^(i phi) r|, for
-    the signals q and r as given (see `ramp_trajectory`).
+    a crossing shows on the kept branch.  residual = |q * forward(angles) -
+    e^(i phi) r|, for the signals q and r as given (see `ramp_trajectory`).
     """
 
     __slots__ = ()
@@ -309,9 +309,11 @@ def ramp_trajectory(q_in: Quaternion, r_out: Quaternion,
                     phi_samples: Iterable[float]) -> Iterator[RampPoint]:
     """Solve the stack along a phase ramp, keeping the angles trackable.
 
-    Regular samples stay on one branch family; crossing a singularity then
-    shows up as the physical pi/2-scale jump in plate orientation, which is
-    flagged (as are samples with |c1| or |c2| below NEAR_SINGULAR_TOL).
+    Regular samples keep their branch, so a crossing of a singularity shows
+    as a pi/2-scale jump in plate orientation on that branch, which is
+    flagged (as are samples with |c1| or |c2| below NEAR_SINGULAR_TOL).  The
+    jump comes from keeping the branch: the other branch continues the
+    trajectory at the crossing.
     Exactly singular samples pick the family point closest to the previous
     triple under the max modulo-pi metric.
 
