@@ -111,10 +111,10 @@ def polarizer_apply(q: Quaternion, pol: PartialPolarizer) -> Quaternion:
     over real coefficients.
 
     The expression is evaluated on u = q / 2^e (see `_prescaled`) and its
-    result scaled back by the exact 2^e, so no intermediate overflows: a
-    unit-scale q gives the floats of the expression on q itself.  Raises
-    ValueError naming a non-finite component of q, and where a component of
-    the result overflows a float.
+    result scaled back by 2^e, so no intermediate overflows.  Both scalings
+    are exact: where the expression on q itself neither underflows nor
+    overflows, the floats are its.  Raises ValueError naming a non-finite
+    component of q, and where a component of the result overflows a float.
     """
     _require_finite_components(q, "signal")
     u, e, _ = _prescaled(q)
